@@ -348,7 +348,11 @@ def _lorentz_gauss_cosine(mu: float, x: complex, s: complex) -> complex:
     where T- = e^{-x^2/(4s)} w(i w-) if Re(w-) >= 0, else the reflection
     2 e^{s mu^2 - mu x} - e^{-x^2/(4s)} w(-i w-); the reflection term is
     exactly the theta-series term, and the w() parts are the defect.
+    Jc is even in x, and the forms above take the decaying branch e^{-mu x}
+    only for Re(x) >= 0, so x is reflected into that half-plane first.
     """
+    if x.real < 0:
+        x = -x
     if s == 0:
         # plain Lorentzian cosine transform
         return (math.pi / (2.0 * mu)) * cmath.exp(-mu * x)

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import registry, wavepacket, zeta
-from .errors import NonConvergenceError, WavepackError
+from .errors import DomainError, NonConvergenceError, WavepackError
 from .foundation import NATURAL_UNITS, PhysicalConfig
 
 USAGE_EXIT = 2
@@ -33,7 +33,8 @@ def parse_complex(text: str) -> complex:
 
 def _physical_config(args) -> PhysicalConfig:
     if (args.hbar is None) != (args.mass is None):
-        raise SystemExit(USAGE_EXIT)  # both or neither, to avoid mixed conventions
+        # both or neither, to avoid mixed conventions
+        raise DomainError("--hbar and --mass must be given together")
     if args.hbar is None:
         return NATURAL_UNITS
     return PhysicalConfig(hbar=args.hbar, mass=args.mass)

@@ -44,20 +44,3 @@ def derivative(f, x, n: int, h0: float | None = None, levels: int = 4):
         for i in range(len(vals) - 1, j - 1, -1):
             vals[i] = (factor * vals[i] - vals[i - 1]) / (factor - 1.0)
     return vals[-1]
-
-
-def second_derivative_error_scale(h: float) -> float:
-    """Rule-of-thumb truncation scale for the 3-point second-derivative stencil."""
-    return h * h / 12.0
-
-
-def richardson_limit(step_ratio: float, values):
-    """Extrapolate a sequence f(h), f(h/r), ... to h=0 assuming integer powers."""
-    vals = list(values)
-    n = len(vals)
-    if n < 2:
-        raise DomainError("need at least two values to extrapolate")
-    for m in range(1, n):
-        mult = step_ratio**m
-        vals = [(mult * hi - lo) / (mult - 1.0) for lo, hi in zip(vals[:-1], vals[1:])]
-    return vals[0]

@@ -4,8 +4,10 @@ integrals.
 
 This module is the independent numerical oracle: every closed form in the
 package is validated against it.  Integrands are complex-valued callables that
-accept numpy arrays of nodes.  The engine is deterministic: panel refinement
-follows a fixed worst-first rule with an insertion-order tiebreak.
+accept numpy arrays of nodes; an integrand may return one column per node
+(scalar) or m columns per node (m integrals over one shared panel set).  The
+engine is deterministic: panel refinement follows a fixed worst-first rule
+with an insertion-order tiebreak.
 
 The regularized path computes I(delta) = int f(z) exp(-delta z^2) dz over a
 strictly decreasing schedule of damping strengths and extrapolates the values
@@ -23,28 +25,23 @@ from scipy.special import gammaincc, gamma as _gamma
 
 from .errors import DomainError
 
-# 15-point Kronrod extension of 7-point Gauss (QUADPACK dqk15 constants).
-_XGK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
+# 15-point Kronrod extension of 7-point Gauss: the QUADPACK dqk15 constants
+# (Piessens et al., QUADPACK, 1983) to full double precision.  Truncated
+# constants put a floor under |K15 - G7| on panels with large integrands.
+# As in QUADPACK, each rule is listed from the outermost node in to the centre.
+_XGK_HALF = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+             0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+             0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+             0.207784955007898467600689403773245, 0.0)
+_WGK_HALF = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+             0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+             0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+             0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG_HALF = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+            0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+_XGK = np.array([-v for v in _XGK_HALF[:-1]] + list(_XGK_HALF[::-1]))
+_WGK = np.array(_WGK_HALF + _WGK_HALF[-2::-1])
+_WG = np.array(_WG_HALF + _WG_HALF[-2::-1])
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 DEFAULT_BUDGET = 2_000_000
@@ -55,6 +52,14 @@ _NODES_PER_PERIOD = 8.0
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """Value, error estimate, cost and convergence flag of one integration.
+
+    For a vector-valued integrand `value` and `abs_error_estimate` are arrays
+    over its output columns and `converged` holds only if every column is
+    within tol.  `evaluations` counts integration nodes (15 per panel), not
+    nodes times columns, so a budget means the same for both shapes.
+    """
+
     value: complex
     abs_error_estimate: float
     evaluations: int
@@ -120,13 +125,17 @@ DEFAULT_SCHEDULE = RegularizationSchedule()
 
 
 def _eval_panel(f, a: float, b: float):
+    """K15 value, |K15 - G7| and heap key of one panel.
+
+    For a vector-valued integrand (node array of shape (15,) in, (15, m) out)
+    value and error are per-column arrays and the key is the worst column.
+    """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    nodes = c + h * _XGK
-    fv = np.asarray(f(nodes), dtype=complex)
-    k15 = h * np.sum(_WGK * fv)
-    g7 = h * np.sum(_WG * fv[_GAUSS_IDX])
-    return k15, abs(k15 - g7)
+    fv = np.asarray(f(c + h * _XGK), dtype=complex)
+    k15 = h * (_WGK @ fv)
+    err = abs(k15 - h * (_WG @ fv[_GAUSS_IDX]))
+    return k15, err, (err if fv.ndim == 1 else err.max())
 
 
 def _presplit(a: float, b: float, osc_freq, max_panels: int, min_panels: int = 8):
@@ -154,9 +163,27 @@ def _presplit(a: float, b: float, osc_freq, max_panels: int, min_panels: int = 8
     return out
 
 
+def _result(value, err, evaluations: int, converged: bool) -> QuadratureResult:
+    """Scalar results as complex/float, vector results as arrays."""
+    if np.ndim(value):
+        return QuadratureResult(np.asarray(value, dtype=complex), np.asarray(err, dtype=float),
+                                evaluations, bool(converged))
+    return QuadratureResult(complex(value), float(err), evaluations, bool(converged))
+
+
+def _worst(err) -> float:
+    return float(np.max(err))
+
+
 def integrate_interval(f, a: float, b: float, tol: float = 1e-10,
                        budget: int = DEFAULT_BUDGET, osc_freq=None) -> QuadratureResult:
-    """Adaptive Gauss-Kronrod integration of a complex integrand on [a, b]."""
+    """Adaptive Gauss-Kronrod integration of a complex integrand on [a, b].
+
+    f maps a node array of shape (15,) to values of shape (15,) (scalar
+    integrand) or (15, m) (m integrands sharing one panel set).  Panels are
+    refined worst column first until every column's error is <= tol.
+    `evaluations` counts z-nodes, 15 per panel, whatever m is.
+    """
     if not (b > a):
         raise DomainError("empty or inverted interval")
     if tol < 1e-13:
@@ -169,30 +196,28 @@ def integrate_interval(f, a: float, b: float, tol: float = 1e-10,
     total = 0j
     total_err = 0.0
     for lo, hi in pieces:
-        val, err = _eval_panel(f, lo, hi)
+        val, err, key = _eval_panel(f, lo, hi)
         evals += 15
-        heapq.heappush(heap, (-err, counter, lo, hi, val))
+        heapq.heappush(heap, (-key, counter, lo, hi, val, err))
         counter += 1
         total += val
         total_err += err
-    while total_err > tol and evals + 30 <= budget:
-        neg_err, _, lo, hi, val = heapq.heappop(heap)
+    scalar = np.ndim(total_err) == 0
+    while (total_err if scalar else total_err.max()) > tol and evals + 30 <= budget:
+        _, _, lo, hi, val, err = heapq.heappop(heap)
         if hi - lo < 1e-14 * (b - a):
-            heapq.heappush(heap, (neg_err, counter, lo, hi, val))
-            counter += 1
             break
         mid = 0.5 * (lo + hi)
-        v1, e1 = _eval_panel(f, lo, mid)
-        v2, e2 = _eval_panel(f, mid, hi)
+        v1, e1, k1 = _eval_panel(f, lo, mid)
+        v2, e2, k2 = _eval_panel(f, mid, hi)
         evals += 30
         total += (v1 + v2) - val
-        total_err += (e1 + e2) - (-neg_err)
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1))
+        total_err += (e1 + e2) - err
+        heapq.heappush(heap, (-k1, counter, lo, mid, v1, e1))
         counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2))
+        heapq.heappush(heap, (-k2, counter, mid, hi, v2, e2))
         counter += 1
-    return QuadratureResult(value=complex(total), abs_error_estimate=float(total_err),
-                            evaluations=evals, converged=bool(total_err <= tol))
+    return _result(total, total_err, evals, _worst(total_err) <= tol)
 
 
 def integrate_decaying(f, domain=(0.0, math.inf), tol: float = 1e-10,
@@ -217,17 +242,16 @@ def integrate_decaying(f, domain=(0.0, math.inf), tol: float = 1e-10,
         inner = integrate_interval(f, 0.0, T, tol=max(tol - tail, tol / 2, 1e-13),
                                    budget=budget, osc_freq=osc_freq)
         err = inner.abs_error_estimate + tail
-        return QuadratureResult(inner.value, err, inner.evaluations,
-                                bool(err <= tol and inner.converged))
+        return _result(inner.value, err, inner.evaluations,
+                       inner.converged and _worst(err) <= tol)
     if lo == -math.inf and hi == math.inf:
         tail = 2.0 * decay.tail_integral(T)
         half = max((tol - tail) / 2, tol / 4, 1e-13)
         left = integrate_interval(f, -T, 0.0, tol=half, budget=budget // 2, osc_freq=osc_freq)
         right = integrate_interval(f, 0.0, T, tol=half, budget=budget // 2, osc_freq=osc_freq)
         err = left.abs_error_estimate + right.abs_error_estimate + tail
-        return QuadratureResult(left.value + right.value, err,
-                                left.evaluations + right.evaluations,
-                                bool(err <= tol and left.converged and right.converged))
+        return _result(left.value + right.value, err, left.evaluations + right.evaluations,
+                       left.converged and right.converged and _worst(err) <= tol)
     raise DomainError(f"unsupported domain {domain!r}")
 
 
@@ -235,9 +259,10 @@ def neville_extrapolate(xs, ys):
     """Polynomial extrapolation of (xs, ys) to x=0; returns (value, residual).
 
     The residual is the difference between the last two extrapolation
-    diagonals, the usual a-posteriori estimate for Neville tables.
+    diagonals, the usual a-posteriori estimate for Neville tables.  Each y may
+    be a scalar or an array; arrays are extrapolated elementwise.
     """
-    t = [complex(y) for y in ys]
+    t = [np.asarray(y, dtype=complex) if np.ndim(y) else complex(y) for y in ys]
     n = len(t)
     if n == 1:
         return t[0], abs(t[0])
@@ -258,7 +283,9 @@ def integrate_oscillatory_regularized(f, sched: RegularizationSchedule = DEFAULT
     schedule and extrapolates polynomially to delta = 0.  The error estimate
     combines the extrapolation residual with the worst inner quadrature error.
     An erratic I(delta) sequence (Neville residuals that never settle) is
-    reported as non-convergence rather than as a silent wrong answer.
+    reported as non-convergence rather than as a silent wrong answer.  A
+    vector-valued f is extrapolated column by column, and converges only if
+    every column settles within tol.
     """
     deltas = list(sched.delta_values)
     if bound_scale is None:
@@ -277,14 +304,15 @@ def integrate_oscillatory_regularized(f, sched: RegularizationSchedule = DEFAULT
     worst_inner = 0.0
     ok = True
     for d in deltas:
-        fd = (lambda dd: (lambda z: np.asarray(f(z), dtype=complex)
-                          * np.exp(-dd * np.asarray(z) ** 2)))(d)
+        # the damping factor broadcasts over the output columns of f
+        fd = (lambda dd: (lambda z: (np.asarray(f(z), dtype=complex).T
+                                     * np.exp(-dd * np.asarray(z) ** 2)).T))(d)
         r = integrate_decaying(fd, domain=domain, tol=inner_tol,
                                decay=DecayBound(rate=d, power=2.0, scale=bound_scale),
                                budget=per_delta_budget, osc_freq=osc_freq)
         vals.append(r.value)
         evals += r.evaluations
-        worst_inner = max(worst_inner, r.abs_error_estimate)
+        worst_inner = np.maximum(worst_inner, r.abs_error_estimate)
         ok = ok and r.converged
     order = min(sched.extrapolation_order, len(deltas) - 1)
     residuals = []
@@ -293,12 +321,10 @@ def integrate_oscillatory_regularized(f, sched: RegularizationSchedule = DEFAULT
         value, res = neville_extrapolate(deltas[: k + 1], vals[: k + 1])
         residuals.append(res)
     final_res = residuals[-1] if residuals else abs(value)
-    best = min(residuals) if residuals else final_res
-    settled = final_res <= max(4.0 * best, tol)
+    best = np.min(residuals, axis=0) if residuals else final_res
+    settled = bool(np.all(final_res <= np.maximum(4.0 * best, tol)))
     err = final_res + worst_inner
-    converged = bool(ok and settled and err <= tol)
-    return QuadratureResult(value=complex(value), abs_error_estimate=float(err),
-                            evaluations=evals, converged=converged)
+    return _result(value, err, evals, ok and settled and _worst(err) <= tol)
 
 
 def psi_oracle(amp, x, tau, tol: float = 1e-10, budget: int = DEFAULT_BUDGET,
@@ -308,25 +334,45 @@ def psi_oracle(amp, x, tau, tol: float = 1e-10, budget: int = DEFAULT_BUDGET,
     `amp` duck-types the amplitude protocol: callable on node arrays, with a
     `decay` DecayBound attribute (None for merely bounded amplitudes).  Uses
     the absolutely convergent path when the declared decay supports it,
-    otherwise the Gaussian-regularized path.  x may be complex (needed by the
-    self-reciprocal transformation check); the exp(|Im x| |z|) growth is folded
-    into the effective decay bound.
+    otherwise the Gaussian-regularized path.  A scalar x may be complex (needed
+    by the self-reciprocal transformation check); the exp(|Im x| |z|) growth is
+    folded into the effective decay bound.
+
+    x may also be a 1-D real array.  Then all of its points share one panel
+    set, refined until every point is within tol; `value` and
+    `abs_error_estimate` are arrays over x, and `converged` holds only if
+    every point converged.
     """
-    x = complex(x)
     tau = complex(tau)
     if tau.imag > 1e-12:
         raise DomainError("Im(tau) must be <= 0 for a convergent evaluation")
+    if np.ndim(x):
+        xs = np.asarray(x)
+        if xs.ndim != 1 or xs.size == 0 or (np.iscomplexobj(xs) and np.any(xs.imag != 0)):
+            raise DomainError("array x must be a non-empty 1-D real array")
+        xs = np.real(xs).astype(float)
+        x_lo, x_hi, grow = float(xs.min()), float(xs.max()), 0.0
 
-    def f(z):
-        zz = np.asarray(z, dtype=complex)
-        return np.asarray(amp(zz), dtype=complex) * np.exp(1j * zz * x - 1j * tau * zz * zz)
+        def f(z):
+            zz = np.asarray(z, dtype=complex)
+            head = np.asarray(amp(zz), dtype=complex) * np.exp(-1j * tau * zz * zz)
+            return head[:, None] * np.exp(1j * np.multiply.outer(zz, xs))
+    else:
+        x = complex(x)
+        x_lo = x_hi = x.real
+        grow = abs(x.imag)
+
+        def f(z):
+            zz = np.asarray(z, dtype=complex)
+            return np.asarray(amp(zz), dtype=complex) * np.exp(1j * zz * x - 1j * tau * zz * zz)
 
     def osc(z):
-        return abs(x.real - 2.0 * tau.real * z) + 2.0 * abs(tau.imag) * abs(z)
+        # local phase frequency |x - 2 Re(tau) z|, worst case over [x_lo, x_hi]
+        drift = 2.0 * tau.real * z
+        return max(abs(x_lo - drift), abs(x_hi - drift)) + 2.0 * abs(tau.imag) * abs(z)
 
     gauss_rate = -tau.imag
     amp_decay: DecayBound | None = getattr(amp, "decay", None)
-    grow = abs(x.imag)
     candidates = []
     if amp_decay is not None:
         if grow == 0.0:

@@ -613,14 +613,24 @@ def position_norm_squared(amp: Amplitude, t: complex, cfg: PhysicalConfig = NATU
     """int |psi(x,t)|^2 dx over [-L, L] by composite Simpson on a uniform grid.
 
     The truncation L must be chosen by the caller so the packet mass outside
-    is below the comparison tolerance; the uniform grid keeps the cost of one
-    quadrature-backed psi evaluation per node.
+    is below the comparison tolerance.  The Gaussian uses its closed form.
+    Other amplitudes under method "auto" or "quadrature" take one batched
+    quadrature over the whole grid (each node within tol); the series methods
+    evaluate psi node by node.
     """
     npts = 2 * int(half_width / step) + 1
     xs = np.linspace(-half_width, half_width, npts)
     if amp.kind == "gaussian":
         tau = reduced_time(t, cfg)
         vals = np.array([abs(gaussian_closed_psi(amp, xx, tau)) ** 2 for xx in xs])
+    elif method in ("auto", "quadrature"):
+        r = psi_oracle(amp, xs, _check_tau(reduced_time(t, cfg)), tol=tol)
+        if not r.converged:
+            raise NonConvergenceError(
+                f"batched psi quadrature did not converge: worst error "
+                f"{float(np.max(r.abs_error_estimate)):.3e} > tol {tol:.1e} "
+                f"after {r.evaluations} evaluations")
+        vals = np.abs(r.value) ** 2
     else:
         vals = np.array([abs(psi(amp, float(xx), t, cfg, method=method, tol=tol).psi) ** 2
                          for xx in xs])

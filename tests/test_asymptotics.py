@@ -224,6 +224,21 @@ class TestExactResummations:
         ref = psi_oracle(Amplitude.glaisher(), x, tau, tol=1e-11).value / 2.0
         assert abs(exact - ref) <= 1e-9
 
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 0.5 - 0.2j])
+    def test_exact_packets_are_even_in_x(self, tau):
+        # cos(xz) is even in x; at tau = 0 the e^{-mu x} branch used to
+        # overflow for x < 0
+        for x in (0.7, 3.0):
+            for exact in (lambda xx: sech_packet_exact(1.0, xx, tau),
+                          lambda xx: glaisher_packet_exact(xx, tau)):
+                right, left = exact(x), exact(-x)
+                assert cmath.isfinite(left)
+                assert abs(left - right) <= 1e-14 * max(1.0, abs(right))
+
+    def test_sech_exact_at_negative_x_matches_oracle(self):
+        ref = psi_oracle(Amplitude.sech(1.0), -3.0, 0.0, tol=1e-12).value / 2.0
+        assert abs(sech_packet_exact(1.0, -3.0, 0) - ref) <= 1e-10
+
     def test_theta_series_is_the_erfc_limit(self):
         # as tau -> 0 along the damped axis the exact form approaches the series
         x = 2.0

@@ -69,6 +69,14 @@ class TestPsiCommand:
                               "--x", "0", "--t", "0,0", "--hbar", "2"])
         assert code == 2
 
+    def test_physical_units_pair_message(self):
+        for extra in (["--hbar", "2"], ["--mass", "0.5"]):
+            code, out, err = run_cli(["psi", "--amplitude", "gaussian", "--alpha", "1",
+                                      "--x", "0", "--t", "0,0", *extra])
+            assert code == 2
+            assert out == ""
+            assert err.strip() == "error: --hbar and --mass must be given together"
+
     def test_physical_units_change_value(self):
         code, out, _ = run_cli(["psi", "--amplitude", "gaussian", "--alpha", "1",
                                 "--x", "1", "--t", "0.5,0", "--hbar", "2",

@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from wavepack import quadrature, wavepacket
 from wavepack.closedform import f_cosine_moment
-from wavepack.errors import DomainError
+from wavepack.errors import DomainError, NonConvergenceError
 from wavepack.quadrature import (DEFAULT_SCHEDULE, DecayBound,
                                  RegularizationSchedule, integrate_decaying,
+                                 integrate_interval,
                                  integrate_oscillatory_regularized,
                                  neville_extrapolate, psi_oracle)
-from wavepack.wavepacket import Amplitude
+from wavepack.wavepacket import Amplitude, position_norm_squared
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -163,3 +165,124 @@ class TestPsiOracle:
         amp = Amplitude.gaussian(1.0)
         with pytest.raises(DomainError):
             psi_oracle(amp, 0.0, 1j)
+
+
+class TestKronrodConstants:
+    def test_gauss_rule_is_gauss_legendre_to_the_ulp(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            p7 = lambda t: mp.legendre(7, t)
+            start, _ = np.polynomial.legendre.leggauss(7)
+            nodes = [mp.findroot(p7, mp.mpf(float(t))) for t in start]
+            weights = [2 / ((1 - t * t) * mp.diff(p7, t) ** 2) for t in nodes]
+        nodes = np.array([float(t) for t in nodes])
+        weights = np.array([float(w) for w in weights])
+        gauss_x = quadrature._XGK[quadrature._GAUSS_IDX]
+        assert np.all(np.abs(gauss_x - nodes) <= np.spacing(np.abs(nodes)))
+        assert np.all(np.abs(quadrature._WG - weights) <= np.spacing(weights))
+
+    def test_kronrod_rule_integrates_degree_22_exactly(self):
+        eps = np.finfo(float).eps
+        for k in range(23):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            got = float(np.sum(quadrature._WGK * quadrature._XGK ** k))
+            assert abs(got - exact) <= 4 * eps, k
+
+
+def _columns(r):
+    return np.asarray(r.value), np.asarray(r.abs_error_estimate)
+
+
+class TestVectorIntegrand:
+    def test_columns_match_scalar_integrals(self):
+        ws = np.array([0.0, 1.5, 4.0])
+        f = lambda z: np.exp(-np.asarray(z) ** 2)[:, None] * np.cos(np.multiply.outer(z, ws))
+        r = integrate_interval(f, -6.0, 6.0, tol=1e-12)
+        assert r.converged and r.value.shape == (3,) and r.abs_error_estimate.shape == (3,)
+        for w, v in zip(ws, r.value):
+            assert abs(v - SQRT_PI * math.exp(-w * w / 4)) <= 1e-12
+
+    def test_every_column_must_converge(self):
+        # a polynomial column that K15 gets exactly, and one that needs far
+        # more panels than the budget allows
+        f = lambda z: np.stack([np.asarray(z) ** 2,
+                                np.cos(60 * np.asarray(z)) * np.exp(-np.asarray(z) ** 2)], axis=1)
+        r = integrate_interval(f, -6.0, 6.0, tol=1e-10, budget=600)
+        assert abs(r.value[0] - 144.0) <= 1e-12
+        assert r.abs_error_estimate[0] <= 1e-10 < r.abs_error_estimate[1]
+        assert not r.converged
+
+    def test_refinement_follows_the_worst_column(self):
+        # next to a column that every panel integrates exactly, the shared
+        # panel set is the one the hard column picks alone
+        f1 = lambda z: np.exp(-np.asarray(z) ** 2) * np.cos(3 * np.asarray(z))
+        f2 = lambda z: np.stack([np.ones_like(np.asarray(z)), f1(z), f1(z)], axis=1)
+        r1 = integrate_interval(f1, -6.0, 6.0, tol=1e-11)
+        r2 = integrate_interval(f2, -6.0, 6.0, tol=1e-11)
+        assert r1.evaluations == r2.evaluations
+        assert abs(r2.value[0] - 12.0) <= 1e-13
+        assert np.allclose(r2.value[1:], r1.value, rtol=1e-14, atol=0.0)
+
+
+_BATCH_X = np.array([-2.5, -0.7, 0.0, 0.4, 1.9, 3.0])
+_BATCH_CASES = [
+    ("gaussian/real", Amplitude.gaussian(1.2 - 0.3j, 0.4), 0.7),
+    ("gaussian/damped", Amplitude.gaussian(1.2 - 0.3j, 0.4), 0.7 - 0.2j),
+    ("sech-z0/real", Amplitude.sech(1.3), 0.6),
+    ("sech-z0/damped", Amplitude.sech(1.3), 0.6 - 0.2j),
+    ("sech-shift/real", Amplitude.sech(1.1, -0.5), 0.6),
+    ("sech-shift/damped", Amplitude.sech(1.1, -0.5), 0.6 - 0.2j),
+    ("glaisher/real", Amplitude.glaisher(), 0.05),
+    ("glaisher/damped", Amplitude.glaisher(), 0.8 - 0.3j),
+]
+
+
+class TestBatchedPsi:
+    @pytest.mark.parametrize("label,amp,tau", _BATCH_CASES, ids=[c[0] for c in _BATCH_CASES])
+    def test_array_x_matches_scalar_calls(self, label, amp, tau):
+        tol = 1e-9
+        r = psi_oracle(amp, _BATCH_X, tau, tol=tol)
+        vals, errs = _columns(r)
+        assert r.converged and vals.shape == _BATCH_X.shape
+        assert np.all(errs <= tol)
+        for x, v, e in zip(_BATCH_X, vals, errs):
+            s = psi_oracle(amp, float(x), tau, tol=tol)
+            assert s.converged
+            assert abs(v - s.value) <= e + s.abs_error_estimate
+
+    def test_regularized_path_array_x(self):
+        # decay=None at real tau takes the Gaussian-regularized path
+        amp = Amplitude.custom(lambda z: np.exp(-np.asarray(z) ** 2), parity="even")
+        xs = np.array([-0.8, 1.3])
+        r = psi_oracle(amp, xs, 0.5, tol=1e-8)
+        vals, errs = _columns(r)
+        assert r.converged and np.all(errs <= 1e-8)
+        for x, v, e in zip(xs, vals, errs):
+            s = psi_oracle(amp, float(x), 0.5, tol=1e-8)
+            assert s.converged
+            assert abs(v - s.value) <= e + s.abs_error_estimate
+
+    def test_scalar_call_types_unchanged(self):
+        r = psi_oracle(Amplitude.sech(1.0), 0.5, 0.3 - 0.1j, tol=1e-10)
+        assert type(r.value) is complex and type(r.abs_error_estimate) is float
+        assert type(r.converged) is bool
+
+    def test_array_x_must_be_real_1d(self):
+        amp = Amplitude.sech(1.0)
+        with pytest.raises(DomainError):
+            psi_oracle(amp, np.array([0.5 + 1j, 1.0]), 0.5 - 0.1j)
+        with pytest.raises(DomainError):
+            psi_oracle(amp, np.zeros((2, 2)), 0.5 - 0.1j)
+
+    def test_starved_budget_is_unconverged(self):
+        r = psi_oracle(Amplitude.sech(1.3), _BATCH_X, 0.6, tol=1e-9, budget=600)
+        assert not r.converged
+        assert np.max(r.abs_error_estimate) > 1e-9
+
+    def test_position_norm_raises_on_unconverged_batch(self, monkeypatch):
+        def starved(*args, **kwargs):
+            return quadrature.psi_oracle(*args, budget=600, **kwargs)
+
+        monkeypatch.setattr(wavepacket, "psi_oracle", starved)
+        with pytest.raises(NonConvergenceError):
+            position_norm_squared(Amplitude.sech(1.5), 0.5, half_width=10.0, step=0.1)
