@@ -16,12 +16,13 @@ in the x-exponent (valid only at beta = pi/2).  For the Glaisher kernel
 where the printed quartic phase coefficient 1/4 is reconciled to 1.
 
 Both series are the tau -> 0 / x -> infty ends of exact resummations provided
-here through partial fractions of the amplitudes and the Faddeeva function
-(`sech_packet_exact`, `glaisher_packet_exact`); the series terms are the
-erfc -> (2, 0) limits of the exact Lorentz-Gauss integrals.  The series are
-NOT valid as large-tau approximations at fixed x: for Im(tau) < 0 they
-diverge term-by-term, and on the real tau axis the defect is the stationary
-phase contribution ~ tau^{-1/2} phi(x/(2 tau)).  The test suite records this.
+here through the pole expansions of the amplitudes (`amplitudes.PoleExpansion`)
+and the Faddeeva function (`sech_packet_exact`, `glaisher_packet_exact`); the
+series terms are the erfc -> (2, 0) limits of the exact Lorentz-Gauss
+integrals.  The series are NOT valid as large-tau approximations at fixed x:
+for Im(tau) < 0 they diverge term-by-term, and on the real tau axis the defect
+is the stationary phase contribution ~ tau^{-1/2} phi(x/(2 tau)).  The test
+suite records this.
 """
 from __future__ import annotations
 
@@ -30,24 +31,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wofz
 
+from .amplitudes import GLAISHER_POLES, Amplitude
 from .errors import DomainError
-from .foundation import sqrt_principal
-from .quadrature import integrate_decaying, integrate_interval
-from .wavepacket import Amplitude
-
-SECH_PREFACTOR_RATIO = 2.0     # reconciled C_s = pi/beta over printed pi/(2 beta)
-GLAISHER_PREFACTOR = 1.0       # C_g: printed value confirmed
-GLAISHER_QUARTIC_PHASE = 1.0   # q: printed 1/4 reconciled to 1
-
-
-@dataclass(frozen=True)
-class SeriesEval:
-    value: complex
-    terms_used: int
-    tail_estimate: float
-    diverging: bool = False
+from .foundation import SeriesEval, sum_to_smallest_term
+from .quadrature import integrate_decaying, integrate_interval, psi_oracle
 
 
 @dataclass(frozen=True)
@@ -91,49 +79,6 @@ def ibp_expansion(derivs, a: float, b: float, x: float, n: int,
     return IbpExpansion(boundary_terms=tuple(terms), remainder=remainder, order=n)
 
 
-def _phibar_c_even_derivative(amp: Amplitude, n: int, a: float) -> complex:
-    """d^{2n}/da^{2n} of the bare cosine transform, analytic per catalogue."""
-    if amp.kind == "gaussian" and amp.z0 == 0.0:
-        al = amp.alpha
-        c = 1.0 / (4.0 * al)
-        from .hermite import hermite_eval
-        return complex(0.5 * sqrt_principal(math.pi / al) * c**n
-                       * cmath.exp(-c * a * a) * hermite_eval(2 * n, sqrt_principal(c) * a))
-    if amp.kind == "sech" and amp.z0 == 0.0:
-        # term-wise derivative of (pi/beta) sum (-1)^r exp(-(2r+1) c a), a > 0
-        if not (a > 0):
-            raise DomainError("sech transform derivatives need a > 0")
-        c = math.pi / (2.0 * amp.beta)
-        acc = 0.0
-        r = 0
-        while True:
-            nu = 2 * r + 1
-            term = (-1.0) ** r * (nu * c) ** (2 * n) * math.exp(-nu * c * a)
-            acc += term
-            if r > 2 and abs(term) < 1e-18 * (1.0 + abs(acc)) and nu * c * a > 2 * n:
-                break
-            r += 1
-            if r > 4000:
-                break
-        return complex(math.pi / amp.beta * acc)
-    if amp.kind == "glaisher":
-        if not (a > 0):
-            raise DomainError("glaisher transform derivatives need a > 0")
-        acc = 0.0
-        r = 0
-        while True:
-            nu = 2 * r + 1
-            term = (-1.0) ** r * nu ** (4 * n + 1) * math.exp(-nu * nu * a)
-            acc += term
-            if r > 2 and abs(term) < 1e-18 * (1.0 + abs(acc)) and nu * nu * a > 4 * n:
-                break
-            r += 1
-            if r > 2000:
-                break
-        return complex(acc)
-    raise DomainError("no analytic transform-derivative catalogue for this amplitude")
-
-
 def heat_series(amp: Amplitude, x: float, tau: complex, N: int = 40) -> SeriesEval:
     """Small-tau series psi(x, tau) = 2 sum_n (i tau)^n / n! d^{2n} phibar_c(x).
 
@@ -144,51 +89,13 @@ def heat_series(amp: Amplitude, x: float, tau: complex, N: int = 40) -> SeriesEv
     """
     if amp.parity != "even":
         raise DomainError("heat series requires an even amplitude")
+    transform_derivative = amp.cosine_transform_derivative
+    if transform_derivative is None:
+        raise DomainError("no analytic transform-derivative catalogue for this amplitude")
     tau = complex(tau)
-    acc = 0j
-    last_mag = math.inf
-    tail = 0.0
-    diverging = False
-    used = 0
-    fact = 1.0
-    for n in range(N + 1):
-        if n > 0:
-            fact *= n
-        term = (1j * tau) ** n / fact * _phibar_c_even_derivative(amp, n, x)
-        mag = abs(term)
-        if n > 2 and mag > last_mag:
-            tail = mag
-            # growth at the rounding floor is noise, not divergence
-            diverging = mag > 1e-15 * (1.0 + abs(acc))
-            break
-        acc += term
-        last_mag = mag
-        used = n + 1
-        tail = mag
-    return SeriesEval(value=2.0 * acc, terms_used=used, tail_estimate=2.0 * tail,
-                      diverging=diverging)
-
-
-def _alternating_theta(prefactor: float, terms, N: int) -> SeriesEval:
-    """Sum (-1)^n terms(n) for n <= N with first-omitted-term tail control."""
-    acc = 0j
-    last_mag = math.inf
-    tail = 0.0
-    used = 0
-    diverging = False
-    for n in range(N + 1):
-        t = terms(n)
-        mag = abs(t)
-        if n > 0 and mag > last_mag:
-            tail = mag
-            diverging = mag > 1e-15 * (1.0 + abs(acc))
-            break
-        acc += (-1.0) ** n * t
-        last_mag = mag
-        used = n + 1
-        tail = mag
-    return SeriesEval(value=prefactor * acc, terms_used=used,
-                      tail_estimate=abs(prefactor) * tail, diverging=diverging)
+    return sum_to_smallest_term(
+        2.0, lambda n: (1j * tau) ** n / math.factorial(n) * transform_derivative(n, x), N,
+        grow_from=3)
 
 
 def sech_theta_series(beta: float, x: float, tau: complex, N: int = 80) -> SeriesEval:
@@ -199,20 +106,9 @@ def sech_theta_series(beta: float, x: float, tau: complex, N: int = 80) -> Serie
     grow (|exp(i c^2 nu^2 tau)| = exp(|Im tau| c^2 nu^2)); summation then stops
     at the smallest term and the diverging flag is set.
     """
-    if not (x > 0):
-        raise DomainError("theta series needs x > 0 for convergence")
-    if not (beta > 0):
-        raise DomainError("beta must be positive")
     if N > 200:
         raise DomainError("N capped at 200")
-    tau = complex(tau)
-    c = math.pi / (2.0 * beta)
-
-    def term(n: int) -> complex:
-        nu = 2 * n + 1
-        return cmath.exp(-nu * c * x + 1j * c * c * nu * nu * tau)
-
-    return _alternating_theta(math.pi / beta, term, N)
+    return Amplitude.sech(beta).poles.theta_series(x, tau, N)
 
 
 def glaisher_large_t_series(x: float, tau: complex, N: int = 80) -> SeriesEval:
@@ -222,17 +118,20 @@ def glaisher_large_t_series(x: float, tau: complex, N: int = 80) -> SeriesEval:
     its tau -> 0 regime (prefactor C_g = 1, quartic phase q = 1; the printed
     phase coefficient 1/4 is reconciled by the damped-axis oracle).
     """
-    if not (x > 0):
-        raise DomainError("theta series needs x > 0 for convergence")
     if N > 100:
         raise DomainError("N capped at 100")
-    tau = complex(tau)
+    return GLAISHER_POLES.theta_series(x, tau, N)
 
-    def term(n: int) -> complex:
-        nu = 2 * n + 1
-        return nu * cmath.exp(-nu * nu * x + 1j * GLAISHER_QUARTIC_PHASE * nu**4 * tau)
 
-    return _alternating_theta(GLAISHER_PREFACTOR, term, N)
+def _bisect_increasing(fn, target: float, lo: float, hi: float, iters: int = 200) -> float:
+    """Midpoint of the final bracket of a bisection for fn(v) = target, fn increasing."""
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if fn(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def calibrate_sech_theta_constants(beta: float, x1: float = 2.0, x2: float = 3.0):
@@ -243,8 +142,6 @@ def calibrate_sech_theta_constants(beta: float, x1: float = 2.0, x2: float = 3.0
     ln(Sigma(c,x1)/Sigma(c,x2)) = ln(I1/I2) (monotone in c, bisection), and
     C_s follows by division.  Lands on (pi/beta, pi/(2 beta)).
     """
-    from .quadrature import psi_oracle
-    from .wavepacket import Amplitude
     amp = Amplitude.sech(beta)
     i1 = psi_oracle(amp, x1, 0.0, tol=1e-12).value.real / 2.0
     i2 = psi_oracle(amp, x2, 0.0, tol=1e-12).value.real / 2.0
@@ -252,15 +149,8 @@ def calibrate_sech_theta_constants(beta: float, x1: float = 2.0, x2: float = 3.0
     def sigma(c: float, x: float) -> float:
         return sum((-1.0) ** n * math.exp(-(2 * n + 1) * c * x) for n in range(60))
 
-    target = math.log(i1 / i2)
-    lo, hi = 0.05, 8.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if math.log(sigma(mid, x1) / sigma(mid, x2)) < target:
-            lo = mid
-        else:
-            hi = mid
-    c = 0.5 * (lo + hi)
+    c = _bisect_increasing(lambda c: math.log(sigma(c, x1) / sigma(c, x2)),
+                           math.log(i1 / i2), 0.05, 8.0)
     return i1 / sigma(c, x1), c
 
 
@@ -272,30 +162,13 @@ def calibrate_glaisher_quartic_phase(x: float = 1.0, sigma: float = 0.01) -> flo
     increasing in q, so a bisection against the oracle value pins q.  Lands
     on q = 1 (the printed coefficient is 1/4).
     """
-    from .quadrature import psi_oracle
-    from .wavepacket import Amplitude
     ref = psi_oracle(Amplitude.glaisher(), x, -1j * sigma, tol=1e-12).value.real / 2.0
 
     def model(q: float) -> float:
-        acc = 0.0
-        last = math.inf
-        for n in range(40):
-            nu = 2 * n + 1
-            t = nu * math.exp(-nu * nu * x + q * nu**4 * sigma)
-            if t > last:
-                break
-            acc += (-1.0) ** n * t
-            last = t
-        return acc
+        # exp(i nu^4 tau) at tau = -i q sigma is exp(q nu^4 sigma)
+        return GLAISHER_POLES.theta_series(x, -1j * q * sigma, 39).value.real
 
-    lo, hi = 0.0, 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if model(mid) < ref:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect_increasing(model, ref, 0.0, 2.0)
 
 
 def glaisher_theta_integral(x: float, tol: float = 1e-9):
@@ -325,68 +198,7 @@ def glaisher_series_g(x: float) -> SeriesEval:
     """G(x) = sum (-1)^n (2n+1) exp(-(2n+1)^2 x) with tail bound."""
     if not (x > 0):
         raise DomainError("x must be positive")
-    acc = 0.0
-    n = 0
-    while True:
-        nu = 2 * n + 1
-        term = (-1.0) ** n * nu * math.exp(-nu * nu * x)
-        acc += term
-        nxt = (nu + 2) * math.exp(-((nu + 2) ** 2) * x)
-        if nxt < 1e-18 * (1.0 + abs(acc)):
-            break
-        n += 1
-        if n > 400:
-            break
-    return SeriesEval(value=complex(acc), terms_used=n + 1, tail_estimate=nxt)
-
-
-def _lorentz_gauss_cosine(mu: float, x: complex, s: complex) -> complex:
-    """Jc(mu) = int_0^inf cos(xz) e^{-s z^2} / (mu^2 + z^2) dz, Re(s) >= 0.
-
-    Stable erfc formulation via the Faddeeva function:
-      (pi/(4 mu)) [ e^{-x^2/(4s)} w(i w+) + T- ],  w+- = mu sqrt(s) +- x/(2 sqrt(s)),
-    where T- = e^{-x^2/(4s)} w(i w-) if Re(w-) >= 0, else the reflection
-    2 e^{s mu^2 - mu x} - e^{-x^2/(4s)} w(-i w-); the reflection term is
-    exactly the theta-series term, and the w() parts are the defect.
-    Jc is even in x, and the forms above take the decaying branch e^{-mu x}
-    only for Re(x) >= 0, so x is reflected into that half-plane first.
-    """
-    if x.real < 0:
-        x = -x
-    if s == 0:
-        # plain Lorentzian cosine transform
-        return (math.pi / (2.0 * mu)) * cmath.exp(-mu * x)
-    rs = cmath.sqrt(s)
-    wp = mu * rs + x / (2.0 * rs)
-    wm = mu * rs - x / (2.0 * rs)
-    core = cmath.exp(-x * x / (4.0 * s))
-    tp = core * complex(wofz(1j * wp))
-    if wm.real >= 0.0:
-        tm = core * complex(wofz(1j * wm))
-    else:
-        tm = 2.0 * cmath.exp(s * mu * mu - mu * x) - core * complex(wofz(-1j * wm))
-    return (math.pi / (4.0 * mu)) * (tp + tm)
-
-
-def _euler_averaged_tail(partials):
-    """Repeated averaging of alternating-series partial sums (Euler transform)."""
-    arr = list(partials)
-    while len(arr) > 1:
-        arr = [(a + b) / 2.0 for a, b in zip(arr[:-1], arr[1:])]
-    return arr[0]
-
-
-def _alternating_resolvent_sum(term, direct: int = 48, avg_window: int = 48):
-    """sum_k (-1)^k term(k): direct head plus Euler-averaged alternating tail."""
-    acc = 0j
-    for k in range(direct):
-        acc += (-1.0) ** k * term(k)
-    partials = []
-    run = acc
-    for k in range(direct, direct + avg_window):
-        run += (-1.0) ** k * term(k)
-        partials.append(run)
-    return _euler_averaged_tail(partials)
+    return GLAISHER_POLES.transform_series(0, x)
 
 
 def sech_packet_exact(beta: float, x: complex, tau: complex) -> complex:
@@ -397,17 +209,7 @@ def sech_packet_exact(beta: float, x: complex, tau: complex) -> complex:
     Valid for Im(tau) <= 0 (and tau=0 by continuity); independent of the
     adaptive quadrature path, so the two cross-validate.
     """
-    tau = complex(tau)
-    s = 1j * tau
-    if s.real < -1e-14:
-        raise DomainError("needs Im(tau) <= 0")
-    c = math.pi / (2.0 * beta)
-
-    def term(k: int) -> complex:
-        nu = 2 * k + 1
-        return nu * _lorentz_gauss_cosine(nu * c, x, s)
-
-    return math.pi / beta**2 * _alternating_resolvent_sum(term)
+    return Amplitude.sech(beta).poles.packet_exact(x, tau)
 
 
 def glaisher_packet_exact(x: complex, tau: complex) -> complex:
@@ -417,13 +219,4 @@ def glaisher_packet_exact(x: complex, tau: complex) -> complex:
     exp(i (2n+1)^4 tau) of the theta series appears exactly in each term's
     e^{s mu^2} factor with mu = (2n+1)^2, pinning q = 1.
     """
-    tau = complex(tau)
-    s = 1j * tau
-    if s.real < -1e-14:
-        raise DomainError("needs Im(tau) <= 0")
-
-    def term(k: int) -> complex:
-        nu = 2 * k + 1
-        return nu**3 * _lorentz_gauss_cosine(float(nu * nu), x, s)
-
-    return 2.0 / math.pi * _alternating_resolvent_sum(term, direct=64, avg_window=64)
+    return GLAISHER_POLES.packet_exact(x, tau)

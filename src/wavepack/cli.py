@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import registry, wavepacket, zeta
+from .amplitudes import AMPLITUDE_FAMILIES, Amplitude
 from .errors import DomainError, NonConvergenceError, WavepackError
 from .foundation import NATURAL_UNITS, PhysicalConfig
 
@@ -40,12 +41,8 @@ def _physical_config(args) -> PhysicalConfig:
     return PhysicalConfig(hbar=args.hbar, mass=args.mass)
 
 
-def _amplitude_from_args(args) -> wavepacket.Amplitude:
-    if args.amplitude == "gaussian":
-        return wavepacket.Amplitude.gaussian(args.alpha, args.z0)
-    if args.amplitude == "sech":
-        return wavepacket.Amplitude.sech(args.beta, args.z0)
-    return wavepacket.Amplitude.glaisher()
+def _amplitude_from_args(args) -> Amplitude:
+    return AMPLITUDE_FAMILIES[args.amplitude](vars(args))
 
 
 def cmd_psi(args) -> int:
@@ -98,6 +95,9 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     print(registry.emit_report(reports, fmt=args.format), end="")
+    for r in reports:
+        if r.error is not None:
+            print(f"numerical error: {r.case_id}: {r.error}", file=sys.stderr)
     return 0 if all(r.passed for r in reports) else NUMERICAL_EXIT
 
 
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("psi", help="evaluate the wave packet")
-    p.add_argument("--amplitude", choices=["gaussian", "sech", "glaisher"], required=True)
+    p.add_argument("--amplitude", choices=list(AMPLITUDE_FAMILIES), required=True)
     p.add_argument("--alpha", type=parse_complex, default=1.0 + 0j,
                    help="gaussian width (complex 're,im')")
     p.add_argument("--beta", type=float, default=1.0, help="sech scale")

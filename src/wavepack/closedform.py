@@ -73,22 +73,23 @@ def f_cosine_moment_printed(n: int, a, x):
     return f_cosine_moment(n, a, x) * 4.0**n
 
 
-def base_coscos(a, b, x):
-    """int_0^inf e^{-x z^2} cos(az) cos(bz) dz, the n=0 seed formula."""
+def _base_trig_product(a, b, x, sign: float):
+    """The n=0 seed formula; sign=+1 for cos*cos, -1 for sin*sin."""
     x = _check_gaussian_param(x)
     av, bv = _as_complex_array(a), _as_complex_array(b)
     pref = 0.25 * sqrt_principal(math.pi / x)
-    val = pref * (np.exp(-((av - bv) ** 2) / (4.0 * x)) + np.exp(-((av + bv) ** 2) / (4.0 * x)))
+    val = pref * (np.exp(-((av - bv) ** 2) / (4.0 * x)) + sign * np.exp(-((av + bv) ** 2) / (4.0 * x)))
     return _maybe_scalar(val, a, b)
+
+
+def base_coscos(a, b, x):
+    """int_0^inf e^{-x z^2} cos(az) cos(bz) dz, the n=0 seed formula."""
+    return _base_trig_product(a, b, x, +1.0)
 
 
 def base_sinsin(a, b, x):
     """int_0^inf e^{-x z^2} sin(az) sin(bz) dz, the n=0 seed formula."""
-    x = _check_gaussian_param(x)
-    av, bv = _as_complex_array(a), _as_complex_array(b)
-    pref = 0.25 * sqrt_principal(math.pi / x)
-    val = pref * (np.exp(-((av - bv) ** 2) / (4.0 * x)) - np.exp(-((av + bv) ** 2) / (4.0 * x)))
-    return _maybe_scalar(val, a, b)
+    return _base_trig_product(a, b, x, -1.0)
 
 
 def g_n(n: int, a, b, x):

@@ -1,4 +1,5 @@
-"""Complex arithmetic conventions, unit reduction, and combinatorial helpers.
+"""Complex arithmetic conventions, unit reduction, combinatorial helpers and the
+series result record.
 
 Everything downstream works in the reduced time tau = t*hbar/(2m); physical
 (t, hbar, m) appear only at the API boundary.  Fractional powers of complex
@@ -40,6 +41,44 @@ class PhysicalConfig:
 
 
 NATURAL_UNITS = PhysicalConfig()
+
+
+@dataclass(frozen=True)
+class SeriesEval:
+    """A truncated series: value, terms summed, tail estimate, and whether the
+    terms started to grow before the truncation point."""
+
+    value: complex
+    terms_used: int
+    tail_estimate: float
+    diverging: bool = False
+
+
+def sum_to_smallest_term(prefactor: float, terms, N: int, grow_from: int = 1) -> SeriesEval:
+    """prefactor * sum_{n<=N} terms(n), stopped before the first term (from
+    n = grow_from on) larger than its predecessor: optimal truncation of an
+    asymptotic series.  The tail estimate is the first omitted term; growth
+    above the rounding floor sets `diverging`.
+    """
+    acc = 0j
+    last_mag = math.inf
+    tail = 0.0
+    used = 0
+    diverging = False
+    for n in range(N + 1):
+        t = terms(n)
+        mag = abs(t)
+        if n >= grow_from and mag > last_mag:
+            tail = mag
+            # growth at the rounding floor is noise, not divergence
+            diverging = mag > 1e-15 * (1.0 + abs(acc))
+            break
+        acc += t
+        last_mag = mag
+        used = n + 1
+        tail = mag
+    return SeriesEval(value=prefactor * acc, terms_used=used,
+                      tail_estimate=abs(prefactor) * tail, diverging=diverging)
 
 
 def reduced_time(t: complex, cfg: PhysicalConfig = NATURAL_UNITS) -> complex:

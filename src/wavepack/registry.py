@@ -17,7 +17,9 @@ from importlib import resources
 import numpy as np
 
 from . import asymptotics, closedform, fd, wavepacket, zeta
-from .errors import DomainError
+from .amplitudes import AMPLITUDE_FAMILIES, Amplitude
+from .errors import DomainError, WavepackError
+from .hermite import hermite_eval, shifted_argument_identity, shifted_identity_ratio_constant
 from .quadrature import (DEFAULT_SCHEDULE, DecayBound, integrate_decaying,
                          integrate_oscillatory_regularized, psi_oracle)
 
@@ -48,6 +50,7 @@ class IdentityReport:
     rel_err: float
     passed: bool
     runtime_ms: float
+    error: str | None = None      # why the evaluator raised, for a case that could not run
 
 
 @dataclass(frozen=True)
@@ -65,17 +68,15 @@ def _cplx(v) -> complex:
     return complex(v)
 
 
-def _amp_from_params(p: dict) -> wavepacket.Amplitude:
-    kind = p["amplitude"]
-    if kind == "gaussian":
-        return wavepacket.Amplitude.gaussian(_cplx(p.get("alpha", 1.0)), p.get("z0", 0.0))
-    if kind == "sech":
-        return wavepacket.Amplitude.sech(float(p["beta"]), p.get("z0", 0.0))
-    if kind == "sech_selfreciprocal":
-        return wavepacket.self_reciprocal_scaled_sech()
-    if kind == "glaisher":
-        return wavepacket.Amplitude.glaisher()
-    raise DomainError(f"unknown amplitude kind {kind!r}")
+_AMPLITUDES = {**AMPLITUDE_FAMILIES,
+               "sech_selfreciprocal": lambda p: wavepacket.self_reciprocal_scaled_sech()}
+
+
+def _amp_from_params(p: dict) -> Amplitude:
+    build = _AMPLITUDES.get(p["amplitude"])
+    if build is None:
+        raise DomainError(f"unknown amplitude kind {p['amplitude']!r}")
+    return build({**p, "alpha": _cplx(p.get("alpha", 1.0))})
 
 
 # ---------------------------------------------------------------------------
@@ -126,38 +127,30 @@ def _ev_gn_symmetry(p):
     return closedform.g_n(n, a, b, x), closedform.g_n(n, b, a, x)
 
 
+def _gr_oracle(n, a, beta, order, trig):
+    """int_0^inf e^{-a z^2} H_order(sqrt(a) z) trig(sqrt(2) beta z) dz by the oracle."""
+    def f(z):
+        zz = np.asarray(z, dtype=float)
+        return (np.exp(-a * zz**2) * hermite_eval(order, math.sqrt(a) * zz)
+                * trig(math.sqrt(2.0) * beta * zz))
+
+    bound = DecayBound(rate=a / 2.0, power=2.0,
+                       scale=(2 * math.sqrt(a) * (4 * n / a + 4)) ** order * 2)
+    return integrate_decaying(f, (0.0, math.inf), tol=1e-11, decay=bound,
+                              osc_freq=lambda z: math.sqrt(2.0) * beta).value
+
+
 @evaluator("gr_cos_vs_oracle")
 def _ev_gr_cos(p):
     n, a, beta = p["n"], float(p["a"]), float(p["beta"])
-
-    def f(z):
-        zz = np.asarray(z, dtype=float)
-        from .hermite import hermite_eval
-        return (np.exp(-a * zz**2) * hermite_eval(2 * n, math.sqrt(a) * zz)
-                * np.cos(math.sqrt(2.0) * beta * zz))
-
-    bound = DecayBound(rate=a / 2.0, power=2.0,
-                       scale=(2 * math.sqrt(a) * (4 * n / a + 4)) ** (2 * n) * 2)
-    r = integrate_decaying(f, (0.0, math.inf), tol=1e-11, decay=bound,
-                           osc_freq=lambda z: math.sqrt(2.0) * beta)
-    return complex(closedform.gr_hermite_cos(n, a, beta)), r.value
+    return complex(closedform.gr_hermite_cos(n, a, beta)), _gr_oracle(n, a, beta, 2 * n, np.cos)
 
 
 @evaluator("gr_sin_vs_oracle")
 def _ev_gr_sin(p):
     n, a, beta = p["n"], float(p["a"]), float(p["beta"])
-
-    def f(z):
-        zz = np.asarray(z, dtype=float)
-        from .hermite import hermite_eval
-        return (np.exp(-a * zz**2) * hermite_eval(2 * n + 1, math.sqrt(a) * zz)
-                * np.sin(math.sqrt(2.0) * beta * zz))
-
-    bound = DecayBound(rate=a / 2.0, power=2.0,
-                       scale=(2 * math.sqrt(a) * (4 * n / a + 4)) ** (2 * n + 1) * 2)
-    r = integrate_decaying(f, (0.0, math.inf), tol=1e-11, decay=bound,
-                           osc_freq=lambda z: math.sqrt(2.0) * beta)
-    return complex(closedform.gr_hermite_sin(n, a, beta)), r.value
+    return (complex(closedform.gr_hermite_sin(n, a, beta)),
+            _gr_oracle(n, a, beta, 2 * n + 1, np.sin))
 
 
 @evaluator("base_pair_consistency")
@@ -171,20 +164,8 @@ def _ev_base_pair(p):
 @evaluator("fmoment_vs_oracle")
 def _ev_fmoment(p):
     n, a, x = p["n"], _cplx(p["a"]), _cplx(p["x"])
-    lhs = closedform.f_cosine_moment(n, a, x)
-
-    def f(z):
-        zz = np.asarray(z, dtype=complex)
-        return np.exp(-x * zz**2) * zz ** (2 * n) * np.cos(a * zz)
-
-    grow = abs(complex(a).imag)
-    zstar = 2.0 * grow / complex(x).real + 1.0
-    bound = DecayBound(rate=complex(x).real / 2.0, power=2.0,
-                       scale=4.0 * math.exp(grow * zstar) * max(zstar, 2.0) ** (2 * n),
-                       onset=zstar)
-    rhs = integrate_decaying(f, (0.0, math.inf), tol=1e-11, decay=bound,
-                             osc_freq=lambda z: abs(complex(a).real)).value
-    return lhs, rhs
+    # the cosine moment is the cos-cos oracle integral at b = 0
+    return closedform.f_cosine_moment(n, a, x), _trig_oracle(n, a, 0.0, x, "cos")
 
 
 @evaluator("angle_addition")
@@ -199,7 +180,6 @@ def _ev_angle(p):
 
 @evaluator("shifted_identity_ratio")
 def _ev_shifted(p):
-    from .hermite import shifted_argument_identity, shifted_identity_ratio_constant
     n = p["n"]
     _, _, ratio = shifted_argument_identity(n, float(p["a"]), float(p["b"]), float(p["x"]))
     return complex(ratio), complex(shifted_identity_ratio_constant(n))
@@ -263,22 +243,23 @@ def _ev_heat(p):
     return se.value, rhs
 
 
+def _half_packet_oracle(amp, x, tau, tol):
+    """int_0^inf cos(xz) phi(z) e^{-i tau z^2} dz = psi/2 (even phi), by the oracle."""
+    return psi_oracle(amp, x, tau, tol=tol).value / 2.0
+
+
 @evaluator("sech_theta_vs_integral")
 def _ev_sech_theta(p):
     beta, x, tau = float(p["beta"]), float(p["x"]), _cplx(p["tau"])
-    se = asymptotics.sech_theta_series(beta, x, tau, N=p.get("N", 80))
-    amp = wavepacket.Amplitude.sech(beta)
-    rhs = psi_oracle(amp, x, tau, tol=1e-11).value / 2.0
-    return se.value, rhs
+    return (asymptotics.sech_theta_series(beta, x, tau, N=p.get("N", 80)).value,
+            _half_packet_oracle(Amplitude.sech(beta), x, tau, 1e-11))
 
 
 @evaluator("sech_exact_vs_oracle")
 def _ev_sech_exact(p):
     beta, x, tau = float(p["beta"]), float(p["x"]), _cplx(p["tau"])
-    lhs = asymptotics.sech_packet_exact(beta, x, tau)
-    amp = wavepacket.Amplitude.sech(beta)
-    rhs = psi_oracle(amp, x, tau, tol=1e-12).value / 2.0
-    return lhs, rhs
+    return (asymptotics.sech_packet_exact(beta, x, tau),
+            _half_packet_oracle(Amplitude.sech(beta), x, tau, 1e-12))
 
 
 @evaluator("glaisher_pair")
@@ -290,7 +271,7 @@ def _ev_glaisher_pair(p):
 @evaluator("glaisher_pair_regularized")
 def _ev_glaisher_reg(p):
     x = float(p["x"])
-    amp = wavepacket.Amplitude.glaisher()
+    amp = Amplitude.glaisher()
 
     def f(z):
         zz = np.asarray(z, dtype=float)
@@ -304,19 +285,15 @@ def _ev_glaisher_reg(p):
 @evaluator("glaisher_theta_vs_integral")
 def _ev_glaisher_theta(p):
     x, tau = float(p["x"]), _cplx(p["tau"])
-    se = asymptotics.glaisher_large_t_series(x, tau, N=p.get("N", 80))
-    amp = wavepacket.Amplitude.glaisher()
-    rhs = psi_oracle(amp, x, tau, tol=1e-11).value / 2.0
-    return se.value, rhs
+    return (asymptotics.glaisher_large_t_series(x, tau, N=p.get("N", 80)).value,
+            _half_packet_oracle(Amplitude.glaisher(), x, tau, 1e-11))
 
 
 @evaluator("glaisher_exact_vs_oracle")
 def _ev_glaisher_exact(p):
     x, tau = float(p["x"]), _cplx(p["tau"])
-    lhs = asymptotics.glaisher_packet_exact(x, tau)
-    amp = wavepacket.Amplitude.glaisher()
-    rhs = psi_oracle(amp, x, tau, tol=1e-11).value / 2.0
-    return lhs, rhs
+    return (asymptotics.glaisher_packet_exact(x, tau),
+            _half_packet_oracle(Amplitude.glaisher(), x, tau, 1e-11))
 
 
 @evaluator("alternating_gaussian_pair")
@@ -418,7 +395,18 @@ def run_suite(filter_glob: str = "*", tol_override: float | None = None,
     selected = [c for c in cases if fnmatch.fnmatch(c.id, filter_glob)]
     if not selected:
         raise DomainError(f"filter {filter_glob!r} matches no catalogue cases")
-    return [run_case(c, tol_override) for c in selected]
+    return [_run_or_fail(c, tol_override) for c in selected]
+
+
+def _run_or_fail(case: IdentityCase, tol_override: float | None) -> IdentityReport:
+    """run_case, or a failed report carrying the message of a library error."""
+    try:
+        return run_case(case, tol_override)
+    except WavepackError as exc:
+        nan = math.nan
+        return IdentityReport(case_id=case.id, paper_eq=case.paper_eq, lhs=complex(nan, nan),
+                              rhs=complex(nan, nan), abs_err=nan, rel_err=nan, passed=False,
+                              runtime_ms=nan, error=f"{type(exc).__name__}: {exc}")
 
 
 CORRECTION_LEDGER: tuple = (
@@ -509,8 +497,13 @@ CORRECTION_LEDGER: tuple = (
 )
 
 
+def _json_number(v: float):
+    """Non-finite values (a case that could not run) become null."""
+    return v if math.isfinite(v) else None
+
+
 def _format_complex(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
+    return {"re": _json_number(z.real), "im": _json_number(z.imag)}
 
 
 def emit_report(reports: list, fmt: str = "json",
@@ -519,12 +512,14 @@ def emit_report(reports: list, fmt: str = "json",
     reports = sorted(reports, key=lambda r: r.case_id)
     npass = sum(1 for r in reports if r.passed)
     nfail = len(reports) - npass
+    errors = {r.case_id: r.error for r in reports if r.error is not None}
     if fmt == "json":
         doc = {
             "cases": [
                 {"id": r.case_id, "paper_eq": r.paper_eq,
                  "lhs": _format_complex(r.lhs), "rhs": _format_complex(r.rhs),
-                 "abs_err": r.abs_err, "rel_err": r.rel_err, "passed": r.passed}
+                 "abs_err": _json_number(r.abs_err), "rel_err": _json_number(r.rel_err),
+                 "passed": r.passed}
                 for r in reports
             ],
             "passed": npass,
@@ -536,6 +531,8 @@ def emit_report(reports: list, fmt: str = "json",
                 for e in ledger
             ],
         }
+        if errors:
+            doc["errors"] = errors
         return json.dumps(doc, indent=2)
     if fmt == "csv":
         lines = ["id,paper_eq,lhs_re,lhs_im,rhs_re,rhs_im,abs_err,rel_err,passed"]
@@ -552,6 +549,8 @@ def emit_report(reports: list, fmt: str = "json",
         for r in reports:
             lines.append(f"| {r.case_id} | {r.paper_eq} | {r.abs_err:.3e} "
                          f"| {r.rel_err:.3e} | {'yes' if r.passed else 'NO'} |")
+        if errors:
+            lines += ["", "## Errors", ""] + [f"- {cid}: {msg}" for cid, msg in errors.items()]
         lines += ["", "## Correction ledger", "",
                   "| eq | printed | implemented | constants |",
                   "|----|---------|-------------|-----------|"]

@@ -1,15 +1,10 @@
-"""Wave-packet evaluation for a catalogue of momentum amplitudes.
+"""Wave-packet evaluation for the amplitude families of `amplitudes`.
 
 psi(x, t) = int phi(z) exp(i z x - i tau z^2) dz with tau = t hbar/(2m).
 
-The catalogue holds the Gaussian, the sech packet, and the Glaisher kernel
-
-    K(z) = cosh(c) cos(c) / (cosh(2c) + cos(2c)),  c = (pi/2) sqrt(|z|/2),
-
-whose half-line cosine transform is the alternating theta series
-G(x) = sum_{n>=0} (-1)^n (2n+1) exp(-(2n+1)^2 x).  The 2c in the denominator
-is a ledgered correction of the catalogue source, which prints cosh(c)+cos(c);
-both forms agree at z=0 (value 1/2) but only the 2c kernel transforms to G.
+Every entry point dispatches on the amplitude's capabilities (closed form,
+analytic derivative, transform and its decay, pole expansion) and falls back
+to the quadrature oracle where a capability is missing.
 """
 from __future__ import annotations
 
@@ -19,95 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fd
+from . import asymptotics, fd
+from .amplitudes import Amplitude, _is_scalar, glaisher_kernel  # noqa: F401  (glaisher_kernel re-exported)
 from .closedform import coscos, sinsin
 from .errors import DomainError, NonConvergenceError, UnsupportedMethodError
-from .foundation import NATURAL_UNITS, PhysicalConfig, reduced_time, sqrt_principal
-from .hermite import gaussian_derivative, hermite_all
+from .foundation import NATURAL_UNITS, PhysicalConfig, binomial, reduced_time, sqrt_principal
+from .hermite import hermite_all
 from .quadrature import (DEFAULT_SCHEDULE, DecayBound, QuadratureResult,
                          integrate_decaying, neville_extrapolate, psi_oracle)
 
 # Parseval constant for bare half-line transforms: int_0^inf f g = c_P int_0^inf fc gc.
 PARSEVAL_CONSTANT = 2.0 / math.pi
-GLAISHER_SQRT_ARG = math.pi / (2.0 * math.sqrt(2.0))  # c(z) = this * sqrt(|z|)
-
-
-def glaisher_kernel(z):
-    """The corrected Glaisher kernel, evaluated stably for large arguments."""
-    c = GLAISHER_SQRT_ARG * np.sqrt(np.abs(np.asarray(z, dtype=float)))
-    small = c < 200.0
-    cs = np.where(small, c, 0.0)
-    with np.errstate(over="ignore"):
-        out = np.where(small,
-                       np.cosh(cs) * np.cos(cs) / (np.cosh(2 * cs) + np.cos(2 * cs)),
-                       np.exp(-c) * np.cos(c))
-    return out if out.shape else float(out)
-
-
-@dataclass(frozen=True)
-class Amplitude:
-    """Momentum amplitude phi(z): catalogue entry or user-supplied callable.
-
-    `decay` is the tail bound handed to the quadrature oracle; custom callables
-    must declare one (or None to force the regularized path).
-    """
-
-    kind: str                     # gaussian | sech | glaisher | custom
-    parity: str                   # even | odd | none
-    decay: DecayBound | None
-    max_analytic_derivative: int
-    alpha: complex = 0.0 + 0.0j   # gaussian width
-    beta: float = 0.0             # sech scale
-    z0: float = 0.0
-    fn: object = None
-
-    @staticmethod
-    def gaussian(alpha=1.0, z0: float = 0.0) -> "Amplitude":
-        alpha = complex(alpha)
-        if not (alpha.real > 0):
-            raise DomainError("gaussian amplitude needs Re(alpha) > 0")
-        scale = math.exp(alpha.real * z0 * z0)
-        return Amplitude(kind="gaussian", parity="even" if z0 == 0 else "none",
-                         decay=DecayBound(rate=alpha.real / 2.0, power=2.0, scale=scale),
-                         max_analytic_derivative=64, alpha=alpha, z0=z0)
-
-    @staticmethod
-    def sech(beta: float, z0: float = 0.0) -> "Amplitude":
-        if not (beta > 0):
-            raise DomainError("sech amplitude needs beta > 0")
-        return Amplitude(kind="sech", parity="even" if z0 == 0 else "none",
-                         decay=DecayBound(rate=beta, power=1.0,
-                                          scale=2.0 * math.exp(beta * abs(z0))),
-                         max_analytic_derivative=64, beta=beta, z0=z0)
-
-    @staticmethod
-    def glaisher() -> "Amplitude":
-        return Amplitude(kind="glaisher", parity="even",
-                         decay=DecayBound(rate=GLAISHER_SQRT_ARG, power=0.5,
-                                          scale=4.0, onset=2.0),
-                         max_analytic_derivative=0)
-
-    @staticmethod
-    def custom(fn, parity: str = "none", decay: DecayBound | None = None,
-               max_analytic_derivative: int = 0) -> "Amplitude":
-        return Amplitude(kind="custom", parity=parity, decay=decay,
-                         max_analytic_derivative=max_analytic_derivative, fn=fn)
-
-    def __call__(self, z):
-        zz = np.asarray(z, dtype=complex)
-        if self.kind == "gaussian":
-            val = np.exp(-self.alpha * (zz - self.z0) ** 2)
-        elif self.kind == "sech":
-            val = 1.0 / np.cosh(self.beta * (zz - self.z0))
-        elif self.kind == "glaisher":
-            if np.iscomplexobj(z) and np.any(np.asarray(z).imag != 0):
-                raise DomainError("glaisher kernel is defined on the real line")
-            val = np.asarray(glaisher_kernel(np.real(zz)), dtype=complex)
-        else:
-            val = np.asarray(self.fn(zz), dtype=complex)
-        if np.isscalar(z) or isinstance(z, (int, float, complex)):
-            return complex(val)
-        return val
 
 
 @dataclass(frozen=True)
@@ -122,41 +39,17 @@ def amplitude_eval(amp: Amplitude, z):
     return amp(z)
 
 
-_SECH_POLY_CACHE: dict[int, np.ndarray] = {0: np.array([1.0])}
-
-
-def _sech_poly(k: int) -> np.ndarray:
-    """P_k with d^k/du^k sech(u) = sech(u) P_k(tanh(u)); coefficients low-first.
-
-    Recurrence P_{k+1}(v) = (1 - v^2) P_k'(v) - v P_k(v).
-    """
-    if k not in _SECH_POLY_CACHE:
-        p = _sech_poly(k - 1)
-        dp = np.polynomial.polynomial.polyder(p)
-        term1 = np.polynomial.polynomial.polysub(dp, np.polynomial.polynomial.polymul([0.0, 0.0, 1.0], dp))
-        term2 = np.polynomial.polynomial.polymul([0.0, 1.0], p)
-        _SECH_POLY_CACHE[k] = np.polynomial.polynomial.polysub(term1, term2)
-    return _SECH_POLY_CACHE[k]
-
-
 def amplitude_derivative(amp: Amplitude, k: int, z):
-    """d^k phi / dz^k: analytic for Gaussian and sech, Richardson FD otherwise."""
+    """d^k phi / dz^k: the amplitude's analytic derivative, Richardson FD otherwise."""
     if k < 0:
         raise DomainError("derivative order must be >= 0")
     if k == 0:
         return amp(z)
-    if amp.kind == "gaussian":
-        zz = np.asarray(z, dtype=complex) - amp.z0
-        val = gaussian_derivative(k, amp.alpha, zz)
-        return complex(val) if np.isscalar(z) or isinstance(z, (int, float, complex)) else val
-    if amp.kind == "sech":
-        u = amp.beta * (np.asarray(z, dtype=complex) - amp.z0)
-        v = np.tanh(u)
-        val = amp.beta**k / np.cosh(u) * np.polynomial.polynomial.polyval(v, _sech_poly(k))
-        return complex(val) if np.isscalar(z) or isinstance(z, (int, float, complex)) else val
+    if amp.derivative is not None:
+        return amp.derivative(k, z)
     if k > max(amp.max_analytic_derivative, 8):
         raise DomainError(f"derivative order {k} beyond this amplitude's capability")
-    scalar = np.isscalar(z) or isinstance(z, (int, float, complex))
+    scalar = _is_scalar(z)
     zs = [z] if scalar else list(np.asarray(z, dtype=float))
     vals = [fd.derivative(lambda u: amp(complex(u)), float(np.real(zv)), k, h0=0.05 * (k + 1), levels=4)
             for zv in zs]
@@ -171,14 +64,22 @@ def _check_tau(tau: complex) -> complex:
 
 
 def gaussian_closed_psi(amp: Amplitude, x, tau) -> complex:
-    """Complete-the-square closed form of the Gaussian packet."""
-    if amp.kind != "gaussian":
+    """Closed form of the packet, for amplitudes that have one (the Gaussian)."""
+    if amp.closed_psi is None:
         raise UnsupportedMethodError("closed form available for gaussian amplitudes only")
-    tau = _check_tau(tau)
-    x = complex(x)
-    s = amp.alpha + 1j * tau
-    pref = cmath.exp(1j * amp.z0 * x - 1j * tau * amp.z0**2)
-    return pref * sqrt_principal(math.pi / s) * cmath.exp(-((x - 2 * tau * amp.z0) ** 2) / (4.0 * s))
+    return amp.closed_psi(complex(x), _check_tau(tau))
+
+
+_METHODS = ("closed", "quadrature", "heat", "theta")
+
+
+def _resolve_method(amp: Amplitude, method: str) -> str:
+    """"auto" is the closed form where the amplitude has one, else quadrature."""
+    if method == "auto":
+        return "closed" if amp.closed_psi is not None else "quadrature"
+    if method not in _METHODS:
+        raise UnsupportedMethodError(f"unknown method {method!r}")
+    return method
 
 
 def psi(amp: Amplitude, x, t, cfg: PhysicalConfig = NATURAL_UNITS,
@@ -187,11 +88,10 @@ def psi(amp: Amplitude, x, t, cfg: PhysicalConfig = NATURAL_UNITS,
 
     Methods: closed (Gaussian only), quadrature (the oracle), heat (small-tau
     series over transform derivatives), theta (large-x exponential series for
-    the sech and Glaisher amplitudes).
+    amplitudes with a pole expansion: sech at z0 = 0 and Glaisher).
     """
     tau = _check_tau(reduced_time(t, cfg))
-    if method == "auto":
-        method = "closed" if amp.kind == "gaussian" else "quadrature"
+    method = _resolve_method(amp, method)
     if method == "closed":
         val = gaussian_closed_psi(amp, x, tau)
         return WaveValue(psi=val, method="closed", error_estimate=1e-13 * max(1.0, abs(val)))
@@ -201,25 +101,18 @@ def psi(amp: Amplitude, x, t, cfg: PhysicalConfig = NATURAL_UNITS,
             raise NonConvergenceError(f"psi quadrature did not converge: {r}")
         return WaveValue(psi=r.value, method="quadrature", error_estimate=r.abs_error_estimate)
     if method == "heat":
-        from . import asymptotics
         if amp.parity != "even":
             raise UnsupportedMethodError("heat series requires an even amplitude")
         se = asymptotics.heat_series(amp, float(np.real(x)), tau, N=40)
         return WaveValue(psi=se.value, method="heat_series", error_estimate=se.tail_estimate)
-    if method == "theta":
-        from . import asymptotics
-        xr = float(np.real(x))
-        if xr <= 0:
-            raise DomainError("theta series requires x > 0")
-        if amp.kind == "sech" and amp.z0 == 0.0:
-            se = asymptotics.sech_theta_series(amp.beta, xr, tau, N=80)
-        elif amp.kind == "glaisher":
-            se = asymptotics.glaisher_large_t_series(xr, tau, N=80)
-        else:
-            raise UnsupportedMethodError("theta series available for sech/glaisher only")
-        return WaveValue(psi=2.0 * se.value, method="theta_series",
-                         error_estimate=2.0 * se.tail_estimate)
-    raise UnsupportedMethodError(f"unknown method {method!r}")
+    xr = float(np.real(x))
+    if xr <= 0:
+        raise DomainError("theta series requires x > 0")
+    if amp.poles is None:
+        raise UnsupportedMethodError("theta series available for sech/glaisher only")
+    se = amp.poles.theta_series(xr, tau, N=80)
+    return WaveValue(psi=2.0 * se.value, method="theta_series",
+                     error_estimate=2.0 * se.tail_estimate)
 
 
 def _poly_damped(decay: DecayBound, degree: int) -> DecayBound:
@@ -257,6 +150,17 @@ def _halfline_moment_quadrature(amp: Amplitude, n: int, x: float, tau: complex,
                               osc_freq=lambda z: abs(x) + 2.0 * abs(tau) * abs(z))
 
 
+def _derivative_form(amp: Amplitude, n: int):
+    """(even, 2 (-1)^{n/2} or 2i (-1)^{n/2}): the half-line form of d^n psi/dx^n,
+    which needs a parity-definite amplitude and an even n."""
+    if amp.parity not in ("even", "odd"):
+        raise UnsupportedMethodError("the derivative form needs a parity-definite amplitude")
+    if n % 2 != 0:
+        raise UnsupportedMethodError("only even derivative orders are exposed")
+    sign = (-1.0) ** (n // 2)
+    return (True, 2.0 * sign) if amp.parity == "even" else (False, 2.0j * sign)
+
+
 def psi_x_derivative(amp: Amplitude, n: int, x, t, cfg: PhysicalConfig = NATURAL_UNITS,
                      tol: float = 1e-10) -> WaveValue:
     """n-th spatial derivative of psi for a parity-definite amplitude (n even).
@@ -264,84 +168,47 @@ def psi_x_derivative(amp: Amplitude, n: int, x, t, cfg: PhysicalConfig = NATURAL
     Even phi:  2 (-1)^{n/2} int_0^inf phi z^n cos(zx) e^{-i tau z^2} dz;
     odd phi:   2 i (-1)^{n/2} int_0^inf phi z^n sin(zx) e^{-i tau z^2} dz.
     """
-    if amp.parity not in ("even", "odd"):
-        raise UnsupportedMethodError("psi_x_derivative needs a parity-definite amplitude")
-    if n % 2 != 0:
-        raise UnsupportedMethodError("only even derivative orders are exposed")
+    even, pref = _derivative_form(amp, n)
     if n > 8:
         raise DomainError("derivative order capped at 8")
     tau = _check_tau(reduced_time(t, cfg))
-    sign = (-1.0) ** (n // 2)
-    if amp.parity == "even":
-        r = _halfline_moment_quadrature(amp, n, float(x), tau, "cos", tol)
-        pref = 2.0 * sign
-    else:
-        r = _halfline_moment_quadrature(amp, n, float(x), tau, "sin", tol)
-        pref = 2.0j * sign
+    r = _halfline_moment_quadrature(amp, n, float(x), tau, "cos" if even else "sin", tol)
     if not r.converged:
         raise NonConvergenceError(f"derivative quadrature did not converge: {r}")
     return WaveValue(psi=pref * r.value, method="quadrature",
                      error_estimate=2.0 * r.abs_error_estimate)
 
 
+def _halfline_transform_quadrature(amp: Amplitude, w, trig, tol: float):
+    """int_0^inf phi(z) trig(zw) dz by the oracle, one quadrature per w."""
+    vals = [integrate_decaying(lambda z: np.asarray(amp(z), dtype=complex) * trig(z * wi),
+                               (0.0, math.inf), tol=tol, decay=amp.decay,
+                               osc_freq=lambda z: abs(wi)).value
+            for wi in np.atleast_1d(np.asarray(w, dtype=float))]
+    return vals[0] if _is_scalar(w) else np.asarray(vals, dtype=complex)
+
+
 def fourier_cosine_transform(amp: Amplitude, w, tol: float = 1e-11):
     """Bare half-line cosine transform int_0^inf phi(z) cos(zw) dz.
 
-    Catalogue closed forms: Gaussian -> (1/2) sqrt(pi/alpha) e^{-w^2/(4 alpha)};
-    sech -> (pi/(2 beta)) sech(pi w /(2 beta)); Glaisher kernel -> the theta
-    series G(w).  Other even amplitudes fall back to quadrature.
+    The amplitude's own transform where it has one: Gaussian ->
+    (1/2) sqrt(pi/alpha) e^{-w^2/(4 alpha)}; sech -> (pi/(2 beta))
+    sech(pi w /(2 beta)); Glaisher kernel -> the theta series G(w).  Other
+    even amplitudes fall back to quadrature.
     """
     if amp.parity != "even":
         raise DomainError("cosine transform defined for even amplitudes")
-    wv = np.asarray(w, dtype=float)
-    scalar = np.isscalar(w) or isinstance(w, (int, float))
-    if amp.kind == "gaussian":
-        val = 0.5 * sqrt_principal(math.pi / amp.alpha) * np.exp(-wv * wv / (4.0 * amp.alpha))
-    elif amp.kind == "sech":
-        c = math.pi / (2.0 * amp.beta)
-        val = (math.pi / (2.0 * amp.beta)) / np.cosh(c * wv)
-    elif amp.kind == "glaisher":
-        if np.any(wv <= 0):
-            raise DomainError("glaisher transform series needs w > 0")
-        val = _theta_g(wv)
-    else:
-        vals = []
-        for wi in np.atleast_1d(wv):
-            r = integrate_decaying(lambda z: np.asarray(amp(z), dtype=complex) * np.cos(z * wi),
-                                   (0.0, math.inf), tol=tol, decay=amp.decay,
-                                   osc_freq=lambda z: abs(wi))
-            vals.append(r.value)
-        val = np.asarray(vals) if not scalar else vals[0]
-    return complex(np.asarray(val, dtype=complex)) if scalar else np.asarray(val, dtype=complex)
+    if amp.cosine_transform is None:
+        return _halfline_transform_quadrature(amp, w, np.cos, tol)
+    val = amp.cosine_transform(np.asarray(w, dtype=float))
+    return complex(val) if _is_scalar(w) else np.asarray(val, dtype=complex)
 
 
 def fourier_sine_transform(amp: Amplitude, w, tol: float = 1e-11):
     """Bare half-line sine transform int_0^inf phi(z) sin(zw) dz (odd amplitudes)."""
     if amp.parity != "odd":
         raise DomainError("sine transform defined for odd amplitudes")
-    wv = np.atleast_1d(np.asarray(w, dtype=float))
-    vals = []
-    for wi in wv:
-        r = integrate_decaying(lambda z: np.asarray(amp(z), dtype=complex) * np.sin(z * wi),
-                               (0.0, math.inf), tol=tol, decay=amp.decay,
-                               osc_freq=lambda z: abs(wi))
-        vals.append(r.value)
-    if np.isscalar(w) or isinstance(w, (int, float)):
-        return vals[0]
-    return np.asarray(vals, dtype=complex)
-
-
-def _theta_g(x):
-    """G(x) = sum (-1)^n (2n+1) exp(-(2n+1)^2 x), elementwise for x > 0."""
-    xv = np.asarray(x, dtype=float)
-    out = np.zeros_like(xv)
-    for n in range(0, 200):
-        nu = 2 * n + 1
-        term = (-1.0) ** n * nu * np.exp(-nu * nu * xv)
-        out = out + term
-        if np.all(np.abs(term) < 1e-18 * (1.0 + np.abs(out))):
-            break
-    return out
+    return _halfline_transform_quadrature(amp, w, np.sin, tol)
 
 
 def parseval_transformed_derivative(amp: Amplitude, n: int, x, t,
@@ -361,15 +228,10 @@ def parseval_transformed_derivative(amp: Amplitude, n: int, x, t,
     shifts the Gaussian slot by each delta in the default schedule and
     extrapolates.
     """
-    if amp.parity not in ("even", "odd"):
-        raise UnsupportedMethodError("parity-definite amplitudes only")
-    if n % 2 != 0:
-        raise UnsupportedMethodError("only even derivative orders are exposed")
+    even, pref = _derivative_form(amp, n)
     tau = _check_tau(reduced_time(t, cfg))
     m = n // 2
     x = float(x)
-
-    even = amp.parity == "even"
     tr_closed = coscos if even else sinsin
     transform = fourier_cosine_transform if even else fourier_sine_transform
 
@@ -379,17 +241,8 @@ def parseval_transformed_derivative(amp: Amplitude, n: int, x, t,
             return (np.asarray(transform(amp, wv), dtype=complex)
                     * np.asarray(tr_closed(m, x, wv, s), dtype=complex))
 
-        if amp.kind == "gaussian":
-            # |phibar_c(w)| ~ exp(-w^2 Re(1/(4 alpha)))
-            rr = amp.alpha.real / (4.0 * abs(amp.alpha) ** 2)
-            tdec = DecayBound(rate=rr / 2.0, power=2.0, scale=2.0)
-        elif amp.kind == "sech":
-            tdec = DecayBound(rate=math.pi / (2.0 * amp.beta), power=1.0, scale=4.0)
-        elif amp.kind == "glaisher":
-            tdec = DecayBound(rate=1.0, power=1.0, scale=2.0, onset=0.5)
-        elif amp.decay is not None and amp.decay.power >= 2.0:
-            tdec = DecayBound(rate=1.0 / (4.0 * amp.decay.rate), power=2.0, scale=4.0)
-        else:
+        tdec = amp.transform_decay
+        if tdec is None:
             raise UnsupportedMethodError("no transform decay model for this amplitude")
         kern = 0.5 * abs(sqrt_principal(math.pi / s)) + 1.0
         tdec = DecayBound(rate=tdec.rate, power=tdec.power,
@@ -397,8 +250,6 @@ def parseval_transformed_derivative(amp: Amplitude, n: int, x, t,
         return integrate_decaying(f, (0.0, math.inf), tol=tol / 4.0, decay=tdec,
                                   osc_freq=None)
 
-    sign = (-1.0) ** m
-    pref = 2.0 * sign if even else 2.0j * sign
     if tau.imag < -1e-12:
         r = outer(1j * tau)
         if not r.converged:
@@ -425,6 +276,24 @@ def calibrate_parseval_constant(amp: Amplitude | None = None, n: int = 0,
     direct = psi_x_derivative(amp, n, x, t, tol=1e-11).psi
     rep = parseval_transformed_derivative(amp, n, x, t, tol=1e-10).psi
     return PARSEVAL_CONSTANT * (direct / rep).real
+
+
+def _golden_section_min(fn, lo: float, hi: float, iters: int) -> float:
+    """Midpoint of the final bracket of a golden-section search for min fn on [lo, hi]."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fdv = fn(c), fn(d)
+    for _ in range(iters):
+        if fc < fdv:
+            b, d, fdv = d, c, fc
+            c = b - g * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fdv
+            d = a + g * (b - a)
+            fdv = fn(d)
+    return 0.5 * (a + b)
 
 
 def calibrate_self_reciprocal_phase(t: complex = 1.0 - 0.4j,
@@ -456,20 +325,7 @@ def calibrate_self_reciprocal_phase(t: complex = 1.0 - 0.4j,
         mean = sum(ratios) / len(ratios)
         return max(abs(r - mean) for r in ratios)
 
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fdv = spread(c), spread(d)
-    for _ in range(iters):
-        if fc < fdv:
-            b, d, fdv = d, c, fc
-            c = b - g * (b - a)
-            fc = spread(c)
-        else:
-            a, c, fc = c, d, fdv
-            d = a + g * (b - a)
-            fdv = spread(d)
-    return 0.5 * (a + b)
+    return _golden_section_min(spread, lo, hi, iters)
 
 
 def calibrate_self_reciprocal_scale(lo: float = 1.0, hi: float = 1.6,
@@ -487,20 +343,7 @@ def calibrate_self_reciprocal_scale(lo: float = 1.0, hi: float = 1.6,
         tr = math.sqrt(2.0 / math.pi) * (math.pi / (2.0 * s)) / np.cosh(math.pi * ws / (2.0 * s))
         return float(np.max(np.abs(tr - 1.0 / np.cosh(s * ws))))
 
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fdv = defect(c), defect(d)
-    for _ in range(iters):
-        if fc < fdv:
-            b, d, fdv = d, c, fc
-            c = b - g * (b - a)
-            fc = defect(c)
-        else:
-            a, c, fc = c, d, fdv
-            d = a + g * (b - a)
-            fdv = defect(d)
-    return 0.5 * (a + b)
+    return _golden_section_min(defect, lo, hi, iters)
 
 
 def self_reciprocal_scaled_sech() -> Amplitude:
@@ -554,7 +397,6 @@ def hermite_weighted_expansion(amp: Amplitude, n: int, x, t,
         raise DomainError("expansion order capped at 8")
     tau = _check_tau(reduced_time(t, cfg))
     x = float(x)
-    from .foundation import binomial
     rt = sqrt_principal(1j * tau)
 
     def f(z):
@@ -613,18 +455,20 @@ def position_norm_squared(amp: Amplitude, t: complex, cfg: PhysicalConfig = NATU
     """int |psi(x,t)|^2 dx over [-L, L] by composite Simpson on a uniform grid.
 
     The truncation L must be chosen by the caller so the packet mass outside
-    is below the comparison tolerance.  The Gaussian uses its closed form.
-    Other amplitudes under method "auto" or "quadrature" take one batched
-    quadrature over the whole grid (each node within tol); the series methods
-    evaluate psi node by node.
+    is below the comparison tolerance.  `method` resolves as in `psi`:
+    "closed" (the "auto" choice for the Gaussian) evaluates the closed form
+    node by node, "quadrature" (the "auto" choice otherwise) takes one batched
+    quadrature over the whole grid (each node within tol), and the series
+    methods evaluate psi node by node.
     """
     npts = 2 * int(half_width / step) + 1
     xs = np.linspace(-half_width, half_width, npts)
-    if amp.kind == "gaussian":
-        tau = reduced_time(t, cfg)
+    tau = _check_tau(reduced_time(t, cfg))
+    method = _resolve_method(amp, method)
+    if method == "closed":
         vals = np.array([abs(gaussian_closed_psi(amp, xx, tau)) ** 2 for xx in xs])
-    elif method in ("auto", "quadrature"):
-        r = psi_oracle(amp, xs, _check_tau(reduced_time(t, cfg)), tol=tol)
+    elif method == "quadrature":
+        r = psi_oracle(amp, xs, tau, tol=tol)
         if not r.converged:
             raise NonConvergenceError(
                 f"batched psi quadrature did not converge: worst error "

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
 from .errors import CapacityError, DomainError, NonConvergenceError
+from .foundation import SeriesEval
 from .hermite import hermite_eval
 from .quadrature import DecayBound, integrate_decaying
 
@@ -33,13 +34,6 @@ SQRT_PI = math.sqrt(math.pi)
 # asserted at every other (m, statistic) case by the test suite.
 KAPPA0 = 0.5
 KAPPA1 = 2.0
-
-
-@dataclass(frozen=True)
-class SeriesValue:
-    value: float
-    terms_used: int
-    tail_estimate: float
 
 
 @dataclass(frozen=True)
@@ -103,6 +97,20 @@ def _alternating_tail(sigma: float, n_from: int) -> float:
     return sign * alternating_series_cvz(lambda k: (n_from + k) ** (-sigma))
 
 
+def _sum_until_settled(contrib, scale: float, floor: float, max_q: int, what: str):
+    """sum_{q>=0} contrib(q), stopped once two consecutive terms (q >= 2) are
+    below floor * (1 + |scale|); returns (sum, last q, last term)."""
+    total = 0.0
+    small_runs = 0
+    for q in range(max_q + 1):
+        c = contrib(q)
+        total += c
+        small_runs = small_runs + 1 if abs(c) < floor * (1.0 + abs(scale)) else 0
+        if small_runs >= 2 and q >= 2:
+            return total, q, c
+    raise NonConvergenceError(f"{what} tail failed to settle")
+
+
 def glaisher_alternating_gaussian(b: float, tol: float = 1e-11):
     """Both sides of the alternating-Gaussian transform identity:
 
@@ -113,28 +121,17 @@ def glaisher_alternating_gaussian(b: float, tol: float = 1e-11):
     e^{-b^2/n} with its exponential series, leaving accelerated alternating
     power sums per order (b^2/N < 1/3 keeps that exchange cancellation-free,
     unlike a global exchange, which loses ~ b^2/ln(10) digits).  Returns
-    (series: SeriesValue, integral: QuadratureResult).
+    (series: SeriesEval, integral: QuadratureResult).
     """
     n_head = max(24, int(3.0 * b * b) + 1)
     head = math.fsum((-1.0) ** (n - 1) * math.exp(-b * b / n) / math.sqrt(n)
                      for n in range(1, n_head + 1))
     n0 = n_head + 1
-    tail = 0.0
-    q = 0
-    fact = 1.0
-    small_runs = 0
-    while True:
-        contrib = (-(b * b)) ** q / fact * _alternating_tail(q + 0.5, n0)
-        tail += contrib
-        small_runs = small_runs + 1 if abs(contrib) < 1e-17 * (1.0 + abs(head)) else 0
-        if small_runs >= 2 and q >= 2:
-            break
-        q += 1
-        fact *= q
-        if q > 200:
-            raise NonConvergenceError("alternating-Gaussian tail failed to settle")
-    series = SeriesValue(value=head + tail, terms_used=n_head + q,
-                         tail_estimate=abs(contrib) + 1e-16 * n_head)
+    tail, q, contrib = _sum_until_settled(
+        lambda q: (-(b * b)) ** q / math.factorial(q) * _alternating_tail(q + 0.5, n0),
+        head, 1e-17, 200, "alternating-Gaussian")
+    series = SeriesEval(value=head + tail, terms_used=n_head + q,
+                        tail_estimate=abs(contrib) + 1e-16 * n_head)
 
     def f(x):
         xx = np.asarray(x, dtype=float)
@@ -152,10 +149,7 @@ def h_term(k: int, m: int, b: float) -> float:
     Index convention (H_{2m}, k^{-m}) is the ledgered correction of the printed
     (H_m, n^{m/2}).
     """
-    if k < 1 or m < 1:
-        raise DomainError("k, m >= 1 required")
-    return (4.0 ** (-m) * SQRT_PI / 2.0 * (-1.0) ** (k - 1) * k ** (-m - 0.5)
-            * math.exp(-b * b / k) * hermite_eval(2 * m, b / math.sqrt(k)).real)
+    return (-1.0) ** (k - 1) * l_term(k, m, b)
 
 
 def l_term(k: int, m: int, b: float) -> float:
@@ -164,17 +158,6 @@ def l_term(k: int, m: int, b: float) -> float:
         raise DomainError("k, m >= 1 required")
     return (4.0 ** (-m) * SQRT_PI / 2.0 * k ** (-m - 0.5)
             * math.exp(-b * b / k) * hermite_eval(2 * m, b / math.sqrt(k)).real)
-
-
-def _hermite_coefficients(n: int) -> np.ndarray:
-    """Integer coefficients of H_n, low order first."""
-    coeffs = [np.array([1.0]), np.array([0.0, 2.0])]
-    for k in range(1, n):
-        nxt = np.zeros(k + 2)
-        nxt[1:] += 2.0 * coeffs[k]
-        nxt[: k] -= 2.0 * k * coeffs[k - 1][: k] if k >= 1 else 0.0
-        coeffs.append(nxt)
-    return coeffs[n]
 
 
 def _tail_power_sum(sigma: float, j_from: int, alternating: bool) -> float:
@@ -205,25 +188,17 @@ def transform_moment_sum(m: int, b: float, alternating: bool) -> float:
                   * j ** (-m - 0.5) * math.exp(-b * b / j)
                   * hermite_eval(2 * m, b / math.sqrt(j)).real
                   for j in range(1, j_direct + 1))
-    hc = _hermite_coefficients(2 * m)
-    even_coeffs = hc[0::2]  # coefficient of w^{2i}
+    # power-series coefficients of H_{2m}; the even ones multiply w^{2i}
+    even_coeffs = np.polynomial.hermite.herm2poly([0.0] * (2 * m) + [1.0])[0::2]
     j0 = j_direct + 1
-    tail = 0.0
-    p = 0
-    small_runs = 0
-    while True:
+
+    def contrib(p: int) -> float:
         # f_p = (b^2)^p sum_i E_i (-1)^{p-i}/(p-i)!  (Taylor coeff of the tail kernel)
-        g_p = 0.0
-        for i in range(0, min(p, m) + 1):
-            g_p += even_coeffs[i] * (-1.0) ** (p - i) / math.factorial(p - i)
-        contrib = g_p * (b * b) ** p * _tail_power_sum(m + 0.5 + p, j0, alternating)
-        tail += contrib
-        small_runs = small_runs + 1 if abs(contrib) < 1e-20 * (1.0 + abs(s)) else 0
-        if small_runs >= 2 and p >= 2:
-            break
-        p += 1
-        if p > 120:
-            raise NonConvergenceError("transform-moment tail failed to settle")
+        g_p = sum(even_coeffs[i] * (-1.0) ** (p - i) / math.factorial(p - i)
+                  for i in range(0, min(p, m) + 1))
+        return g_p * (b * b) ** p * _tail_power_sum(m + 0.5 + p, j0, alternating)
+
+    tail = _sum_until_settled(contrib, s, 1e-20, 120, "transform-moment")[0]
     return s + tail
 
 
@@ -237,7 +212,7 @@ def bose_moment_transform(m: int, b: float) -> float:
     return (-1.0) ** m * 4.0 ** (-m) * SQRT_PI / 2.0 * transform_moment_sum(m, b, False)
 
 
-def lattice_sum(spec: LatticeSumSpec) -> SeriesValue:
+def lattice_sum(spec: LatticeSumSpec) -> SeriesEval:
     """Direct evaluation of sum_{n>=1} n^{2m} / (e^{n^2} +- 1)."""
     sign = 1.0 if spec.statistic == "fermi" else -1.0
     n_max = spec.n_max
@@ -249,7 +224,7 @@ def lattice_sum(spec: LatticeSumSpec) -> SeriesValue:
     for n in range(1, n_max + 1):
         acc += n ** (2 * spec.m) / (math.exp(n * n) + sign)
     tail = 2.0 * (n_max + 1) ** (2 * spec.m) * math.exp(-((n_max + 1) ** 2))
-    return SeriesValue(value=acc, terms_used=n_max, tail_estimate=tail)
+    return SeriesEval(value=acc, terms_used=n_max, tail_estimate=tail)
 
 
 def poisson_correction_sum(m: int, statistic: str, k_max: int = 8) -> float:

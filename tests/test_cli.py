@@ -202,3 +202,41 @@ class TestLedgerCommand:
         assert code == 0
         entries = json.loads(out)
         assert len(entries) >= 8
+
+
+class TestVerifySurvivesAFailingCase:
+    @pytest.fixture
+    def failing_coscos(self, monkeypatch):
+        from wavepack import registry
+        from wavepack.errors import NonConvergenceError
+
+        def fail(p):
+            raise NonConvergenceError("synthetic")
+
+        monkeypatch.setitem(registry._EVALUATORS, "coscos_vs_oracle", fail)
+
+    def test_json_report_counts_and_names_the_failure(self, failing_coscos):
+        code, out, err = run_cli(["verify", "--suite", "L1.1-*", "--format", "json"])
+        assert code == 1
+        doc = json.loads(out)
+        failed = {c["id"] for c in doc["cases"] if not c["passed"]}
+        assert failed == {"L1.1-coscos-n0", "L1.1-coscos-n2-cplx", "L1.1-coscos-n3"}
+        assert doc["failed"] == 3 and doc["passed"] == len(doc["cases"]) - 3
+        assert doc["errors"] == {cid: "NonConvergenceError: synthetic" for cid in failed}
+        assert all(set(c) == {"id", "paper_eq", "lhs", "rhs", "abs_err", "rel_err", "passed"}
+                   for c in doc["cases"])
+        assert "L1.1-coscos-n0" in err
+
+    def test_csv_and_markdown_reports(self, failing_coscos):
+        code, out, _ = run_cli(["verify", "--suite", "L1.1-coscos-*", "--format", "csv"])
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "id,paper_eq,lhs_re,lhs_im,rhs_re,rhs_im,abs_err,rel_err,passed"
+        assert len(lines) == 4 and all(line.endswith(",false") for line in lines[1:])
+        code, out, _ = run_cli(["verify", "--suite", "L1.1-*"])
+        assert code == 1
+        assert "## Errors" in out and "- L1.1-coscos-n3: NonConvergenceError: synthetic" in out
+
+    def test_no_errors_key_when_every_case_runs(self):
+        code, out, _ = run_cli(["verify", "--suite", "QUAD-*", "--format", "json"])
+        assert code == 0 and "errors" not in json.loads(out)

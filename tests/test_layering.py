@@ -1,0 +1,53 @@
+"""Module layering of the package, checked on the source text.
+
+Imports sit at module level only (an import inside a function hides a
+dependency and costs a lookup on every call), and the amplitude layer sits
+below the packet layer: `amplitudes` imports neither `asymptotics` nor
+`wavepacket`, and `asymptotics` does not import `wavepacket`.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "wavepack"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _imported_modules(tree):
+    """Names of the package modules a module imports ("wavepacket", ...)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").startswith("wavepack."):
+                names.add(node.module.split(".")[1])
+            elif node.level == 1 and node.module:
+                names.add(node.module.split(".")[0])
+            elif node.level == 1:
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("wavepack."))
+    return names
+
+
+def test_sources_found():
+    assert {"amplitudes.py", "asymptotics.py", "wavepacket.py"} <= {m.name for m in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[m.name for m in MODULES])
+def test_no_import_inside_a_function(path):
+    tree = ast.parse(path.read_text())
+    nested = {f"{path.name}:{inner.lineno}"
+              for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for inner in ast.walk(fn) if isinstance(inner, (ast.Import, ast.ImportFrom))}
+    assert nested == set()
+
+
+@pytest.mark.parametrize("module,forbidden", [
+    ("asymptotics", {"wavepacket"}),
+    ("amplitudes", {"wavepacket", "asymptotics"}),
+])
+def test_lower_layers_do_not_import_upper(module, forbidden):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    assert _imported_modules(tree) & forbidden == set()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from wavepack import fd
+from wavepack import fd, wavepacket
 from wavepack.errors import (DomainError, UnsupportedMethodError)
 from wavepack.foundation import PhysicalConfig
 from wavepack.quadrature import DecayBound
@@ -347,3 +347,25 @@ class TestSchrodingerResidual:
     def test_negative_control(self):
         res = schrodinger_residual_of(lambda x, t: cmath.exp(1j * x), 0.5, 1.0 - 0.5j)
         assert res > 0.5  # hbar^2/2m = 1 in natural units
+
+
+class TestPlancherelMethods:
+    def test_gaussian_quadrature_takes_the_batched_oracle(self, monkeypatch):
+        amp = Amplitude.gaussian(1.0)
+        closed = position_norm_squared(amp, 0.5, half_width=20.0, step=0.1)
+        calls = []
+        real_oracle = wavepacket.psi_oracle
+
+        def counting_oracle(*args, **kwargs):
+            calls.append(np.ndim(args[1]))
+            return real_oracle(*args, **kwargs)
+
+        monkeypatch.setattr(wavepacket, "psi_oracle", counting_oracle)
+        quad = position_norm_squared(amp, 0.5, half_width=20.0, step=0.1, method="quadrature")
+        assert calls == [1]                  # one batched call over the x-grid
+        assert abs(quad - closed) <= 1e-8 * closed
+
+    @pytest.mark.parametrize("amp", [Amplitude.gaussian(1.0), Amplitude.sech(1.0)])
+    def test_unknown_method_raises(self, amp):
+        with pytest.raises(UnsupportedMethodError):
+            position_norm_squared(amp, 0.5, method="nosuch")
