@@ -136,8 +136,9 @@ class PoleExpansion:
         The terms fall monotonically once mu_k a > 2n + (p-q)/q, so the sum
         stops at the first such term below POLE_TERM_FLOOR (1 + |sum|),
         which bounds the tail.  A sum that would need more than
-        MAX_POLE_TERMS terms raises NonConvergenceError instead of returning
-        a partial sum.
+        MAX_POLE_TERMS terms, or whose term overflows the float range (deep
+        derivatives at small a), raises NonConvergenceError instead of
+        returning a partial sum.
         """
         if not (a > 0):
             raise DomainError("pole-series transforms need a > 0")
@@ -147,7 +148,12 @@ class PoleExpansion:
         for k in range(MAX_POLE_TERMS):
             nu = 2 * k + 1
             mu = c * nu**q
-            term = (-1.0) ** k * (nu ** (p - q) * mu ** (2 * n)) * math.exp(-mu * a)
+            try:
+                term = (-1.0) ** k * (nu ** (p - q) * mu ** (2 * n)) * math.exp(-mu * a)
+            except OverflowError:
+                raise NonConvergenceError(
+                    f"pole series at a={a:.3g}, n={n}: term {k} overflows the float range"
+                ) from None
             acc += term
             if k >= 3 and mu * a > falling and abs(term) < POLE_TERM_FLOOR * (1.0 + abs(acc)):
                 break

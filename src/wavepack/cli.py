@@ -45,6 +45,17 @@ def _amplitude_from_args(args) -> Amplitude:
     return AMPLITUDE_FAMILIES[args.amplitude](vars(args))
 
 
+def _print_json(doc: dict) -> int:
+    """Print doc as strict JSON; a NaN or infinity is a numerical error."""
+    try:
+        text = json.dumps(doc, allow_nan=False)
+    except ValueError:
+        print(f"numerical error: non-finite value in {doc}", file=sys.stderr)
+        return NUMERICAL_EXIT
+    print(text)
+    return 0
+
+
 def cmd_psi(args) -> int:
     cfg = _physical_config(args)
     amp = _amplitude_from_args(args)
@@ -52,12 +63,11 @@ def cmd_psi(args) -> int:
     if args.json:
         doc = {"psi": {"re": wv.psi.real, "im": wv.psi.imag},
                "method": wv.method, "error_estimate": wv.error_estimate}
-        print(json.dumps(doc))
-    else:
-        print(f"psi({args.x}, {args.t.real}{args.t.imag:+}i) = "
-              f"{wv.psi.real:.12g} {wv.psi.imag:+.12g}i")
-        print(f"method = {wv.method}")
-        print(f"error_estimate = {wv.error_estimate:.3e}")
+        return _print_json(doc)
+    print(f"psi({args.x}, {args.t.real}{args.t.imag:+}i) = "
+          f"{wv.psi.real:.12g} {wv.psi.imag:+.12g}i")
+    print(f"method = {wv.method}")
+    print(f"error_estimate = {wv.error_estimate:.3e}")
     return 0
 
 
@@ -78,13 +88,12 @@ def cmd_zeta(args) -> int:
         if corr is not None:
             doc["correction_sum"] = corr
             doc["statistic"] = args.statistic
-        print(json.dumps(doc))
-    else:
-        print(f"zeta({args.m} + 1/2) = {value:.12f}")
-        print(f"method = {args.method}")
-        print(f"error_estimate = {err:.1e}")
-        if corr is not None:
-            print(f"correction_sum = {corr:.6e}")
+        return _print_json(doc)
+    print(f"zeta({args.m} + 1/2) = {value:.12f}")
+    print(f"method = {args.method}")
+    print(f"error_estimate = {err:.1e}")
+    if corr is not None:
+        print(f"correction_sum = {corr:.6e}")
     return 0
 
 

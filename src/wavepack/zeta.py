@@ -175,7 +175,8 @@ def _tail_power_sum(sigma: float, j_from: int, alternating: bool) -> float:
 def transform_moment_sum(m: int, b: float, alternating: bool) -> float:
     """S = sum_{j>=1} (+-1)^{j-1} j^{-m-1/2} e^{-b^2/j} H_{2m}(b/sqrt(j)).
 
-    Head summed directly out to j ~ 4 b^2; the tail expands
+    Head summed directly out to j ~ 4 b^2, its terms built as one array (one
+    Hermite recurrence over all j); the tail expands
     e^{-b^2 u} H_{2m}(b sqrt(u)) in powers of u = 1/j (integer powers only:
     H_{2m} is even) and sums each power with a Hurwitz zeta, so the slow
     j^{-m-1/2} tail costs nothing.  b^2/j0 < 1/4 keeps the expansion short and
@@ -184,10 +185,11 @@ def transform_moment_sum(m: int, b: float, alternating: bool) -> float:
     if m < 1:
         raise DomainError("m >= 1 required")
     j_direct = max(64, int(4.0 * b * b) + 1)
-    s = math.fsum(((-1.0) ** (j - 1) if alternating else 1.0)
-                  * j ** (-m - 0.5) * math.exp(-b * b / j)
-                  * hermite_eval(2 * m, b / math.sqrt(j)).real
-                  for j in range(1, j_direct + 1))
+    j = np.arange(1, j_direct + 1, dtype=float)
+    sign = np.where(j % 2 == 1, 1.0, -1.0) if alternating else 1.0
+    head = (sign * j ** (-m - 0.5) * np.exp(-b * b / j)
+            * hermite_eval(2 * m, b / np.sqrt(j)).real)
+    s = math.fsum(head.tolist())
     # power-series coefficients of H_{2m}; the even ones multiply w^{2i}
     even_coeffs = np.polynomial.hermite.herm2poly([0.0] * (2 * m) + [1.0])[0::2]
     j0 = j_direct + 1

@@ -9,7 +9,7 @@ from wavepack.asymptotics import (glaisher_large_t_series,
                                   glaisher_theta_integral, heat_series,
                                   ibp_expansion, sech_packet_exact,
                                   sech_theta_series)
-from wavepack.errors import DomainError
+from wavepack.errors import DomainError, NonConvergenceError
 from wavepack.hermite import gaussian_derivative
 from wavepack.quadrature import integrate_interval, psi_oracle
 from wavepack.wavepacket import Amplitude, gaussian_closed_psi
@@ -110,6 +110,13 @@ class TestHeatSeries:
     def test_parity_required(self):
         with pytest.raises(DomainError):
             heat_series(Amplitude.gaussian(1.0, z0=1.0), 1.0, 0.1j - 0.1)
+
+    @pytest.mark.parametrize("x", [0.005, 0.01, 0.02])
+    def test_glaisher_overflow_raises_nonconvergence(self, x):
+        # the exact-integer terms nu^(4n+1) of deep transform derivatives
+        # leave the float range before the series reaches its smallest term
+        with pytest.raises(NonConvergenceError, match=r"a=.*n=\d+"):
+            heat_series(Amplitude.glaisher(), x, 1e-8)
 
 
 class TestSechTheta:

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -105,6 +106,33 @@ class TestPsiCommand:
                                 "--x", "4", "--t", "0.05,0", "--method", "theta", "--json"])
         assert code == 0
         assert json.loads(out)["method"] == "theta_series"
+
+
+class TestNumericalErrors:
+    def test_glaisher_heat_overflow_is_a_numerical_error(self):
+        code, out, err = run_cli(["psi", "--amplitude", "glaisher", "--x", "0.01",
+                                  "--t", "1e-8,0", "--method", "heat"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("numerical error: ") and "overflows" in err
+
+    def test_non_finite_psi_is_not_json(self, monkeypatch):
+        from wavepack import wavepacket
+        monkeypatch.setattr(wavepacket, "psi", lambda *a, **k: wavepacket.WaveValue(
+            psi=complex(math.nan, 0.0), method="closed", error_estimate=0.0))
+        code, out, err = run_cli(["psi", "--amplitude", "gaussian", "--x", "0",
+                                  "--t", "0,0", "--json"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("numerical error: non-finite value")
+
+    def test_non_finite_zeta_is_not_json(self, monkeypatch):
+        from wavepack import zeta
+        monkeypatch.setattr(zeta, "zeta_from_lattice", lambda m, s: (math.inf, 0.0))
+        code, out, err = run_cli(["zeta", "--m", "1", "--method", "lattice", "--json"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("numerical error: non-finite value")
 
 
 class TestZetaCommand:

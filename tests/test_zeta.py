@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermval
+from scipy.integrate import quad
 
 from wavepack import fd
 from wavepack.errors import CapacityError, DomainError
@@ -20,6 +22,13 @@ SQRT_PI = math.sqrt(math.pi)
 # independent references (30-digit mpmath, frozen)
 ZETA_REFS = {1: 2.612375348685488, 2: 1.341487257250917, 3: 1.126733867317057}
 ETA_HALF = 0.6048986434216303
+# zeta_from_lattice(m, statistic) for m = 1..6, frozen
+ZETA_LATTICE_PINNED = {
+    "fermi": [2.612375348685489, 1.3414872572509173, 1.1267338673170564,
+              1.0547075107614545, 1.0252045799546858, 1.0120058998885249],
+    "bose": [2.6123753486854886, 1.3414872572509176, 1.1267338673170568,
+             1.0547075107614543, 1.025204579954686, 1.0120058998885249],
+}
 # frozen high-precision brute force (direct head + exact expansion remainder)
 S_MONO_M1_B1 = -0.962983614865014411
 
@@ -79,12 +88,13 @@ class TestMomentTerms:
         # the Hurwitz tail must agree with brute extension of the head
         for (m, b, alt) in [(1, 1.0, True), (2, math.pi, False)]:
             v = transform_moment_sum(m, b, alt)
-            brute = math.fsum(((-1.0) ** (j - 1) if alt else 1.0)
-                              * j ** (-m - 0.5) * math.exp(-b * b / j)
-                              * _hermite_real(2 * m, b / math.sqrt(j))
-                              for j in range(1, 200_001))
-            # brute truncation error ~ j_max^{-m+1/2}; compare loosely
-            assert abs(v - brute) <= 5e-4 * max(1.0, abs(v)) if m == 1 else 1e-8
+            assert abs(v - _brute_transform_sum(m, b, alt)) <= 1e-12
+
+    @pytest.mark.parametrize("alt", [True, False])
+    @pytest.mark.parametrize("b", [0.5, math.pi, 2 * math.pi])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_transform_sum_matches_brute_reference(self, m, b, alt):
+        assert abs(transform_moment_sum(m, b, alt) - _brute_transform_sum(m, b, alt)) <= 1e-12
 
     @pytest.mark.parametrize("m,k", [(1, 1), (2, 1), (1, 2)])
     def test_moment_transform_vs_quadrature(self, m, k):
@@ -114,9 +124,27 @@ class TestMomentTerms:
         assert abs(r.value.real - bose_moment_transform(m, b)) <= 1e-13
 
 
-def _hermite_real(n, x):
-    from wavepack.hermite import hermite_eval
-    return hermite_eval(n, x).real
+def _brute_transform_sum(m, b, alt, J=200_000):
+    """sum_{j<=J} (+-1)^{j-1} j^{-m-1/2} e^{-b^2/j} H_{2m}(b/sqrt(j)) plus its
+    truncation tail, with numpy's Hermite series in place of wavepack's
+    recurrence.  The tail is half the next term when alternating; when
+    monotone it is the midpoint-rule integral over j > J in s = 1/j,
+    int_0^{1/(J+1/2)} s^{m-3/2} e^{-b^2 s} H_{2m}(b sqrt(s)) ds."""
+    coeffs = [0.0] * (2 * m) + [1.0]
+
+    def terms(j):
+        return j ** (-m - 0.5) * np.exp(-b * b / j) * hermval(b / np.sqrt(j), coeffs)
+
+    j = np.arange(1, J + 1, dtype=float)
+    if alt:
+        head = math.fsum((np.where(j % 2 == 1, 1.0, -1.0) * terms(j)).tolist())
+        tail = (-1.0) ** J * terms(J + 1.0) / 2.0
+    else:
+        head = math.fsum(terms(j).tolist())
+        tail = quad(lambda u: u ** (m - 1.5) * math.exp(-b * b * u)
+                    * hermval(b * math.sqrt(u), coeffs),
+                    0.0, 1.0 / (J + 0.5), epsabs=0.0, epsrel=1e-12)[0]
+    return head + tail
 
 
 class TestLatticeSums:
@@ -176,6 +204,11 @@ class TestZetaFromLattice:
         right = (L + 0.5 - corr) / (KAPPA0 * gamma_half(1))
         assert abs(right - zeta_half_reference(1)) <= 1e-10
         assert abs(wrong - zeta_half_reference(1)) > 0.1
+
+    def test_values_pinned(self):
+        for stat, values in ZETA_LATTICE_PINNED.items():
+            for m, frozen in enumerate(values, start=1):
+                assert abs(zeta_from_lattice(m, stat)[0] - frozen) <= 1e-14 * frozen
 
     def test_m_range(self):
         with pytest.raises(DomainError):
