@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import wofz
 
 from .errors import DomainError, NonConvergenceError
-from .foundation import SeriesEval, sqrt_principal, sum_to_smallest_term
+from .foundation import SeriesEval, scalar_or_array, sqrt_principal, sum_to_smallest_term
 from .hermite import gaussian_derivative, hermite_eval
 from .quadrature import DecayBound
 
@@ -33,15 +33,6 @@ GLAISHER_SQRT_ARG = math.pi / (2.0 * math.sqrt(2.0))  # c(z) = this * sqrt(|z|)
 # first omitted term), and raise rather than sum more than MAX_POLE_TERMS terms.
 POLE_TERM_FLOOR = 1e-18
 MAX_POLE_TERMS = 250_000
-
-
-def _is_scalar(z) -> bool:
-    return np.isscalar(z) or isinstance(z, (int, float, complex))
-
-
-def _shape_like(z, val):
-    """A scalar input gives a complex, an array input an array."""
-    return complex(val) if _is_scalar(z) else val
 
 
 def glaisher_kernel(z):
@@ -280,11 +271,11 @@ class Gaussian(Amplitude):
         return DecayBound(rate=rr / 2.0, power=2.0, scale=2.0)
 
     def __call__(self, z):
-        return _shape_like(z, np.exp(-self.alpha * (np.asarray(z, dtype=complex) - self.z0) ** 2))
+        return scalar_or_array(np.exp(-self.alpha * (np.asarray(z, dtype=complex) - self.z0) ** 2), z)
 
     def derivative(self, k: int, z):
-        return _shape_like(z, gaussian_derivative(k, self.alpha,
-                                                  np.asarray(z, dtype=complex) - self.z0))
+        return scalar_or_array(gaussian_derivative(k, self.alpha,
+                                                   np.asarray(z, dtype=complex) - self.z0), z)
 
     def closed_psi(self, x: complex, tau: complex) -> complex:
         """Complete-the-square closed form of the packet."""
@@ -334,12 +325,12 @@ class Sech(_PoleFamily):
         return sech_poles(self.beta) if self.z0 == 0 else None
 
     def __call__(self, z):
-        return _shape_like(z, 1.0 / np.cosh(self.beta * (np.asarray(z, dtype=complex) - self.z0)))
+        return scalar_or_array(1.0 / np.cosh(self.beta * (np.asarray(z, dtype=complex) - self.z0)), z)
 
     def derivative(self, k: int, z):
         u = self.beta * (np.asarray(z, dtype=complex) - self.z0)
-        return _shape_like(z, self.beta**k / np.cosh(u)
-                           * np.polynomial.polynomial.polyval(np.tanh(u), _sech_poly(k)))
+        return scalar_or_array(self.beta**k / np.cosh(u)
+                               * np.polynomial.polynomial.polyval(np.tanh(u), _sech_poly(k)), z)
 
     def cosine_transform(self, w):
         """c sech(c w), c = pi/(2 beta)."""
@@ -365,7 +356,7 @@ class Glaisher(_PoleFamily):
     def __call__(self, z):
         if np.iscomplexobj(z) and np.any(np.asarray(z).imag != 0):
             raise DomainError("glaisher kernel is defined on the real line")
-        return _shape_like(z, np.asarray(glaisher_kernel(np.real(z)), dtype=complex))
+        return scalar_or_array(np.asarray(glaisher_kernel(np.real(z)), dtype=complex), z)
 
     def cosine_transform(self, w):
         """The theta series G(w), w > 0."""
@@ -392,7 +383,7 @@ class Custom(Amplitude):
         return DecayBound(rate=1.0 / (4.0 * self.decay.rate), power=2.0, scale=4.0)
 
     def __call__(self, z):
-        return _shape_like(z, np.asarray(self.fn(np.asarray(z, dtype=complex)), dtype=complex))
+        return scalar_or_array(np.asarray(self.fn(np.asarray(z, dtype=complex)), dtype=complex), z)
 
 
 Amplitude.gaussian, Amplitude.sech, Amplitude.glaisher, Amplitude.custom = (

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .foundation import binomial, sqrt_principal
+from .foundation import binomial, scalar_or_array, sqrt_principal
 from .hermite import hermite_all, hermite_eval
 
 SQRT_PI = math.sqrt(math.pi)
@@ -29,12 +29,6 @@ EPS_SWITCH = 1e-2
 
 def _as_complex_array(v):
     return np.asarray(v, dtype=complex)
-
-
-def _maybe_scalar(val, *inputs):
-    if all(np.isscalar(i) or isinstance(i, (int, float, complex)) for i in inputs):
-        return complex(val)
-    return val
 
 
 def _check_order(n: int) -> None:
@@ -65,7 +59,7 @@ def f_cosine_moment(n: int, a, x):
     rx = sqrt_principal(x)
     val = ((-1) ** n / 2.0) * SQRT_PI * 4.0 ** (-n) * x ** (-(n + 0.5)) \
         * np.exp(-av * av / (4.0 * x)) * hermite_eval(2 * n, av / (2.0 * rx))
-    return _maybe_scalar(val, a)
+    return scalar_or_array(val, a)
 
 
 def f_cosine_moment_printed(n: int, a, x):
@@ -79,7 +73,7 @@ def _base_trig_product(a, b, x, sign: float):
     av, bv = _as_complex_array(a), _as_complex_array(b)
     pref = 0.25 * sqrt_principal(math.pi / x)
     val = pref * (np.exp(-((av - bv) ** 2) / (4.0 * x)) + sign * np.exp(-((av + bv) ** 2) / (4.0 * x)))
-    return _maybe_scalar(val, a, b)
+    return scalar_or_array(val, a, b)
 
 
 def base_coscos(a, b, x):
@@ -117,7 +111,7 @@ def g_n(n: int, a, b, x):
         term = term * ratio
     pref = (1j * bv / (2.0 * x)) ** (2 * n) * 0.25 * sqrt_principal(math.pi / x)
     val = pref * np.exp(-(bv * bv + av * av) / (4.0 * x)) * np.exp(av * bv / (2.0 * x)) * acc
-    return _maybe_scalar(val, a, b)
+    return scalar_or_array(val, a, b)
 
 
 def _trig_product(n: int, a, b, x, sign: float):
@@ -134,7 +128,7 @@ def _trig_product(n: int, a, b, x, sign: float):
     if np.any(~small):
         ap, bp = av[~small], bv[~small]
         out[~small] = g_n(n, ap, bp, x) + sign * g_n(n, ap, -bp, x)
-    return _maybe_scalar(out, a, b)
+    return scalar_or_array(out, a, b)
 
 
 def coscos(n: int, a, b, x):

@@ -1,5 +1,5 @@
-"""Complex arithmetic conventions, unit reduction, combinatorial helpers and the
-series result record.
+"""Complex arithmetic conventions, the scalar-or-array return convention, unit
+reduction, combinatorial helpers and the series result record.
 
 Everything downstream works in the reduced time tau = t*hbar/(2m); physical
 (t, hbar, m) appear only at the API boundary.  Fractional powers of complex
@@ -10,6 +10,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import CapacityError, DomainError
 
@@ -84,6 +86,12 @@ def sum_to_smallest_term(prefactor: float, terms, N: int, grow_from: int = 1) ->
 def reduced_time(t: complex, cfg: PhysicalConfig = NATURAL_UNITS) -> complex:
     """Map physical time to the dimensionless reduced time tau = t*hbar/(2m)."""
     return require_finite(complex(t) * cfg.hbar / (2.0 * cfg.mass), "reduced time")
+
+
+def scalar_or_array(val, *inputs):
+    """val as a Python complex when every input is a scalar (Python or numpy),
+    else val unchanged: scalar arguments give a complex, arrays an array."""
+    return complex(val) if all(np.isscalar(i) for i in inputs) else val
 
 
 def sqrt_principal(z: complex) -> complex:

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .foundation import binomial, sqrt_principal
+from .foundation import binomial, scalar_or_array, sqrt_principal
 
 HERMITE_ORDER_CAP = 64
 
@@ -33,7 +33,7 @@ def _recurrence(n: int, z) -> list:
 def hermite_eval(n: int, z):
     """H_n(z) for scalar or ndarray argument (real or complex)."""
     h = _recurrence(n, z)[-1]
-    return complex(h) if (np.isscalar(z) or isinstance(z, complex)) else h
+    return scalar_or_array(h, z)
 
 
 # Its own function, not an alias of _recurrence: the perfbench tracer finds
@@ -56,7 +56,7 @@ def gaussian_derivative(m: int, a: complex, z):
     ra = sqrt_principal(a)
     zz = np.asarray(z, dtype=complex)
     val = ra**m * (-1) ** m * np.exp(-a * zz * zz) * hermite_eval(m, ra * zz)
-    return complex(val) if (np.isscalar(z) or isinstance(z, complex)) else val
+    return scalar_or_array(val, z)
 
 
 def shifted_argument_identity(n: int, a: float, b: float, x: float):

@@ -102,6 +102,49 @@ class DecayBound:
             T *= 1.25
         raise DomainError("decay bound too weak to truncate the tail")
 
+    def times_poly(self, degree: int) -> "DecayBound":
+        """A bound on |z|^degree times this bound: the rate is halved and the
+        scale covers the maximum of |z|^degree exp(-rate |z|^power / 2)."""
+        if degree == 0:
+            return self
+        r2 = self.rate / 2.0
+        zstar = (degree / (r2 * self.power)) ** (1.0 / self.power)
+        bump = zstar**degree
+        return DecayBound(rate=r2, power=self.power, scale=self.scale * max(bump, 1.0),
+                          onset=max(self.onset, zstar))
+
+    def times_exp_growth(self, g: float) -> "DecayBound | None":
+        """A bound on exp(g |z|) times this bound, or None where the decay
+        cannot absorb the growth (power < 1, or power 1 with rate <= g)."""
+        if g == 0.0:
+            return self
+        if self.power > 1.0:
+            # superlinear decay absorbs the growth past z*, at half the rate
+            zstar = (2.0 * g / (self.rate * self.power)) ** (1.0 / (self.power - 1.0))
+            return DecayBound(rate=self.rate / 2.0, power=self.power,
+                              scale=self.scale * math.exp(g * (zstar + 1.0)),
+                              onset=max(self.onset, 2.0 * zstar))
+        if self.power == 1.0 and self.rate > g:
+            return DecayBound(rate=self.rate - g, power=1.0, scale=self.scale, onset=self.onset)
+        return None
+
+
+def packet_decay(amp, tau, eps: float, grow: float = 0.0) -> DecayBound | None:
+    """Tail bound of |phi(z) exp(-i tau z^2)| exp(grow |z|), or None.
+
+    Of the amplitude's declared `decay` and, at Im(tau) < 0, the damping
+    exp(Im(tau) z^2) at the amplitude's scale (1 without a declared decay),
+    each times exp(grow |z|) where it can absorb that, the bound that
+    truncates first at eps.
+    """
+    decay: DecayBound | None = getattr(amp, "decay", None)
+    bounds = [] if decay is None else [decay]
+    if complex(tau).imag < 0:
+        bounds.append(DecayBound(rate=-complex(tau).imag, power=2.0,
+                                 scale=1.0 if decay is None else decay.scale))
+    grown = [b for b in (d.times_exp_growth(grow) for d in bounds) if b is not None]
+    return min(grown, key=lambda d: d.truncation_point(eps), default=None)
+
 
 @dataclass(frozen=True)
 class RegularizationSchedule:
@@ -371,29 +414,8 @@ def psi_oracle(amp, x, tau, tol: float = 1e-10, budget: int = DEFAULT_BUDGET,
         drift = 2.0 * tau.real * z
         return max(abs(x_lo - drift), abs(x_hi - drift)) + 2.0 * abs(tau.imag) * abs(z)
 
-    gauss_rate = -tau.imag
-    amp_decay: DecayBound | None = getattr(amp, "decay", None)
-    candidates = []
-    if amp_decay is not None:
-        if grow == 0.0:
-            candidates.append(amp_decay)
-        elif amp_decay.power > 1.0:
-            # superlinear decay absorbs the exp(grow*|z|) factor past z*
-            zstar = (2.0 * grow / (amp_decay.rate * amp_decay.power)) ** (1.0 / (amp_decay.power - 1.0))
-            candidates.append(DecayBound(rate=amp_decay.rate / 2.0, power=amp_decay.power,
-                                         scale=amp_decay.scale * math.exp(grow * (zstar + 1.0)),
-                                         onset=max(amp_decay.onset, 2.0 * zstar)))
-        elif amp_decay.power == 1.0 and amp_decay.rate > grow:
-            candidates.append(DecayBound(rate=amp_decay.rate - grow, power=1.0,
-                                         scale=amp_decay.scale, onset=amp_decay.onset))
-    if gauss_rate > 0:
-        scale = amp_decay.scale if amp_decay is not None else 1.0
-        zstar = grow / gauss_rate
-        candidates.append(DecayBound(rate=gauss_rate / 2.0, power=2.0,
-                                     scale=scale * math.exp(grow * (zstar + 1.0)),
-                                     onset=2.0 * zstar))
-    if candidates:
-        eff = min(candidates, key=lambda d: d.truncation_point(tol / 10.0))
+    eff = packet_decay(amp, tau, tol / 10.0, grow)
+    if eff is not None:
         return integrate_decaying(f, domain=(-math.inf, math.inf), tol=tol,
                                   decay=eff, budget=budget, osc_freq=osc)
     if grow > 0:

@@ -99,11 +99,9 @@ def _trig_oracle(n, a, b, x, which):
         zz = np.asarray(z, dtype=complex)
         return np.exp(-x * zz**2) * zz ** (2 * n) * trig(a * zz) * trig(b * zz)
 
+    # |trig(a z) trig(b z)| <= exp((|Im a| + |Im b|) z)
     grow = abs(complex(a).imag) + abs(complex(b).imag)
-    zstar = 2.0 * grow / complex(x).real + 1.0
-    bound = DecayBound(rate=complex(x).real / 2.0, power=2.0,
-                       scale=4.0 * math.exp(grow * zstar) * max(zstar, 2.0) ** (2 * n),
-                       onset=zstar)
+    bound = DecayBound(rate=complex(x).real).times_exp_growth(grow).times_poly(2 * n)
     return integrate_decaying(f, (0.0, math.inf), tol=1e-11, decay=bound,
                               osc_freq=lambda z: abs(complex(a).real) + abs(complex(b).real)
                               + 2 * abs(complex(x).imag) * abs(z)).value

@@ -10,18 +10,19 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import asymptotics, fd
-from .amplitudes import Amplitude, _is_scalar, glaisher_kernel  # noqa: F401  (glaisher_kernel re-exported)
+from .amplitudes import Amplitude, glaisher_kernel  # noqa: F401  (glaisher_kernel re-exported)
 from .closedform import coscos, sinsin
 from .errors import DomainError, NonConvergenceError, UnsupportedMethodError
-from .foundation import NATURAL_UNITS, PhysicalConfig, binomial, reduced_time, sqrt_principal
+from .foundation import (NATURAL_UNITS, PhysicalConfig, binomial, reduced_time,
+                         scalar_or_array, sqrt_principal)
 from .hermite import hermite_all
-from .quadrature import (DEFAULT_SCHEDULE, DecayBound, QuadratureResult,
-                         integrate_decaying, neville_extrapolate, psi_oracle)
+from .quadrature import (DEFAULT_SCHEDULE, QuadratureResult, integrate_decaying,
+                         neville_extrapolate, packet_decay, psi_oracle)
 
 # Parseval constant for bare half-line transforms: int_0^inf f g = c_P int_0^inf fc gc.
 PARSEVAL_CONSTANT = 2.0 / math.pi
@@ -49,11 +50,10 @@ def amplitude_derivative(amp: Amplitude, k: int, z):
         return amp.derivative(k, z)
     if k > max(amp.max_analytic_derivative, 8):
         raise DomainError(f"derivative order {k} beyond this amplitude's capability")
-    scalar = _is_scalar(z)
-    zs = [z] if scalar else list(np.asarray(z, dtype=float))
-    vals = [fd.derivative(lambda u: amp(complex(u)), float(np.real(zv)), k, h0=0.05 * (k + 1), levels=4)
-            for zv in zs]
-    return vals[0] if scalar else np.asarray(vals, dtype=complex)
+    zs = np.asarray(np.real(z), dtype=float)
+    vals = [fd.derivative(lambda u: amp(complex(u)), float(zv), k, h0=0.05 * (k + 1), levels=4)
+            for zv in zs.ravel()]
+    return scalar_or_array(np.reshape(np.asarray(vals, dtype=complex), zs.shape), z)
 
 
 def _check_tau(tau: complex) -> complex:
@@ -115,38 +115,20 @@ def psi(amp: Amplitude, x, t, cfg: PhysicalConfig = NATURAL_UNITS,
                      error_estimate=2.0 * se.tail_estimate)
 
 
-def _poly_damped(decay: DecayBound, degree: int) -> DecayBound:
-    """Fold a |z|^degree factor into a decay bound by halving the rate."""
-    if degree == 0:
-        return decay
-    r2 = decay.rate / 2.0
-    zstar = (degree / (r2 * decay.power)) ** (1.0 / decay.power)
-    bump = zstar**degree
-    return DecayBound(rate=r2, power=decay.power, scale=decay.scale * max(bump, 1.0),
-                      onset=max(decay.onset, zstar))
-
-
 def _halfline_moment_quadrature(amp: Amplitude, n: int, x: float, tau: complex,
-                                trig: str, tol: float) -> QuadratureResult:
-    """int_0^inf phi(z) z^n trig(zx) exp(-i tau z^2) dz by the oracle."""
+                                trig, tol: float) -> QuadratureResult:
+    """int_0^inf phi(z) z^n trig(zx) exp(-i tau z^2) dz by the oracle (trig: np.cos, np.sin)."""
     tau = _check_tau(tau)
-    tf = np.cos if trig == "cos" else np.sin
 
     def f(z):
         zz = np.asarray(z, dtype=float)
-        return (np.asarray(amp(zz), dtype=complex) * zz**n * tf(zz * x)
+        return (np.asarray(amp(zz), dtype=complex) * zz**n * trig(zz * x)
                 * np.exp(-1j * tau * zz * zz))
 
-    base = amp.decay
-    if base is None and tau.imag < 0:
-        base = DecayBound(rate=-tau.imag, power=2.0, scale=1.0)
+    base = packet_decay(amp, tau, tol / 10.0)
     if base is None:
         raise DomainError("half-line moments need decay or Im(tau) < 0")
-    if tau.imag < 0 and base.power < 2.0:
-        alt = DecayBound(rate=-tau.imag, power=2.0, scale=base.scale)
-        base = min(base, alt, key=lambda d: d.truncation_point(tol / 10.0))
-    eff = _poly_damped(base, n)
-    return integrate_decaying(f, (0.0, math.inf), tol=tol, decay=eff,
+    return integrate_decaying(f, (0.0, math.inf), tol=tol, decay=base.times_poly(n),
                               osc_freq=lambda z: abs(x) + 2.0 * abs(tau) * abs(z))
 
 
@@ -172,7 +154,7 @@ def psi_x_derivative(amp: Amplitude, n: int, x, t, cfg: PhysicalConfig = NATURAL
     if n > 8:
         raise DomainError("derivative order capped at 8")
     tau = _check_tau(reduced_time(t, cfg))
-    r = _halfline_moment_quadrature(amp, n, float(x), tau, "cos" if even else "sin", tol)
+    r = _halfline_moment_quadrature(amp, n, float(x), tau, np.cos if even else np.sin, tol)
     if not r.converged:
         raise NonConvergenceError(f"derivative quadrature did not converge: {r}")
     return WaveValue(psi=pref * r.value, method="quadrature",
@@ -181,11 +163,14 @@ def psi_x_derivative(amp: Amplitude, n: int, x, t, cfg: PhysicalConfig = NATURAL
 
 def _halfline_transform_quadrature(amp: Amplitude, w, trig, tol: float):
     """int_0^inf phi(z) trig(zw) dz by the oracle, one quadrature per w."""
-    vals = [integrate_decaying(lambda z: np.asarray(amp(z), dtype=complex) * trig(z * wi),
-                               (0.0, math.inf), tol=tol, decay=amp.decay,
-                               osc_freq=lambda z: abs(wi)).value
-            for wi in np.atleast_1d(np.asarray(w, dtype=float))]
-    return vals[0] if _is_scalar(w) else np.asarray(vals, dtype=complex)
+    ws = np.asarray(w, dtype=float)
+    vals = []
+    for wi in ws.ravel():
+        r = _halfline_moment_quadrature(amp, 0, wi, 0j, trig, tol)
+        if not r.converged:
+            raise NonConvergenceError(f"transform quadrature did not converge: {r}")
+        vals.append(r.value)
+    return scalar_or_array(np.reshape(np.asarray(vals, dtype=complex), ws.shape), w)
 
 
 def fourier_cosine_transform(amp: Amplitude, w, tol: float = 1e-11):
@@ -201,7 +186,7 @@ def fourier_cosine_transform(amp: Amplitude, w, tol: float = 1e-11):
     if amp.cosine_transform is None:
         return _halfline_transform_quadrature(amp, w, np.cos, tol)
     val = amp.cosine_transform(np.asarray(w, dtype=float))
-    return complex(val) if _is_scalar(w) else np.asarray(val, dtype=complex)
+    return scalar_or_array(np.asarray(val, dtype=complex), w)
 
 
 def fourier_sine_transform(amp: Amplitude, w, tol: float = 1e-11):
@@ -245,15 +230,15 @@ def parseval_transformed_derivative(amp: Amplitude, n: int, x, t,
         if tdec is None:
             raise UnsupportedMethodError("no transform decay model for this amplitude")
         kern = 0.5 * abs(sqrt_principal(math.pi / s)) + 1.0
-        tdec = DecayBound(rate=tdec.rate, power=tdec.power,
-                          scale=tdec.scale * kern, onset=tdec.onset)
-        return integrate_decaying(f, (0.0, math.inf), tol=tol / 4.0, decay=tdec,
-                                  osc_freq=None)
+        r = integrate_decaying(f, (0.0, math.inf), tol=tol / 4.0,
+                               decay=replace(tdec, scale=tdec.scale * kern),
+                               osc_freq=None)
+        if not r.converged:
+            raise NonConvergenceError(f"outer Parseval quadrature: {r}")
+        return r
 
     if tau.imag < -1e-12:
         r = outer(1j * tau)
-        if not r.converged:
-            raise NonConvergenceError(f"outer Parseval quadrature: {r}")
         return WaveValue(psi=pref * PARSEVAL_CONSTANT * r.value, method="quadrature",
                          error_estimate=2.0 * PARSEVAL_CONSTANT * r.abs_error_estimate)
     deltas = list(DEFAULT_SCHEDULE.delta_values[:5])
@@ -408,15 +393,11 @@ def hermite_weighted_expansion(amp: Amplitude, n: int, x, t,
                          * np.asarray(amplitude_derivative(amp, n - k, zz), dtype=complex))
         return acc * np.exp(1j * x * zz - 1j * tau * zz * zz)
 
-    base = amp.decay
-    if base is None:
+    if amp.decay is None:
         raise DomainError("expansion quadrature needs a decaying amplitude")
-    if tau.imag < 0 and base.power < 2.0:
-        alt = DecayBound(rate=-tau.imag, power=2.0, scale=base.scale)
-        base = min(base, alt, key=lambda d: d.truncation_point(tol / 10.0))
+    base = packet_decay(amp, tau, tol / 10.0)
     scale_bump = (1.0 + abs(rt)) ** n * 4.0**n
-    eff = _poly_damped(DecayBound(rate=base.rate, power=base.power,
-                                  scale=base.scale * scale_bump, onset=base.onset), n)
+    eff = replace(base, scale=base.scale * scale_bump).times_poly(n)
     r = integrate_decaying(f, (-math.inf, math.inf), tol=tol, decay=eff,
                            osc_freq=lambda z: abs(x) + 2.0 * abs(tau) * abs(z))
     if not r.converged:

@@ -242,6 +242,19 @@ class TestExactResummations:
                 assert cmath.isfinite(left)
                 assert abs(left - right) <= 1e-14 * max(1.0, abs(right))
 
+    # tau = 0, where the terms (pi/2) nu e^{-nu^2 x} of the Glaisher sum rise
+    # before they fall at small x: the resummation must still land on the
+    # transform itself
+    @pytest.mark.parametrize("beta", [0.6, 1.0, math.pi / 2, 3.0])
+    def test_sech_exact_at_tau_zero_is_the_transform(self, beta):
+        for x in (0.0, 0.001, 0.01, 0.05, 0.1, 0.5, 2.0, -0.05):
+            transform = math.pi / (2 * beta) / math.cosh(math.pi * x / (2 * beta))
+            assert abs(sech_packet_exact(beta, x, 0.0) - transform) <= 1e-14
+
+    @pytest.mark.parametrize("x", [0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.5, 2.0])
+    def test_glaisher_exact_at_tau_zero_is_the_theta_series(self, x):
+        assert abs(glaisher_packet_exact(x, 0.0) - glaisher_series_g(x).value) <= 1e-14
+
     def test_sech_exact_at_negative_x_matches_oracle(self):
         ref = psi_oracle(Amplitude.sech(1.0), -3.0, 0.0, tol=1e-12).value / 2.0
         assert abs(sech_packet_exact(1.0, -3.0, 0) - ref) <= 1e-10

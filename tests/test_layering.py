@@ -3,7 +3,9 @@
 Imports sit at module level only (an import inside a function hides a
 dependency and costs a lookup on every call), and the amplitude layer sits
 below the packet layer: `amplitudes` imports neither `asymptotics` nor
-`wavepacket`, and `asymptotics` does not import `wavepacket`.
+`wavepacket`, and `asymptotics` does not import `wavepacket`.  Tail bounds
+are declared in `amplitudes` and derived in `quadrature`, so `wavepacket`
+builds no `DecayBound` of its own.
 """
 import ast
 from pathlib import Path
@@ -51,3 +53,10 @@ def test_no_import_inside_a_function(path):
 def test_lower_layers_do_not_import_upper(module, forbidden):
     tree = ast.parse((SRC / f"{module}.py").read_text())
     assert _imported_modules(tree) & forbidden == set()
+
+
+def test_wavepacket_derives_no_tail_bound_itself():
+    tree = ast.parse((SRC / "wavepacket.py").read_text())
+    built = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "DecayBound"]
+    assert built == []

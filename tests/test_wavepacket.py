@@ -1,11 +1,12 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from wavepack import fd, wavepacket
-from wavepack.errors import (DomainError, UnsupportedMethodError)
+from wavepack.errors import DomainError, NonConvergenceError, UnsupportedMethodError
 from wavepack.foundation import PhysicalConfig
 from wavepack.quadrature import DecayBound
 from wavepack.wavepacket import (Amplitude, amplitude_derivative, amplitude_eval,
@@ -182,6 +183,20 @@ class TestTransforms:
             expected = SQRT_PI / 4 * w * math.exp(-w * w / 4)
             assert abs(got - expected) <= 1e-10
 
+    @pytest.mark.parametrize("transform,parity,fn", [
+        (fourier_cosine_transform, "even", lambda z: np.exp(-z**2)),
+        (fourier_sine_transform, "odd", lambda z: z * np.exp(-z**2))])
+    def test_quadrature_fallback_honours_converged(self, monkeypatch, transform, parity, fn):
+        amp = Amplitude.custom(fn, parity=parity,
+                               decay=DecayBound(rate=0.5, power=2.0, scale=2.0))
+        real = wavepacket.integrate_decaying
+        monkeypatch.setattr(wavepacket, "integrate_decaying", lambda *a, **k: dataclasses.replace(
+            real(*a, **k), converged=False))
+        with pytest.raises(NonConvergenceError):
+            transform(amp, 1.0)
+        with pytest.raises(NonConvergenceError):
+            transform(amp, np.array([0.5, 1.0]))
+
     def test_quadrature_fallback_even_custom(self):
         amp = Amplitude.custom(lambda z: np.exp(-np.asarray(z) ** 4), parity="even",
                                decay=DecayBound(rate=0.5, power=2.0, scale=2.0))
@@ -252,6 +267,14 @@ class TestParseval:
         lhs = parseval_transformed_derivative(amp, 0, 0.5, 0.4)
         rhs = psi_x_derivative(amp, 0, 0.5, 0.4, tol=1e-11)
         assert abs(lhs.psi - rhs.psi) <= 1e-6 * max(1.0, abs(rhs.psi))
+
+    @pytest.mark.parametrize("t", [0.4, 0.4 - 0.3j])
+    def test_unconverged_outer_quadrature_raises(self, monkeypatch, t):
+        real = wavepacket.integrate_decaying
+        monkeypatch.setattr(wavepacket, "integrate_decaying", lambda *a, **k: dataclasses.replace(
+            real(*a, **k), converged=False))
+        with pytest.raises(NonConvergenceError):
+            parseval_transformed_derivative(Amplitude.gaussian(1.0), 0, 0.5, t)
 
     def test_odd_amplitude_sine_parseval(self):
         amp = Amplitude.custom(lambda z: z * np.exp(-z**2), parity="odd",
