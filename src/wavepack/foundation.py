@@ -45,7 +45,7 @@ class PhysicalConfig:
 NATURAL_UNITS = PhysicalConfig()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeriesEval:
     """A truncated series: value, terms summed, tail estimate, and whether the
     terms started to grow before the truncation point."""

@@ -4,10 +4,13 @@ integrals.
 
 This module is the independent numerical oracle: every closed form in the
 package is validated against it.  Integrands are complex-valued callables that
-accept numpy arrays of nodes; an integrand may return one column per node
-(scalar) or m columns per node (m integrals over one shared panel set).  The
-engine is deterministic: panel refinement follows a fixed worst-first rule
-with an insertion-order tiebreak.
+accept a 1-D numpy array of nodes whose length is any multiple of 15 (the
+nodes of several 15-node panels at once); an integrand may return one column
+per node (scalar) or m columns per node (m integrals over one shared panel
+set).  One call holds at most _CELL_CAP node x column cells, or a single
+panel.  The engine is deterministic: panels are refined worst first, in
+generations of up to _GENERATION_CAP panels chosen by the rule of
+scipy.integrate.quad_vec, with an insertion-order tiebreak.
 
 The regularized path computes I(delta) = int f(z) exp(-delta z^2) dz over a
 strictly decreasing schedule of damping strengths and extrapolates the values
@@ -42,15 +45,22 @@ _WG_HALF = (0.129484966168869693270611432679082, 0.27970539148927666790146777142
 _XGK = np.array([-v for v in _XGK_HALF[:-1]] + list(_XGK_HALF[::-1]))
 _WGK = np.array(_WGK_HALF + _WGK_HALF[-2::-1])
 _WG = np.array(_WG_HALF + _WG_HALF[-2::-1])
-_GAUSS_IDX = np.arange(1, 15, 2)
+_GAUSS_IDX = slice(1, 15, 2)   # the G7 nodes among the K15 ones; a slice, so no copy
 
 DEFAULT_BUDGET = 2_000_000
 # Panels are pre-split until a 15-node panel spans at most 15/8 oscillation
 # periods, i.e. at least 8 nodes per period of the local phase.
 _NODES_PER_PERIOD = 8.0
+# One integrand call holds at most this many node x column cells (136 scalar
+# panels): a wider call saves no more numpy overhead, only adds temporaries,
+# and a wide vector integrand is fastest one panel per call.
+_CELL_CAP = 2048
+# At most this many panels are split in one refinement generation, as in
+# scipy.integrate.quad_vec (its parallel_count).
+_GENERATION_CAP = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadratureResult:
     """Value, error estimate, cost and convergence flag of one integration.
 
@@ -167,18 +177,52 @@ class RegularizationSchedule:
 DEFAULT_SCHEDULE = RegularizationSchedule()
 
 
-def _eval_panel(f, a: float, b: float):
-    """K15 value, |K15 - G7| and heap key of one panel.
+def _eval_panels(f, spans, cols: int = 0):
+    """K15 values, |K15 - G7| errors and heap keys of the panels (lo, hi) in
+    `spans`, plus the integrand's column count m.
 
-    For a vector-valued integrand (node array of shape (15,) in, (15, m) out)
-    value and error are per-column arrays and the key is the worst column.
+    Each integrand call gets the nodes of consecutive panels as one 1-D array,
+    15 per panel, and holds as many panels as fit in _CELL_CAP node x column
+    cells; a panel wider than that gets a call of its own.  cols=0 means m is
+    not known yet, so the first call holds a single panel.  Values and errors
+    of a scalar integrand come back as complex and float, those of a vector
+    integrand as arrays of shape (m,); the key is the worst column.
     """
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fv = np.asarray(f(c + h * _XGK), dtype=complex)
-    k15 = h * (_WGK @ fv)
-    err = abs(k15 - h * (_WG @ fv[_GAUSS_IDX]))
-    return k15, err, (err if fv.ndim == 1 else err.max())
+    vals, errs, keys = [], [], []
+    start = 0
+    while start < len(spans):
+        stop = min(len(spans), start + (max(1, _CELL_CAP // (15 * cols)) if cols else 1))
+        if stop - start == 1:
+            # a lone panel, often a wide one, skips the array bookkeeping
+            lo, hi = spans[start]
+            c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            fv = np.asarray(f(c + h * _XGK), dtype=complex)
+            panels = fv.reshape(15, -1)
+        else:
+            lo, hi = np.array(spans[start:stop]).T[:, :, None]
+            c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            fv = np.asarray(f((c + h * _XGK).ravel()), dtype=complex)
+            panels = fv.reshape(stop - start, 15, -1)
+        cols, start = panels.shape[-1], stop
+        # panels is (P, 15, m), or (15, m) for a lone panel; one matmul per
+        # rule is bitwise what _WGK @ fv gives panel by panel
+        k15 = h * (_WGK @ panels)
+        diff = k15 - h * (_WG @ panels[..., _GAUSS_IDX, :])
+        if fv.ndim == 1:
+            # abs() of a complex scalar is libm hypot, which numpy's vector
+            # abs can miss by an ulp: hypot keeps scalar estimates bitwise
+            vals += k15.ravel().tolist()
+            errs += np.hypot(diff.real, diff.imag).ravel().tolist()
+        elif k15.ndim == 1:
+            vals.append(k15)
+            errs.append(np.abs(diff))
+            keys.append(errs[-1].max())
+        else:
+            err = np.abs(diff)
+            vals += list(k15)
+            errs += list(err)
+            keys += err.max(axis=1).tolist()
+    return vals, errs, keys or errs, cols
 
 
 def _presplit(a: float, b: float, osc_freq, max_panels: int, min_panels: int = 8):
@@ -222,10 +266,16 @@ def integrate_interval(f, a: float, b: float, tol: float = 1e-10,
                        budget: int = DEFAULT_BUDGET, osc_freq=None) -> QuadratureResult:
     """Adaptive Gauss-Kronrod integration of a complex integrand on [a, b].
 
-    f maps a node array of shape (15,) to values of shape (15,) (scalar
-    integrand) or (15, m) (m integrands sharing one panel set).  Panels are
-    refined worst column first until every column's error is <= tol.
-    `evaluations` counts z-nodes, 15 per panel, whatever m is.
+    f maps a 1-D node array, of any length that is a multiple of 15, to values
+    of the same length (scalar integrand) or of shape (length, m) (m integrands
+    sharing one panel set).  One call covers many panels: the presplit panels
+    go in calls of at most _CELL_CAP node x column cells.  Refinement then
+    runs in generations: the worst panels are taken until their summed errors
+    exceed total_err - tol (the rule of scipy.integrate.quad_vec), at most
+    _GENERATION_CAP panels and _CELL_CAP cells of children per generation, and
+    every child of a generation is evaluated in one call.  Panels are refined
+    worst column first until every column's error is <= tol.  `evaluations`
+    counts z-nodes, 15 per panel, whatever m is.
     """
     if not (b > a):
         raise DomainError("empty or inverted interval")
@@ -233,33 +283,43 @@ def integrate_interval(f, a: float, b: float, tol: float = 1e-10,
         raise DomainError("tolerance below 1e-13 is not attainable in doubles")
     max_panels = max(budget // 15, 4)
     pieces = _presplit(a, b, osc_freq, max_panels // 2)
-    evals = 0
-    heap = []
-    counter = 0
+    vals, errs, keys, cols = _eval_panels(f, pieces)
+    heap = [(-key, i, lo, hi, val, err)
+            for i, ((lo, hi), val, err, key) in enumerate(zip(pieces, vals, errs, keys))]
+    heapq.heapify(heap)
+    counter = len(heap)
+    evals = 15 * len(heap)
     total = 0j
     total_err = 0.0
-    for lo, hi in pieces:
-        val, err, key = _eval_panel(f, lo, hi)
-        evals += 15
-        heapq.heappush(heap, (-key, counter, lo, hi, val, err))
-        counter += 1
+    for val, err in zip(vals, errs):
         total += val
         total_err += err
     scalar = np.ndim(total_err) == 0
-    while (total_err if scalar else total_err.max()) > tol and evals + 30 <= budget:
-        _, _, lo, hi, val, err = heapq.heappop(heap)
-        if hi - lo < 1e-14 * (b - a):
+    per_gen = min(_GENERATION_CAP, max(1, _CELL_CAP // (30 * cols)))
+    worst = total_err if scalar else total_err.max()
+    while worst > tol and evals + 30 <= budget:
+        parents = []
+        err_sum = 0.0
+        while (heap and len(parents) < per_gen and evals + 30 * (len(parents) + 1) <= budget
+               and (not parents or err_sum <= worst - tol)
+               and heap[0][3] - heap[0][2] >= 1e-14 * (b - a)):
+            parents.append(heapq.heappop(heap))
+            err_sum -= parents[-1][0]
+        if not parents:
             break
-        mid = 0.5 * (lo + hi)
-        v1, e1, k1 = _eval_panel(f, lo, mid)
-        v2, e2, k2 = _eval_panel(f, mid, hi)
-        evals += 30
-        total += (v1 + v2) - val
-        total_err += (e1 + e2) - err
-        heapq.heappush(heap, (-k1, counter, lo, mid, v1, e1))
-        counter += 1
-        heapq.heappush(heap, (-k2, counter, mid, hi, v2, e2))
-        counter += 1
+        spans = []
+        for _, _, lo, hi, _, _ in parents:
+            mid = 0.5 * (lo + hi)
+            spans += ((lo, mid), (mid, hi))
+        vals, errs, keys, _ = _eval_panels(f, spans, cols)
+        evals += 15 * len(spans)
+        for j, (_, _, _, _, val, err) in enumerate(parents):
+            total += (vals[2 * j] + vals[2 * j + 1]) - val
+            total_err += (errs[2 * j] + errs[2 * j + 1]) - err
+            for i in (2 * j, 2 * j + 1):
+                heapq.heappush(heap, (-keys[i], counter, *spans[i], vals[i], errs[i]))
+                counter += 1
+        worst = total_err if scalar else total_err.max()
     return _result(total, total_err, evals, _worst(total_err) <= tol)
 
 

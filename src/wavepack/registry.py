@@ -40,7 +40,7 @@ class IdentityCase:
             raise DomainError("tolerance must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentityReport:
     case_id: str
     paper_eq: str

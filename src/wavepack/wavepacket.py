@@ -28,7 +28,7 @@ from .quadrature import (DEFAULT_SCHEDULE, QuadratureResult, integrate_decaying,
 PARSEVAL_CONSTANT = 2.0 / math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WaveValue:
     psi: complex
     method: str       # closed | quadrature | heat_series | theta_series

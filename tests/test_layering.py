@@ -5,7 +5,8 @@ dependency and costs a lookup on every call), and the amplitude layer sits
 below the packet layer: `amplitudes` imports neither `asymptotics` nor
 `wavepacket`, and `asymptotics` does not import `wavepacket`.  Tail bounds
 are declared in `amplitudes` and derived in `quadrature`, so `wavepacket`
-builds no `DecayBound` of its own.
+builds no `DecayBound` of its own.  The result types are slotted, and one
+function of `quadrature` applies the Kronrod rule.
 """
 import ast
 from pathlib import Path
@@ -60,3 +61,28 @@ def test_wavepacket_derives_no_tail_bound_itself():
     built = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "DecayBound"]
     assert built == []
+
+
+@pytest.mark.parametrize("module,name", [
+    ("quadrature", "QuadratureResult"),
+    ("wavepacket", "WaveValue"),
+    ("foundation", "SeriesEval"),
+    ("registry", "IdentityReport"),
+])
+def test_result_types_are_slotted_dataclasses(module, name):
+    # many results are held at once (a verify run, a benchmark), so each
+    # instance goes without a __dict__
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    cls = next(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == name)
+    slots = [kw.value.value for deco in cls.decorator_list if isinstance(deco, ast.Call)
+             and getattr(deco.func, "id", None) == "dataclass"
+             for kw in deco.keywords if kw.arg == "slots"]
+    assert slots == [True]
+
+
+def test_one_function_applies_the_kronrod_rule():
+    tree = ast.parse((SRC / "quadrature.py").read_text())
+    readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Name)
+               and node.id == "_WGK" and isinstance(node.ctx, ast.Load)}
+    assert len(readers) == 1, readers

@@ -1,8 +1,10 @@
 import cmath
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavepack import quadrature, wavepacket
 from wavepack.closedform import f_cosine_moment
@@ -286,3 +288,140 @@ class TestBatchedPsi:
         monkeypatch.setattr(wavepacket, "psi_oracle", starved)
         with pytest.raises(NonConvergenceError):
             position_norm_squared(Amplitude.sech(1.5), 0.5, half_width=10.0, step=0.1)
+
+
+def _reference_integrate_interval(f, a, b, tol, budget, osc_freq):
+    """The engine as it was before panels were batched: one integrand call per
+    15-node panel, and one split per step of the worst panel."""
+    def panel(lo, hi):
+        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        fv = np.asarray(f(c + h * quadrature._XGK), dtype=complex)
+        k15 = h * (quadrature._WGK @ fv)
+        err = abs(k15 - h * (quadrature._WG @ fv[np.arange(1, 15, 2)]))
+        return k15, err, (err if fv.ndim == 1 else err.max())
+
+    pieces = quadrature._presplit(a, b, osc_freq, max(budget // 15, 4) // 2)
+    evals, heap, counter, total, total_err = 0, [], 0, 0j, 0.0
+    for lo, hi in pieces:
+        val, err, key = panel(lo, hi)
+        evals += 15
+        heapq.heappush(heap, (-key, counter, lo, hi, val, err))
+        counter += 1
+        total += val
+        total_err += err
+    while np.max(total_err) > tol and evals + 30 <= budget:
+        _, _, lo, hi, val, err = heapq.heappop(heap)
+        if hi - lo < 1e-14 * (b - a):
+            break
+        mid = 0.5 * (lo + hi)
+        v1, e1, k1 = panel(lo, mid)
+        v2, e2, k2 = panel(mid, hi)
+        evals += 30
+        total += (v1 + v2) - val
+        total_err += (e1 + e2) - err
+        for child in ((-k1, counter, lo, mid, v1, e1), (-k2, counter + 1, mid, hi, v2, e2)):
+            heapq.heappush(heap, child)
+        counter += 2
+    return quadrature._result(total, total_err, evals, np.max(total_err) <= tol)
+
+
+@st.composite
+def _integration_problems(draw):
+    """A Gaussian-damped oscillatory integrand, scalar or with m columns of
+    different frequencies, on a random interval with tol and budget."""
+    m = draw(st.sampled_from([None, 1, 3, 40]))
+    rate = draw(st.floats(0.05, 5.0))
+    shift = draw(st.floats(-2.0, 2.0))
+    freq = draw(st.floats(0.0, 30.0))
+    ws = freq * np.linspace(0.5, 1.0, m or 1)
+
+    def f(z):
+        head = np.exp(-rate * (z - shift) ** 2)
+        if m is None:
+            return head * np.exp(1j * freq * z)
+        return head[:, None] * np.exp(1j * np.multiply.outer(z, ws))
+
+    a = draw(st.floats(-6.0, 0.0))
+    b = a + draw(st.floats(0.1, 10.0))
+    tol = 10.0 ** draw(st.floats(-12.0, -6.0))
+    budget = draw(st.one_of(st.integers(60, 600), st.integers(600, 20_000)))
+    osc = draw(st.sampled_from([None, freq]))
+    return f, a, b, tol, budget, (None if osc is None else (lambda z: osc))
+
+
+def _same(x, y):
+    return type(x) is type(y) and np.array_equal(x, y)
+
+
+class TestBatchedPanels:
+    @settings(max_examples=150, deadline=None)
+    @given(_integration_problems())
+    def test_one_panel_generations_match_the_sequential_loop_bitwise(self, problem):
+        f, a, b, tol, budget, osc = problem
+        ref = _reference_integrate_interval(f, a, b, tol, budget, osc)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadrature, "_GENERATION_CAP", 1)
+            got = integrate_interval(f, a, b, tol=tol, budget=budget, osc_freq=osc)
+        assert _same(got.value, ref.value)
+        assert _same(got.abs_error_estimate, ref.abs_error_estimate)
+        assert got.evaluations == ref.evaluations and got.converged == ref.converged
+
+    @settings(max_examples=150, deadline=None)
+    @given(_integration_problems())
+    def test_generations_agree_with_the_sequential_loop(self, problem):
+        f, a, b, tol, budget, osc = problem
+        ref = _reference_integrate_interval(f, a, b, tol, budget, osc)
+        got = integrate_interval(f, a, b, tol=tol, budget=budget, osc_freq=osc)
+        assert got.evaluations <= budget
+        assert np.all(np.abs(got.value - ref.value)
+                      <= got.abs_error_estimate + ref.abs_error_estimate)
+        # a generation only takes panels the sequential loop would split too
+        assert got.evaluations == ref.evaluations and got.converged == ref.converged
+
+
+def _spy(m):
+    """A Gaussian integrand with m columns (None: scalar) that records the
+    node count of every call."""
+    sizes = []
+
+    def f(z):
+        sizes.append(z.size)
+        head = np.exp(-(z - 0.3) ** 2) * np.cos(40.0 * z)
+        return head if m is None else head[:, None] * np.linspace(1.0, 2.0, m)
+
+    return f, sizes
+
+
+class TestCallShapes:
+    @pytest.mark.parametrize("m", [None, 3, 40, 401])
+    def test_calls_stay_within_the_cell_cap(self, m):
+        f, sizes = _spy(m)
+        r = integrate_interval(f, -6.0, 6.0, tol=1e-11, osc_freq=lambda z: 40.0)
+        assert r.converged and sum(sizes) == r.evaluations
+        assert all(n % 15 == 0 for n in sizes)
+        assert all(n == 15 or n * (m or 1) <= quadrature._CELL_CAP for n in sizes)
+
+    def test_wide_integrand_gets_one_panel_per_call(self):
+        f, sizes = _spy(401)
+        integrate_interval(f, -6.0, 6.0, tol=1e-11, osc_freq=lambda z: 40.0)
+        assert len(sizes) > 1 and set(sizes) == {15}
+
+    def test_presplit_panels_take_few_calls(self):
+        f, sizes = _spy(None)
+        osc = lambda z: 100.0
+        P = len(quadrature._presplit(-5.0, 5.0, osc, quadrature.DEFAULT_BUDGET // 15 // 2))
+        assert P >= 100
+        integrate_interval(f, -5.0, 5.0, tol=1e-11, osc_freq=osc)
+        nodes, presplit_calls = 0, 0
+        while nodes < 15 * P:
+            nodes += sizes[presplit_calls]
+            presplit_calls += 1
+        assert nodes == 15 * P
+        assert presplit_calls <= 1 + math.ceil(15 * P / quadrature._CELL_CAP)
+
+    @pytest.mark.parametrize("m", [None, 40])
+    def test_starved_budget(self, m):
+        f, sizes = _spy(m)
+        r = integrate_interval(f, -6.0, 6.0, tol=1e-12, budget=450, osc_freq=lambda z: 40.0)
+        assert r.evaluations == sum(sizes) <= 450
+        assert not r.converged
