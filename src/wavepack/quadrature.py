@@ -183,10 +183,10 @@ def _eval_panels(f, spans, cols: int = 0):
 
     Each integrand call gets the nodes of consecutive panels as one 1-D array,
     15 per panel, and holds as many panels as fit in _CELL_CAP node x column
-    cells; a panel wider than that gets a call of its own.  cols=0 means m is
-    not known yet, so the first call holds a single panel.  Values and errors
-    of a scalar integrand come back as complex and float, those of a vector
-    integrand as arrays of shape (m,); the key is the worst column.
+    cells; a panel with more cells than that gets a call of its own.  cols=0
+    means m is not known yet, so the first call holds a single panel.  Values
+    and errors of a scalar integrand come back as complex and float, those of
+    a vector integrand as arrays of shape (m,); the key is the worst column.
     """
     vals, errs, keys = [], [], []
     start = 0
