@@ -24,9 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gamma as _gamma
 
-from .errors import DomainError
+from .errors import DomainError, NonConvergenceError
 
 # 15-point Kronrod extension of 7-point Gauss: the QUADPACK dqk15 constants
 # (Piessens et al., QUADPACK, 1983) to full double precision.  Truncated
@@ -59,6 +58,13 @@ _CELL_CAP = 2048
 # scipy.integrate.quad_vec (its parallel_count).
 _GENERATION_CAP = 64
 
+_SQRT_PI = math.sqrt(math.pi)
+# Stopping rule, term cap and Lentz floor of the incomplete-gamma series and
+# continued fraction.
+_SPECIAL_EPS = 1e-16
+_SPECIAL_MAX_TERMS = 1000
+_LENTZ_TINY = 1e-300
+
 
 @dataclass(frozen=True, slots=True)
 class QuadratureResult:
@@ -74,6 +80,52 @@ class QuadratureResult:
     abs_error_estimate: float
     evaluations: int
     converged: bool
+
+
+def _upper_gamma(a: float, u: float) -> float:
+    """The upper incomplete gamma function Gamma(a, u) = int_u^inf t^{a-1} e^{-t} dt.
+
+    Closed forms at the powers the library declares (a = 1/2, 1, 2 for
+    power 2, 1, 0.5); for any other a > 0, Legendre's continued fraction
+    (modified Lentz) where u >= a + 1 and Gamma(a) minus the lower-gamma series
+    below it, each taken to double precision.
+    """
+    if a == 0.5:
+        return _SQRT_PI * math.erfc(math.sqrt(u))
+    if a == 1.0:
+        return math.exp(-u)
+    if a == 2.0:
+        return (1.0 + u) * math.exp(-u)
+    if u == 0.0:
+        return math.gamma(a)
+    front = math.exp(a * math.log(u) - u)       # u^a e^{-u}, without overflow
+    if u >= a + 1.0:
+        # Gamma(a, u) = front / (u + 1 - a - 1(1-a)/(u + 3 - a - 2(2-a)/(u + 5 - a - ...)))
+        b = u + 1.0 - a
+        c = 1.0 / _LENTZ_TINY
+        d = 1.0 / b
+        h = d
+        for i in range(1, _SPECIAL_MAX_TERMS):
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            d = d if abs(d) > _LENTZ_TINY else _LENTZ_TINY
+            c = b + an / c
+            c = c if abs(c) > _LENTZ_TINY else _LENTZ_TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+            if abs(delta - 1.0) < _SPECIAL_EPS:
+                return front * h
+    else:
+        # gamma(a, u) = front sum_n u^n / (a (a+1) ... (a+n))
+        term = total = 1.0 / a
+        for n in range(1, _SPECIAL_MAX_TERMS):
+            term *= u / (a + n)
+            total += term
+            if term < _SPECIAL_EPS * total:
+                return math.gamma(a) - front * total
+    raise NonConvergenceError(f"incomplete gamma at a={a:.3g}, u={u:.3g} did not converge")
 
 
 @dataclass(frozen=True)
@@ -95,13 +147,13 @@ class DecayBound:
             raise DomainError("decay bound needs positive scale, rate and power")
 
     def tail_integral(self, T: float) -> float:
-        """int_T^inf scale * exp(-rate z^power) dz, exactly via incomplete gamma."""
+        """int_T^inf scale * exp(-rate z^power) dz = scale a rate^-a Gamma(a, u)
+        with a = 1/power and u = rate T^power; `_upper_gamma` gives Gamma(a, u)."""
         if T < self.onset:
             return math.inf
         a = 1.0 / self.power
         u = self.rate * T**self.power
-        q = float(gammaincc(a, u))
-        return self.scale * a * self.rate ** (-a) * float(_gamma(a)) * q
+        return self.scale * a * self.rate ** (-a) * _upper_gamma(a, u)
 
     def truncation_point(self, eps: float) -> float:
         """Smallest convenient T with tail_integral(T) <= eps."""

@@ -6,9 +6,13 @@ below the packet layer: `amplitudes` imports neither `asymptotics` nor
 `wavepacket`, and `asymptotics` does not import `wavepacket`.  Tail bounds
 are declared in `amplitudes` and derived in `quadrature`, so `wavepacket`
 builds no `DecayBound` of its own.  The result types are slotted, and one
-function of `quadrature` applies the Kronrod rule.
+function of `quadrature` applies the Kronrod rule.  The run time needs numpy
+only: no module imports scipy or mpmath, which stay test dependencies.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +36,31 @@ def _imported_modules(tree):
             names.update(alias.name.split(".")[1] for alias in node.names
                          if alias.name.startswith("wavepack."))
     return names
+
+
+def test_no_module_imports_scipy_or_mpmath():
+    found = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found |= {f"{path.name}:{name}" for name in names
+                      if name.split(".")[0] in ("scipy", "mpmath")}
+    assert found == set()
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, so no test module's own scipy import counts
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, wavepack.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_sources_found():
