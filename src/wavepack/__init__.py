@@ -10,9 +10,9 @@ from .foundation import (NATURAL_UNITS, PhysicalConfig, binomial, reduced_time,
                          sqrt_principal)
 from .hermite import (gaussian_derivative, hermite_eval,
                       shifted_argument_identity, shifted_identity_ratio_constant)
-from .quadrature import (DecayBound, QuadratureResult, RegularizationSchedule,
-                         integrate_decaying, integrate_interval,
-                         integrate_oscillatory_regularized, psi_oracle)
+from .quadrature import (DecayBound, QuadratureResult, integrate_decaying,
+                         integrate_interval, integrate_oscillatory_regularized,
+                         psi_oracle)
 from .closedform import (base_coscos, base_sinsin, coscos, f_cosine_moment,
                          g_n, gr_hermite_cos, gr_hermite_sin, sinsin)
 from .wavepacket import (Amplitude, WaveValue, amplitude_derivative,
@@ -42,7 +42,7 @@ __all__ = [
     "Amplitude", "CORRECTION_LEDGER", "CapacityError", "CorrectionLedgerEntry",
     "DecayBound", "DomainError", "IbpExpansion", "IdentityCase", "IdentityReport",
     "LatticeSumSpec", "NATURAL_UNITS", "NonConvergenceError", "PhysicalConfig",
-    "QuadratureResult", "RegularizationSchedule", "SeriesEval",
+    "QuadratureResult", "SeriesEval",
     "UnsupportedMethodError", "WavepackError", "WaveValue",
     "amplitude_derivative", "amplitude_eval", "base_coscos", "base_sinsin",
     "binomial", "calibrate_glaisher_quartic_phase", "calibrate_parseval_constant",

@@ -275,14 +275,12 @@ class Amplitude:
 
     The class attributes below are the optional capabilities, None where a
     family lacks one.  The transform capabilities describe the even member
-    (z0 = 0), so callers check `parity` first.  `max_analytic_derivative`
-    raises the order cap of the finite-difference fallback for amplitudes
-    without `derivative`.  `Amplitude.gaussian`, `.sech`, `.glaisher` and
-    `.custom` are the family classes themselves.
+    (z0 = 0), so callers check `parity` first.  An amplitude without
+    `derivative` gets finite differences up to order 8.  `Amplitude.gaussian`,
+    `.sech`, `.glaisher` and `.custom` are the family classes themselves.
     """
 
     z0 = 0.0
-    max_analytic_derivative = 0
     derivative = None                    # (k, z) -> d^k phi / dz^k
     closed_psi = None                    # (x, tau) -> closed-form packet
     cosine_transform = None              # (w) -> phibar_c(w) = int_0^inf phi cos(zw) dz
@@ -423,7 +421,6 @@ class Custom(Amplitude):
     fn: object
     parity: str = "none"
     decay: DecayBound | None = None
-    max_analytic_derivative: int = 0
 
     @property
     def transform_decay(self) -> DecayBound | None:

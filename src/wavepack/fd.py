@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .foundation import binomial
+from .quadrature import neville_extrapolate
 
 
 def central_difference(f, x, n: int, h: float):
@@ -25,7 +26,13 @@ def central_difference(f, x, n: int, h: float):
 
 
 def derivative(f, x, n: int, h0: float | None = None, levels: int = 4):
-    """n-th derivative of f at x by step-halving Richardson on central stencils."""
+    """n-th derivative of f at x by Richardson extrapolation of central stencils.
+
+    The stencil at steps h0, h0/2, ..., h0/2^(levels-1) has an error series in
+    even powers of h, so its values are extrapolated polynomially in h^2 to
+    h = 0 by `quadrature.neville_extrapolate` (the same table as eliminating
+    h^2, h^4, ... in turn).
+    """
     if n < 0:
         raise DomainError("derivative order must be >= 0")
     if n == 0:
@@ -33,14 +40,7 @@ def derivative(f, x, n: int, h0: float | None = None, levels: int = 4):
     if h0 is None:
         # balance truncation O(h^2) against roundoff O(eps/h^n)
         h0 = (2.22e-16) ** (1.0 / (n + 2.0)) * 4.0
-    vals = []
-    h = h0
-    for _ in range(levels):
-        vals.append(central_difference(f, x, n, h))
-        h *= 0.5
-    # central stencils have even-power error series; eliminate h^2, h^4, ...
-    for j in range(1, len(vals)):
-        factor = 4.0**j
-        for i in range(len(vals) - 1, j - 1, -1):
-            vals[i] = (factor * vals[i] - vals[i - 1]) / (factor - 1.0)
-    return vals[-1]
+    steps = [h0 * 0.5**k for k in range(levels)]
+    value, _ = neville_extrapolate([h * h for h in steps],
+                                   [central_difference(f, x, n, h) for h in steps])
+    return value

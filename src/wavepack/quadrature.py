@@ -13,9 +13,10 @@ generations of up to _GENERATION_CAP panels chosen by the rule of
 scipy.integrate.quad_vec, with an insertion-order tiebreak.
 
 The regularized path computes I(delta) = int f(z) exp(-delta z^2) dz over a
-strictly decreasing schedule of damping strengths and extrapolates the values
-polynomially to delta = 0 (Neville).  Gaussian damping is used rather than
-exponential damping because it preserves the parity of the integrand.
+fixed, strictly decreasing set of damping strengths and extrapolates the
+values polynomially to delta = 0 (Neville); `regularized_limit` owns that
+limit.  Gaussian damping is used rather than exponential damping because it
+preserves the parity of the integrand.
 """
 from __future__ import annotations
 
@@ -57,6 +58,8 @@ _CELL_CAP = 2048
 # At most this many panels are split in one refinement generation, as in
 # scipy.integrate.quad_vec (its parallel_count).
 _GENERATION_CAP = 64
+# Gaussian damping strengths of the zero-damping limit, strictly decreasing.
+_DAMPING = tuple(0.01 * 0.5**k for k in range(7))
 
 _SQRT_PI = math.sqrt(math.pi)
 # Stopping rule, term cap and Lentz floor of the incomplete-gamma series and
@@ -208,27 +211,6 @@ def packet_decay(amp, tau, eps: float, grow: float = 0.0) -> DecayBound | None:
     return min(grown, key=lambda d: d.truncation_point(eps), default=None)
 
 
-@dataclass(frozen=True)
-class RegularizationSchedule:
-    """Strictly decreasing Gaussian damping strengths plus extrapolation order."""
-
-    delta_values: tuple = tuple(0.01 * 0.5**k for k in range(7))
-    extrapolation_order: int = 6
-
-    def __post_init__(self) -> None:
-        dv = tuple(float(d) for d in self.delta_values)
-        if any(b >= a for a, b in zip(dv, dv[1:])):
-            raise DomainError("delta_values must be strictly decreasing")
-        if dv[-1] < 1e-6:
-            raise DomainError("smallest delta must be >= 1e-6")
-        if self.extrapolation_order > len(dv) - 1:
-            raise DomainError("extrapolation order exceeds schedule length - 1")
-        object.__setattr__(self, "delta_values", dv)
-
-
-DEFAULT_SCHEDULE = RegularizationSchedule()
-
-
 def _eval_panels(f, spans, cols: int = 0):
     """K15 values, |K15 - G7| errors and heap keys of the panels (lo, hi) in
     `spans`, plus the integrand's column count m.
@@ -378,36 +360,26 @@ def integrate_interval(f, a: float, b: float, tol: float = 1e-10,
 def integrate_decaying(f, domain=(0.0, math.inf), tol: float = 1e-10,
                        decay: DecayBound | None = None, budget: int = DEFAULT_BUDGET,
                        osc_freq=None) -> QuadratureResult:
-    """Integrate an absolutely convergent integrand over a half-line or the line.
+    """Integrate an absolutely convergent integrand over [0, inf) or (-inf, inf).
 
-    The caller declares the decay of |f| via `decay`; the integration range is
-    truncated where the declared tail bound drops below tol/10, and the bound
-    is folded into the error estimate.  Finite (a, b) domains fall through to
-    plain adaptive integration.
+    The caller declares the decay of |f| via `decay`.  The range is truncated
+    at the T where the declared tail bound drops below tol/10, and one panel
+    set covers [0, T] or [-T, T] with the whole budget and a tolerance of
+    max(tol - tails, tol/2, 1e-13).  The tails (one per side) are folded into
+    the error estimate.  On the line the first bisection falls at exactly 0,
+    so z = 0 stays a panel boundary.
     """
     lo, hi = domain
-    if math.isfinite(lo) and math.isfinite(hi):
-        return integrate_interval(f, lo, hi, tol=tol, budget=budget, osc_freq=osc_freq)
+    if hi != math.inf or lo not in (0.0, -math.inf):
+        raise DomainError(f"unsupported domain {domain!r}: use (0, inf) or (-inf, inf)")
     if decay is None:
         raise DomainError("infinite domains require a declared DecayBound")
-    eps_tail = tol / 10.0
-    T = decay.truncation_point(eps_tail)
-    if lo == 0.0 and hi == math.inf:
-        tail = decay.tail_integral(T)
-        inner = integrate_interval(f, 0.0, T, tol=max(tol - tail, tol / 2, 1e-13),
-                                   budget=budget, osc_freq=osc_freq)
-        err = inner.abs_error_estimate + tail
-        return _result(inner.value, err, inner.evaluations,
-                       inner.converged and _worst(err) <= tol)
-    if lo == -math.inf and hi == math.inf:
-        tail = 2.0 * decay.tail_integral(T)
-        half = max((tol - tail) / 2, tol / 4, 1e-13)
-        left = integrate_interval(f, -T, 0.0, tol=half, budget=budget // 2, osc_freq=osc_freq)
-        right = integrate_interval(f, 0.0, T, tol=half, budget=budget // 2, osc_freq=osc_freq)
-        err = left.abs_error_estimate + right.abs_error_estimate + tail
-        return _result(left.value + right.value, err, left.evaluations + right.evaluations,
-                       left.converged and right.converged and _worst(err) <= tol)
-    raise DomainError(f"unsupported domain {domain!r}")
+    T = decay.truncation_point(tol / 10.0)
+    tail = (1.0 if lo == 0.0 else 2.0) * decay.tail_integral(T)
+    inner = integrate_interval(f, max(lo, -T), T, tol=max(tol - tail, tol / 2, 1e-13),
+                               budget=budget, osc_freq=osc_freq)
+    err = inner.abs_error_estimate + tail
+    return _result(inner.value, err, inner.evaluations, inner.converged and _worst(err) <= tol)
 
 
 def neville_extrapolate(xs, ys):
@@ -427,71 +399,87 @@ def neville_extrapolate(xs, ys):
     return t[n - 1], abs(t[n - 1] - t[n - 2])
 
 
-def integrate_oscillatory_regularized(f, sched: RegularizationSchedule = DEFAULT_SCHEDULE,
-                                      tol: float = 1e-8, domain=(0.0, math.inf),
-                                      bound_scale: float | None = None,
-                                      budget: int = DEFAULT_BUDGET,
-                                      osc_freq=None) -> QuadratureResult:
-    """Regularized limit of a bounded oscillatory integrand.
+def regularized_limit(evaluate, tol: float) -> QuadratureResult:
+    """Zero-damping limit of a damped family of integrals.
 
-    Computes I(delta) = int f(z) exp(-delta z^2) dz for each delta in the
-    schedule and extrapolates polynomially to delta = 0.  The error estimate
-    combines the extrapolation residual with the worst inner quadrature error.
-    An erratic I(delta) sequence (Neville residuals that never settle) is
-    reported as non-convergence rather than as a silent wrong answer.  A
-    vector-valued f is extrapolated column by column, and converges only if
-    every column settles within tol.
+    evaluate(delta) returns the QuadratureResult of the integral damped by
+    strength delta; it is called once per strength of the fixed schedule
+    0.01 * 2^-k, k = 0..6.  The values are extrapolated polynomially to
+    delta = 0 (Neville), one diagonal per added strength.  The error estimate
+    is the last diagonal's residual plus the worst inner quadrature error.
+    The result converges only if every inner quadrature converged, the
+    residuals settled (the last is within 4x the smallest, or within tol) and
+    the estimate is within tol, so an erratic sequence is reported as
+    non-convergence rather than as a silent wrong answer.  Vector values are
+    extrapolated column by column and converge only if every column does.
     """
-    deltas = list(sched.delta_values)
-    if bound_scale is None:
-        # Sample |f| on a coarse grid as the boundedness scale for truncation.
-        zs = np.linspace(0.0, 40.0, 401)
-        if domain[0] == -math.inf:
-            zs = np.concatenate([-zs[::-1], zs])
-        with np.errstate(all="ignore"):
-            bound_scale = float(np.nanmax(np.abs(np.asarray(f(zs), dtype=complex)))) * 1.5
-        if not math.isfinite(bound_scale) or bound_scale == 0.0:
-            bound_scale = 1.0
-    inner_tol = max(tol / 20.0, 2e-13)
-    per_delta_budget = max(budget // len(deltas), 30_000)
     vals = []
     evals = 0
     worst_inner = 0.0
     ok = True
-    for d in deltas:
-        # the damping factor broadcasts over the output columns of f
-        fd = (lambda dd: (lambda z: (np.asarray(f(z), dtype=complex).T
-                                     * np.exp(-dd * np.asarray(z) ** 2)).T))(d)
-        r = integrate_decaying(fd, domain=domain, tol=inner_tol,
-                               decay=DecayBound(rate=d, power=2.0, scale=bound_scale),
-                               budget=per_delta_budget, osc_freq=osc_freq)
+    for d in _DAMPING:
+        r = evaluate(d)
         vals.append(r.value)
         evals += r.evaluations
         worst_inner = np.maximum(worst_inner, r.abs_error_estimate)
         ok = ok and r.converged
-    order = min(sched.extrapolation_order, len(deltas) - 1)
     residuals = []
-    value = vals[0]
-    for k in range(1, order + 1):
-        value, res = neville_extrapolate(deltas[: k + 1], vals[: k + 1])
+    for k in range(1, len(_DAMPING)):
+        value, res = neville_extrapolate(_DAMPING[: k + 1], vals[: k + 1])
         residuals.append(res)
-    final_res = residuals[-1] if residuals else abs(value)
-    best = np.min(residuals, axis=0) if residuals else final_res
-    settled = bool(np.all(final_res <= np.maximum(4.0 * best, tol)))
-    err = final_res + worst_inner
+    settled = bool(np.all(residuals[-1] <= np.maximum(4.0 * np.min(residuals, axis=0), tol)))
+    err = residuals[-1] + worst_inner
     return _result(value, err, evals, ok and settled and _worst(err) <= tol)
 
 
-def psi_oracle(amp, x, tau, tol: float = 1e-10, budget: int = DEFAULT_BUDGET,
-               sched: RegularizationSchedule = DEFAULT_SCHEDULE) -> QuadratureResult:
+def integrate_oscillatory_regularized(f, tol: float = 1e-8, domain=(0.0, math.inf),
+                                      budget: int = DEFAULT_BUDGET,
+                                      osc_freq=None) -> QuadratureResult:
+    """Regularized limit of a bounded oscillatory integrand over [0, inf) or
+    (-inf, inf).
+
+    I(delta) = int f(z) exp(-delta z^2) dz is integrated by `integrate_decaying`
+    for each damping strength of `regularized_limit`, which extrapolates to
+    delta = 0 and gives the verdict.  Each I(delta) gets a seventh of the
+    budget (at least 30,000 evaluations) and tol/20 (at least 2e-13); its tail
+    bound takes 1.5 max |f| on a coarse grid over [0, 40] (mirrored on the
+    line) as the scale of the bounded integrand.  A vector-valued f is
+    extrapolated column by column.
+    """
+    zs = np.linspace(0.0, 40.0, 401)
+    if domain[0] == -math.inf:
+        zs = np.concatenate([-zs[::-1], zs])
+    with np.errstate(all="ignore"):
+        scale = float(np.nanmax(np.abs(np.asarray(f(zs), dtype=complex)))) * 1.5
+    if not math.isfinite(scale) or scale == 0.0:
+        scale = 1.0
+    inner_tol = max(tol / 20.0, 2e-13)
+    per_delta_budget = max(budget // len(_DAMPING), 30_000)
+
+    def damped(d):
+        def fd(z):
+            # the damping factor broadcasts over the output columns of f
+            return (np.asarray(f(z), dtype=complex).T * np.exp(-d * np.asarray(z) ** 2)).T
+
+        return integrate_decaying(fd, domain=domain, tol=inner_tol,
+                                  decay=DecayBound(rate=d, power=2.0, scale=scale),
+                                  budget=per_delta_budget, osc_freq=osc_freq)
+
+    return regularized_limit(damped, tol)
+
+
+def psi_oracle(amp, x, tau, tol: float = 1e-10,
+               budget: int = DEFAULT_BUDGET) -> QuadratureResult:
     """Direct quadrature of psi = int phi(z) exp(i z x - i tau z^2) dz.
 
     `amp` duck-types the amplitude protocol: callable on node arrays, with a
-    `decay` DecayBound attribute (None for merely bounded amplitudes).  Uses
-    the absolutely convergent path when the declared decay supports it,
-    otherwise the Gaussian-regularized path.  A scalar x may be complex (needed
-    by the self-reciprocal transformation check); the exp(|Im x| |z|) growth is
-    folded into the effective decay bound.
+    `decay` DecayBound attribute (None for merely bounded amplitudes).  Where
+    the declared decay (or Im(tau) < 0) bounds the integrand, one panel set
+    covers [-T, T] (`integrate_decaying`); otherwise the Gaussian-regularized
+    path takes the zero-damping limit of such integrals
+    (`integrate_oscillatory_regularized`, tol at least 1e-9).  A scalar x may
+    be complex (needed by the self-reciprocal transformation check); the
+    exp(|Im x| |z|) growth is folded into the effective decay bound.
 
     x may also be a 1-D real array.  Then all of its points share one panel
     set, refined until every point is within tol; `value` and
@@ -532,6 +520,5 @@ def psi_oracle(amp, x, tau, tol: float = 1e-10, budget: int = DEFAULT_BUDGET,
                                   decay=eff, budget=budget, osc_freq=osc)
     if grow > 0:
         raise DomainError("complex x needs a decaying amplitude or Im(tau) < 0")
-    return integrate_oscillatory_regularized(f, sched=sched, tol=max(tol, 1e-9),
-                                             domain=(-math.inf, math.inf),
+    return integrate_oscillatory_regularized(f, tol=max(tol, 1e-9), domain=(-math.inf, math.inf),
                                              budget=budget, osc_freq=osc)

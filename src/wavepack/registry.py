@@ -20,8 +20,8 @@ from . import asymptotics, closedform, fd, wavepacket, zeta
 from .amplitudes import AMPLITUDE_FAMILIES, Amplitude
 from .errors import DomainError, WavepackError
 from .hermite import hermite_eval, shifted_argument_identity, shifted_identity_ratio_constant
-from .quadrature import (DEFAULT_SCHEDULE, DecayBound, integrate_decaying,
-                         integrate_oscillatory_regularized, psi_oracle)
+from .quadrature import (DecayBound, integrate_decaying, integrate_oscillatory_regularized,
+                         psi_oracle)
 
 
 @dataclass(frozen=True)
@@ -275,8 +275,7 @@ def _ev_glaisher_reg(p):
         zz = np.asarray(z, dtype=float)
         return np.asarray(amp(zz), dtype=complex) * np.cos(x * zz)
 
-    r = integrate_oscillatory_regularized(f, sched=DEFAULT_SCHEDULE, tol=1e-7,
-                                          osc_freq=lambda z: x)
+    r = integrate_oscillatory_regularized(f, tol=1e-7, osc_freq=lambda z: x)
     return r.value, asymptotics.glaisher_series_g(x).value
 
 
@@ -305,10 +304,8 @@ def _ev_h_deriv(p):
     m, b = p["m"], float(p["b"])
     lhs = zeta.transform_moment_sum(m, b, True)
 
-    def s31(bb):
-        return zeta.glaisher_alternating_gaussian(float(bb))[0].value
-
-    rhs = fd.derivative(s31, b, 2 * m, h0=0.05, levels=4)
+    rhs = fd.derivative(lambda bb: zeta.glaisher_alternating_series(float(bb)).value,
+                        b, 2 * m, h0=0.05, levels=4)
     return complex(lhs), complex(rhs)
 
 

@@ -21,11 +21,14 @@ from .errors import DomainError, NonConvergenceError, UnsupportedMethodError
 from .foundation import (NATURAL_UNITS, PhysicalConfig, binomial, reduced_time,
                          scalar_or_array, sqrt_principal)
 from .hermite import hermite_all
-from .quadrature import (DEFAULT_SCHEDULE, QuadratureResult, integrate_decaying,
-                         neville_extrapolate, packet_decay, psi_oracle)
+from .quadrature import (QuadratureResult, integrate_decaying, packet_decay, psi_oracle,
+                         regularized_limit)
 
 # Parseval constant for bare half-line transforms: int_0^inf f g = c_P int_0^inf fc gc.
 PARSEVAL_CONSTANT = 2.0 / math.pi
+# Highest derivative order of the finite-difference fallback for amplitudes
+# without an analytic derivative.
+_FD_MAX_ORDER = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,14 +44,15 @@ def amplitude_eval(amp: Amplitude, z):
 
 
 def amplitude_derivative(amp: Amplitude, k: int, z):
-    """d^k phi / dz^k: the amplitude's analytic derivative, Richardson FD otherwise."""
+    """d^k phi / dz^k: the amplitude's analytic derivative, else Richardson FD
+    up to order _FD_MAX_ORDER."""
     if k < 0:
         raise DomainError("derivative order must be >= 0")
     if k == 0:
         return amp(z)
     if amp.derivative is not None:
         return amp.derivative(k, z)
-    if k > max(amp.max_analytic_derivative, 8):
+    if k > _FD_MAX_ORDER:
         raise DomainError(f"derivative order {k} beyond this amplitude's capability")
     zs = np.asarray(np.real(z), dtype=float)
     vals = [fd.derivative(lambda u: amp(complex(u)), float(zv), k, h0=0.05 * (k + 1), levels=4)
@@ -210,8 +214,10 @@ def parseval_transformed_derivative(amp: Amplitude, n: int, x, t,
     carrying (x, w), and c_P = 2/pi.  The printed source puts the position
     variable in the Gaussian slot; only this assignment reproduces the
     defining integral (ledgered).  Im(tau) < 0 uses the direct path; real tau
-    shifts the Gaussian slot by each delta in the default schedule and
-    extrapolates.
+    shifts the Gaussian slot by each damping strength delta of
+    `quadrature.regularized_limit`, which extrapolates to delta = 0.  Each
+    outer quadrature gets tol/4; an unconverged outer quadrature or an
+    unsettled or unconverged limit raises NonConvergenceError.
     """
     even, pref = _derivative_form(amp, n)
     tau = _check_tau(reduced_time(t, cfg))
@@ -230,22 +236,17 @@ def parseval_transformed_derivative(amp: Amplitude, n: int, x, t,
         if tdec is None:
             raise UnsupportedMethodError("no transform decay model for this amplitude")
         kern = 0.5 * abs(sqrt_principal(math.pi / s)) + 1.0
-        r = integrate_decaying(f, (0.0, math.inf), tol=tol / 4.0,
-                               decay=replace(tdec, scale=tdec.scale * kern),
-                               osc_freq=None)
-        if not r.converged:
-            raise NonConvergenceError(f"outer Parseval quadrature: {r}")
-        return r
+        return integrate_decaying(f, (0.0, math.inf), tol=tol / 4.0,
+                                  decay=replace(tdec, scale=tdec.scale * kern))
 
     if tau.imag < -1e-12:
         r = outer(1j * tau)
-        return WaveValue(psi=pref * PARSEVAL_CONSTANT * r.value, method="quadrature",
-                         error_estimate=2.0 * PARSEVAL_CONSTANT * r.abs_error_estimate)
-    deltas = list(DEFAULT_SCHEDULE.delta_values[:5])
-    vals = [outer(1j * tau + d).value for d in deltas]
-    val, res = neville_extrapolate(deltas, vals)
-    return WaveValue(psi=pref * PARSEVAL_CONSTANT * val, method="quadrature",
-                     error_estimate=2.0 * PARSEVAL_CONSTANT * res)
+    else:
+        r = regularized_limit(lambda d: outer(1j * tau + d), tol)
+    if not r.converged:
+        raise NonConvergenceError(f"Parseval transform-side quadrature: {r}")
+    return WaveValue(psi=pref * PARSEVAL_CONSTANT * r.value, method="quadrature",
+                     error_estimate=2.0 * PARSEVAL_CONSTANT * r.abs_error_estimate)
 
 
 def calibrate_parseval_constant(amp: Amplitude | None = None, n: int = 0,

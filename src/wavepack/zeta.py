@@ -121,17 +121,13 @@ def _sum_until_settled(contrib, scale: float, floor: float, max_q: int, what: st
     raise NonConvergenceError(f"{what} tail failed to settle")
 
 
-def glaisher_alternating_gaussian(b: float, tol: float = 1e-11):
-    """Both sides of the alternating-Gaussian transform identity:
+def glaisher_alternating_series(b: float) -> SeriesEval:
+    """The series side sum_{n>=1} (-1)^{n-1} e^{-b^2/n} / sqrt(n).
 
-        sum_{n>=1} (-1)^{n-1} e^{-b^2/n} / sqrt(n)
-            = (2/sqrt(pi)) int_0^inf cos(2bx) / (1 + e^{x^2}) dx.
-
-    The series head is summed directly to N ~ 3 b^2; the tail exchanges
-    e^{-b^2/n} with its exponential series, leaving accelerated alternating
-    power sums per order (b^2/N < 1/3 keeps that exchange cancellation-free,
-    unlike a global exchange, which loses ~ b^2/ln(10) digits).  Returns
-    (series: SeriesEval, integral: QuadratureResult).
+    The head is summed directly to N ~ 3 b^2; the tail exchanges e^{-b^2/n}
+    with its exponential series, leaving accelerated alternating power sums
+    per order (b^2/N < 1/3 keeps that exchange cancellation-free, unlike a
+    global exchange, which loses ~ b^2/ln(10) digits).
     """
     n_head = max(24, int(3.0 * b * b) + 1)
     head = math.fsum((-1.0) ** (n - 1) * math.exp(-b * b / n) / math.sqrt(n)
@@ -140,9 +136,19 @@ def glaisher_alternating_gaussian(b: float, tol: float = 1e-11):
     tail, q, contrib = _sum_until_settled(
         lambda q: (-(b * b)) ** q / math.factorial(q) * _alternating_tail(q + 0.5, n0),
         head, 1e-17, 200, "alternating-Gaussian")
-    series = SeriesEval(value=head + tail, terms_used=n_head + q,
-                        tail_estimate=abs(contrib) + 1e-16 * n_head)
+    return SeriesEval(value=head + tail, terms_used=n_head + q,
+                      tail_estimate=abs(contrib) + 1e-16 * n_head)
 
+
+def glaisher_alternating_gaussian(b: float, tol: float = 1e-11):
+    """Both sides of the alternating-Gaussian transform identity:
+
+        sum_{n>=1} (-1)^{n-1} e^{-b^2/n} / sqrt(n)
+            = (2/sqrt(pi)) int_0^inf cos(2bx) / (1 + e^{x^2}) dx.
+
+    Returns (series: SeriesEval from `glaisher_alternating_series`,
+    integral: QuadratureResult).
+    """
     def f(x):
         xx = np.asarray(x, dtype=float)
         return 2.0 / SQRT_PI * np.cos(2.0 * b * xx) / (1.0 + np.exp(xx * xx))
@@ -150,7 +156,7 @@ def glaisher_alternating_gaussian(b: float, tol: float = 1e-11):
     integral = integrate_decaying(f, (0.0, math.inf), tol=tol,
                                   decay=DecayBound(rate=1.0, power=2.0, scale=2.0 / SQRT_PI),
                                   osc_freq=lambda z: 2.0 * abs(b))
-    return series, integral
+    return glaisher_alternating_series(b), integral
 
 
 def h_term(k: int, m: int, b: float) -> float:

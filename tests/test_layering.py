@@ -5,9 +5,11 @@ dependency and costs a lookup on every call), and the amplitude layer sits
 below the packet layer: `amplitudes` imports neither `asymptotics` nor
 `wavepacket`, and `asymptotics` does not import `wavepacket`.  Tail bounds
 are declared in `amplitudes` and derived in `quadrature`, so `wavepacket`
-builds no `DecayBound` of its own.  The result types are slotted, and one
-function of `quadrature` applies the Kronrod rule.  The run time needs numpy
-only: no module imports scipy or mpmath, which stay test dependencies.
+builds no `DecayBound` of its own.  The result types are slotted, one
+function of `quadrature` applies the Kronrod rule, and only the zero-damping
+limit and the finite-difference derivative call the Neville table.  The run
+time needs numpy only: no module imports scipy or mpmath, which stay test
+dependencies.
 """
 import ast
 import os
@@ -115,3 +117,13 @@ def test_one_function_applies_the_kronrod_rule():
                for node in ast.walk(fn) if isinstance(node, ast.Name)
                and node.id == "_WGK" and isinstance(node.ctx, ast.Load)}
     assert len(readers) == 1, readers
+
+
+def test_only_the_limit_and_fd_call_neville():
+    # one zero-damping limit: the damping strengths, the extrapolation and the
+    # settled rule live in quadrature.regularized_limit alone
+    callers = {f"{path.stem}.{getattr(top, 'name', '<module>')}"
+               for path in MODULES for top in ast.parse(path.read_text()).body
+               for call in ast.walk(top) if isinstance(call, ast.Call)
+               and getattr(call.func, "id", getattr(call.func, "attr", None)) == "neville_extrapolate"}
+    assert callers == {"quadrature.regularized_limit", "fd.derivative"}

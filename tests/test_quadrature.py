@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavepack import quadrature, wavepacket
+from wavepack.asymptotics import glaisher_packet_exact
 from wavepack.closedform import f_cosine_moment
 from wavepack.errors import DomainError, NonConvergenceError
-from wavepack.quadrature import (DEFAULT_SCHEDULE, DecayBound,
-                                 RegularizationSchedule, integrate_decaying,
-                                 integrate_interval,
+from wavepack.quadrature import (DecayBound, integrate_decaying, integrate_interval,
                                  integrate_oscillatory_regularized,
                                  neville_extrapolate, psi_oracle)
-from wavepack.wavepacket import Amplitude, position_norm_squared
+from wavepack.wavepacket import Amplitude, position_norm_squared, psi
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -39,19 +38,6 @@ class TestDecayBound:
             DecayBound(rate=-1.0)
 
 
-class TestSchedule:
-    def test_default_is_decreasing(self):
-        dv = DEFAULT_SCHEDULE.delta_values
-        assert all(b < a for a, b in zip(dv, dv[1:]))
-        assert dv[-1] >= 1e-6
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            RegularizationSchedule(delta_values=(0.1, 0.2), extrapolation_order=1)
-        with pytest.raises(DomainError):
-            RegularizationSchedule(delta_values=(0.1, 0.05), extrapolation_order=5)
-
-
 class TestIntegrateDecaying:
     def test_gaussian_halfline(self):
         r = integrate_decaying(lambda z: np.exp(-np.asarray(z) ** 2), (0.0, math.inf),
@@ -72,6 +58,30 @@ class TestIntegrateDecaying:
                                (-math.inf, math.inf), tol=1e-12,
                                decay=DecayBound(rate=math.pi, power=1.0, scale=2.0))
         assert abs(r.value - 1.0) <= 1e-12
+
+    def test_line_is_one_panel_set(self, monkeypatch):
+        spans = []
+        real = quadrature.integrate_interval
+
+        def spy(f, a, b, **kwargs):
+            spans.append((a, b))
+            return real(f, a, b, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate_interval", spy)
+        # e^{-(z-3)^2} = e^{-z^2/2} e^{-z^2/2 + 6z - 9} <= e^9 e^{-z^2/2}
+        decay = DecayBound(rate=0.5, power=2.0, scale=math.exp(9.0))
+        r = integrate_decaying(lambda z: np.exp(-(np.asarray(z) - 3.0) ** 2),
+                               (-math.inf, math.inf), tol=1e-12, decay=decay)
+        T = decay.truncation_point(1e-13)
+        assert spans == [(-T, T)]
+        assert r.converged and abs(r.value - SQRT_PI) <= r.abs_error_estimate
+        # the first bisection keeps z = 0 a panel boundary
+        assert 0.0 in {lo for lo, _ in quadrature._presplit(-T, T, None, 1000)}
+
+    def test_finite_domain_rejected(self):
+        with pytest.raises(DomainError):
+            integrate_decaying(lambda z: np.exp(-np.asarray(z) ** 2), (0.0, 1.0),
+                               decay=DecayBound(rate=1.0))
 
     def test_missing_decay_rejected(self):
         with pytest.raises(DomainError):
@@ -116,6 +126,22 @@ class TestErrorHonesty:
                 bad += 1
         assert bad / ncases <= 0.01
 
+    def test_gaussian_packets_on_the_line(self):
+        # the decaying path of psi_oracle over (-inf, inf), against the
+        # closed form, with complex alpha, shifted centres and damped tau
+        rng = np.random.default_rng(2016)
+        ncases = 500
+        bad = 0
+        for _ in range(ncases):
+            amp = Amplitude.gaussian(complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)),
+                                     rng.uniform(-1.5, 1.5))
+            x = rng.uniform(-4.0, 4.0)
+            tau = complex(rng.uniform(-2.0, 2.0), -rng.uniform(0.05, 1.0))
+            r = psi_oracle(amp, x, tau, tol=1e-10)
+            if abs(r.value - amp.closed_psi(x, tau)) > 3 * r.abs_error_estimate:
+                bad += 1
+        assert bad / ncases <= 0.01
+
 
 class TestRegularized:
     def test_noop_on_decaying_integrand(self):
@@ -137,6 +163,23 @@ class TestRegularized:
         assert r.converged
         assert abs(r.value - 0.3675092118282790) <= 1e-8
 
+    def test_limit_uses_seven_strengths(self):
+        seen = []
+
+        def evaluate(d):
+            seen.append(d)
+            return quadrature.QuadratureResult(2.0 + 3.0 * d - d * d, 1e-14, 15, True)
+
+        r = quadrature.regularized_limit(evaluate, 1e-10)
+        assert seen == [0.01 * 0.5**k for k in range(7)]
+        assert r.converged and r.evaluations == 7 * 15
+        assert abs(r.value - 2.0) <= 1e-12 and r.abs_error_estimate <= 1e-10
+
+    def test_limit_refuses_an_unconverged_inner_value(self):
+        r = quadrature.regularized_limit(
+            lambda d: quadrature.QuadratureResult(1.0 + d, 1e-14, 15, d > 0.001), 1e-10)
+        assert not r.converged
+
     def test_neville_exactness_on_polynomial(self):
         xs = [0.4, 0.2, 0.1, 0.05]
         ys = [3.0 - 2.0 * x + 7.0 * x**2 for x in xs]
@@ -151,6 +194,11 @@ class TestPsiOracle:
         r = psi_oracle(amp, 0.0, 0.0, tol=1e-11)
         assert r.converged
         assert abs(r.value - SQRT_PI) <= 1e-11
+
+    def test_glaisher_at_real_tau(self):
+        # one error budget over the whole line reaches tol at x = tau = 1
+        wv = psi(Amplitude.glaisher(), 1.0, 1.0, method="quadrature")
+        assert abs(wv.psi - 2.0 * glaisher_packet_exact(1.0, 1.0)) <= wv.error_estimate
 
     def test_gaussian_complete_square(self):
         amp = Amplitude.gaussian(1.0)

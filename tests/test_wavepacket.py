@@ -276,6 +276,20 @@ class TestParseval:
         with pytest.raises(NonConvergenceError):
             parseval_transformed_derivative(Amplitude.gaussian(1.0), 0, 0.5, t)
 
+    def test_unsettled_limit_at_real_tau_raises(self, monkeypatch):
+        # seeded 1e-6 noise on every damped value keeps the
+        # extrapolation residuals from settling
+        rng = np.random.default_rng(5)
+        real = wavepacket.integrate_decaying
+
+        def noisy(*args, **kwargs):
+            r = real(*args, **kwargs)
+            return dataclasses.replace(r, value=r.value + 1e-6 * rng.standard_normal())
+
+        monkeypatch.setattr(wavepacket, "integrate_decaying", noisy)
+        with pytest.raises(NonConvergenceError):
+            parseval_transformed_derivative(Amplitude.gaussian(1.0), 0, 0.5, 0.4)
+
     def test_odd_amplitude_sine_parseval(self):
         amp = Amplitude.custom(lambda z: z * np.exp(-z**2), parity="odd",
                                decay=DecayBound(rate=0.5, power=2.0, scale=2.0))

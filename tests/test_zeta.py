@@ -12,7 +12,8 @@ from wavepack.zeta import (KAPPA0, KAPPA1, LatticeSumSpec,
                            alternating_series_cvz, bose_moment_transform,
                            calibrate_lattice_constants, dirichlet_eta,
                            fermi_moment_transform, gamma_half,
-                           glaisher_alternating_gaussian, h_term, l_term,
+                           glaisher_alternating_gaussian,
+                           glaisher_alternating_series, h_term, l_term,
                            lattice_sum, poisson_cosine_check,
                            poisson_correction_sum, transform_moment_sum,
                            zeta_from_lattice, zeta_half_reference)
@@ -223,10 +224,8 @@ class TestHermiteSumDerivativeConsistency:
         m = 1
         lhs = transform_moment_sum(m, b, True)
 
-        def s31(bb):
-            return glaisher_alternating_gaussian(float(bb))[0].value
-
-        rhs = fd.derivative(s31, b, 2 * m, h0=0.05, levels=4)
+        rhs = fd.derivative(lambda bb: glaisher_alternating_series(float(bb)).value,
+                            b, 2 * m, h0=0.05, levels=4)
         assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(lhs))
 
 
