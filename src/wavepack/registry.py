@@ -18,7 +18,7 @@ import numpy as np
 
 from . import asymptotics, closedform, fd, wavepacket, zeta
 from .amplitudes import AMPLITUDE_FAMILIES, Amplitude
-from .errors import DomainError, WavepackError
+from .errors import DomainError, NonConvergenceError, WavepackError
 from .hermite import hermite_eval, shifted_argument_identity, shifted_identity_ratio_constant
 from .quadrature import (DecayBound, integrate_decaying, integrate_oscillatory_regularized,
                          psi_oracle)
@@ -92,6 +92,13 @@ def evaluator(name):
     return wrap
 
 
+def _converged(result):
+    """An oracle value; unconverged, it raises and `run_suite` fails the case."""
+    if not result.converged:
+        raise NonConvergenceError(f"oracle unconverged (estimate {result.abs_error_estimate:.2g})")
+    return result.value
+
+
 def _trig_oracle(n, a, b, x, which):
     trig = np.cos if which == "cos" else np.sin
 
@@ -102,9 +109,10 @@ def _trig_oracle(n, a, b, x, which):
     # |trig(a z) trig(b z)| <= exp((|Im a| + |Im b|) z)
     grow = abs(complex(a).imag) + abs(complex(b).imag)
     bound = DecayBound(rate=complex(x).real).times_exp_growth(grow).times_poly(2 * n)
-    return integrate_decaying(f, (0.0, math.inf), tol=1e-11, decay=bound,
-                              osc_freq=lambda z: abs(complex(a).real) + abs(complex(b).real)
-                              + 2 * abs(complex(x).imag) * abs(z)).value
+    r = integrate_decaying(f, (0.0, math.inf), tol=1e-11, decay=bound,
+                           osc_freq=lambda z: abs(complex(a).real) + abs(complex(b).real)
+                           + 2 * abs(complex(x).imag) * abs(z))
+    return _converged(r)
 
 
 @evaluator("coscos_vs_oracle")
@@ -134,8 +142,8 @@ def _gr_oracle(n, a, beta, order, trig):
 
     bound = DecayBound(rate=a / 2.0, power=2.0,
                        scale=(2 * math.sqrt(a) * (4 * n / a + 4)) ** order * 2)
-    return integrate_decaying(f, (0.0, math.inf), tol=1e-11, decay=bound,
-                              osc_freq=lambda z: math.sqrt(2.0) * beta).value
+    return _converged(integrate_decaying(f, (0.0, math.inf), tol=1e-11, decay=bound,
+                                         osc_freq=lambda z: math.sqrt(2.0) * beta))
 
 
 @evaluator("gr_cos_vs_oracle")
@@ -237,13 +245,12 @@ def _ev_heat(p):
     amp = _amp_from_params(p)
     x, tau = float(p["x"]), _cplx(p["tau"])
     se = asymptotics.heat_series(amp, x, tau, N=p.get("N", 40))
-    rhs = psi_oracle(amp, x, tau, tol=1e-11).value
-    return se.value, rhs
+    return se.value, _converged(psi_oracle(amp, x, tau, tol=1e-11))
 
 
 def _half_packet_oracle(amp, x, tau, tol):
     """int_0^inf cos(xz) phi(z) e^{-i tau z^2} dz = psi/2 (even phi), by the oracle."""
-    return psi_oracle(amp, x, tau, tol=tol).value / 2.0
+    return _converged(psi_oracle(amp, x, tau, tol=tol)) / 2.0
 
 
 @evaluator("sech_theta_vs_integral")
@@ -263,7 +270,7 @@ def _ev_sech_exact(p):
 @evaluator("glaisher_pair")
 def _ev_glaisher_pair(p):
     r, se = asymptotics.glaisher_theta_integral(float(p["x"]), tol=1e-9)
-    return r.value, se.value
+    return _converged(r), se.value
 
 
 @evaluator("glaisher_pair_regularized")
@@ -276,7 +283,7 @@ def _ev_glaisher_reg(p):
         return np.asarray(amp(zz), dtype=complex) * np.cos(x * zz)
 
     r = integrate_oscillatory_regularized(f, tol=1e-7, osc_freq=lambda z: x)
-    return r.value, asymptotics.glaisher_series_g(x).value
+    return _converged(r), asymptotics.glaisher_series_g(x).value
 
 
 @evaluator("glaisher_theta_vs_integral")
@@ -296,7 +303,7 @@ def _ev_glaisher_exact(p):
 @evaluator("alternating_gaussian_pair")
 def _ev_altgauss(p):
     se, integ = zeta.glaisher_alternating_gaussian(float(p["b"]), tol=1e-11)
-    return complex(se.value), integ.value
+    return complex(se.value), _converged(integ)
 
 
 @evaluator("hermite_sum_vs_series_derivative")
@@ -334,17 +341,17 @@ def _ev_quad_ref(p):
     if kind == "gauss_halfline":
         r = integrate_decaying(lambda z: np.exp(-np.asarray(z, float) ** 2),
                                (0.0, math.inf), tol=1e-12, decay=DecayBound(rate=1.0))
-        return r.value, complex(math.sqrt(math.pi) / 2.0)
+        return _converged(r), complex(math.sqrt(math.pi) / 2.0)
     if kind == "gauss_moment2":
         r = integrate_decaying(lambda z: np.asarray(z, float) ** 2 * np.exp(-np.asarray(z, float) ** 2),
                                (0.0, math.inf), tol=1e-12,
                                decay=DecayBound(rate=0.5, power=2.0, scale=2.0))
-        return r.value, complex(math.sqrt(math.pi) / 4.0)
+        return _converged(r), complex(math.sqrt(math.pi) / 4.0)
     if kind == "sech_line":
         r = integrate_decaying(lambda z: 1.0 / np.cosh(math.pi * np.asarray(z, float)),
                                (-math.inf, math.inf), tol=1e-12,
                                decay=DecayBound(rate=math.pi, power=1.0, scale=2.0))
-        return r.value, 1.0 + 0.0j
+        return _converged(r), 1.0 + 0.0j
     raise DomainError(f"unknown quadrature reference {kind!r}")
 
 

@@ -35,7 +35,7 @@ KAPPA0 = 0.5
 KAPPA1 = 2.0
 
 # B_{2k}/(2k)!, k = 1..20: the Euler-Maclaurin coefficients of `_hurwitz_zeta`.
-_EM_COEFFS = (
+_EM_COEFFS = np.array((
     0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
     -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
     1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
@@ -43,7 +43,8 @@ _EM_COEFFS = (
     3.534707039629467e-21, -8.953517427037546e-23, 2.267952452337683e-24,
     -5.744790668872202e-26, 1.455172475614865e-27, -3.6859949406653103e-29,
     9.336734257095045e-31, -2.36502241570063e-32,
-)
+))
+_EM_2K = 2.0 * np.arange(1.0, len(_EM_COEFFS))[:, None]     # 2k, k = 1..19
 
 
 @dataclass(frozen=True)
@@ -59,29 +60,34 @@ class LatticeSumSpec:
             raise DomainError("statistic must be fermi or bose")
 
 
-def alternating_series_cvz(term, n: int = 32) -> float:
-    """sum_{k>=0} (-1)^k term(k) by Chebyshev-weighted acceleration.
-
-    The classic three-line scheme with d = (3+sqrt(8))^n; error decays like
-    5.83^{-n} for totally monotone terms, so n=32 is far below double roundoff.
-    """
+def _cvz_weights(n: int) -> np.ndarray:
+    """Weights c_k/d of Cohen, Rodriguez Villegas and Zagier (Exp. Math. 9, 2000)."""
     d = (3.0 + math.sqrt(8.0)) ** n
     d = (d + 1.0 / d) / 2.0
-    b = -1.0
-    c = -d
-    s = 0.0
+    b, c, weights = -1.0, -d, []
     for k in range(n):
         c = b - c
-        s += c * term(k)
+        weights.append(c / d)
         b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
-    return s / d
+    return np.array(weights)
+
+
+_CVZ_WEIGHTS = _cvz_weights(32)     # error ~ 5.83^-32 for totally monotone terms
+_CVZ_K = np.arange(32.0)
+
+
+def alternating_series_cvz(terms) -> np.ndarray:
+    """sum_{k>=0} (-1)^k a_k from terms[..., k] = a_k, k < 32, one sum per row;
+    added in order (a BLAS dot product of these sign-alternating products lost
+    up to 8.7e-15 relative, against 3.0e-15 in order)."""
+    return np.cumsum(np.asarray(terms) * _CVZ_WEIGHTS, axis=-1)[..., -1]
 
 
 def dirichlet_eta(s: float) -> float:
     """eta(s) = sum (-1)^{n-1} n^{-s}, accelerated; valid for all s > 0."""
     if not (s > 0):
         raise DomainError("eta implemented for s > 0")
-    return alternating_series_cvz(lambda k: (k + 1.0) ** (-s))
+    return float(alternating_series_cvz((_CVZ_K + 1.0) ** -s))
 
 
 def zeta_half_reference(m: int) -> float:
@@ -101,41 +107,48 @@ def gamma_half(m: int) -> float:
     return math.factorial(2 * m) * SQRT_PI / (4.0**m * math.factorial(m))
 
 
-def _alternating_tail(sigma: float, n_from: int) -> float:
-    """sum_{n >= n_from} (-1)^{n-1} n^{-sigma}, accelerated; any sigma > 0."""
-    sign = (-1.0) ** (n_from - 1)
-    return sign * alternating_series_cvz(lambda k: (n_from + k) ** (-sigma))
+# Tail orders.  Past the heads x = b^2/j0 < 1/3 (Gaussian series) or 1/4
+# (transform sums) and each first power sum is below 1, so order q is at most
+# x^q/q!, below 1e-17 from q = 14, or (m+1) max|E_i| x^p/(p-m)! with H_{2m}
+# coefficients E_i (max 1.3e7 at m = 6), below 1e-20 from p = 23.
+_ORDERS = np.arange(40.0)           # the catalogue settles by q = 12 and p = 16
+_SIGNED_INV_FACTORIALS = np.cumprod(np.concatenate(([1.0], -1.0 / _ORDERS[1:])))   # (-1)^q/q!
 
 
-def _sum_until_settled(contrib, scale: float, floor: float, max_q: int, what: str):
-    """sum_{q>=0} contrib(q), stopped once two consecutive terms (q >= 2) are
-    below floor * (1 + |scale|); returns (sum, last q, last term)."""
-    total = 0.0
-    small_runs = 0
-    for q in range(max_q + 1):
-        c = contrib(q)
-        total += c
-        small_runs = small_runs + 1 if abs(c) < floor * (1.0 + abs(scale)) else 0
-        if small_runs >= 2 and q >= 2:
-            return total, q, c
-    raise NonConvergenceError(f"{what} tail failed to settle")
+def _power_tails(sigma0: float, x: float, j_from: int, alternating: bool) -> np.ndarray:
+    """x^p sum_{j>=j_from} (+-1)^{j-1} j^{-sigma0-p} for p < 40: the CVZ weights on
+    one (40 x 32) power matrix, or one `_hurwitz_zeta` call on all sigma0 + p."""
+    sigma = sigma0 + _ORDERS
+    if not alternating:
+        return x ** _ORDERS * _hurwitz_zeta(sigma, float(j_from))
+    sign = 1.0 if j_from % 2 else -1.0
+    return x ** _ORDERS * sign * alternating_series_cvz((j_from + _CVZ_K) ** -sigma[:, None])
+
+
+def _settled_sum(contribs: np.ndarray, scale: float, floor: float, what: str):
+    """(sum of contribs[:q+1] in order, q, contribs[q]) at the first q >= 2 where
+    contribs[q-1] and contribs[q] are both below floor * (1 + |scale|)."""
+    small = np.abs(contribs) < floor * (1.0 + abs(scale))
+    settled = np.flatnonzero(small[1:-1] & small[2:]) + 2
+    if settled.size == 0:
+        raise NonConvergenceError(f"{what} tail failed to settle")
+    q = int(settled[0])
+    return float(np.cumsum(contribs[:q + 1])[-1]), q, float(contribs[q])
 
 
 def glaisher_alternating_series(b: float) -> SeriesEval:
     """The series side sum_{n>=1} (-1)^{n-1} e^{-b^2/n} / sqrt(n).
 
     The head is summed directly to N ~ 3 b^2; the tail exchanges e^{-b^2/n}
-    with its exponential series, leaving accelerated alternating power sums
-    per order (b^2/N < 1/3 keeps that exchange cancellation-free, unlike a
-    global exchange, which loses ~ b^2/ln(10) digits).
+    with its exponential series, leaving alternating power sums, all orders
+    from one `_power_tails` call (b^2/N < 1/3 keeps that exchange cancellation-
+    free, unlike a global exchange, which loses ~ b^2/ln(10) digits).
     """
     n_head = max(24, int(3.0 * b * b) + 1)
-    head = math.fsum((-1.0) ** (n - 1) * math.exp(-b * b / n) / math.sqrt(n)
-                     for n in range(1, n_head + 1))
-    n0 = n_head + 1
-    tail, q, contrib = _sum_until_settled(
-        lambda q: (-(b * b)) ** q / math.factorial(q) * _alternating_tail(q + 0.5, n0),
-        head, 1e-17, 200, "alternating-Gaussian")
+    n = np.arange(1.0, n_head + 1.0)
+    head = math.fsum((np.where(n % 2 == 1, 1.0, -1.0) * np.exp(-b * b / n) / np.sqrt(n)).tolist())
+    contribs = _SIGNED_INV_FACTORIALS * _power_tails(0.5, b * b, n_head + 1, True)
+    tail, q, contrib = _settled_sum(contribs, head, 1e-17, "alternating-Gaussian")
     return SeriesEval(value=head + tail, terms_used=n_head + q,
                       tail_estimate=abs(contrib) + 1e-16 * n_head)
 
@@ -176,61 +189,41 @@ def l_term(k: int, m: int, b: float) -> float:
             * math.exp(-b * b / k) * hermite_eval(2 * m, b / math.sqrt(k)).real)
 
 
-def _hurwitz_zeta(sigma: float, a: float) -> float:
-    """zeta(sigma, a) = sum_{n>=0} (a+n)^{-sigma}, sigma > 1, a > 0.
+def _hurwitz_zeta(sigma, a: float):
+    """zeta(sigma, a) = sum_{n>=0} (a+n)^{-sigma}, sigma > 1 (scalar or array), a > 0.
 
-    Euler-Maclaurin at a, after summing directly the terms below
-    max(sigma, 16); the tails of `transform_moment_sum` need none (a >= 32.5
-    there, and zeta_from_lattice reaches sigma <= 20.5 for m = 1..6):
+    Euler-Maclaurin at a, after summing directly the terms below max(sigma, 16)
+    (largest sigma); the bose tails of `transform_moment_sum` need none (a >= 65):
 
         a^{-sigma} [a/(sigma-1) + 1/2 + sum_k B_{2k}/(2k)! (sigma)_{2k-1} a^{1-2k}].
 
     With a >= max(sigma, 16) successive terms shrink like
     ((sigma+2k)/(2 pi a))^2, and the sum settles below 1e-17 of the bracket
     within 16 of the 20 tabulated coefficients for every sigma up to 200 (past
-    that, a^{-sigma} underflows).
+    that, a^{-sigma} underflows); each sigma stops at its own settled term.
     """
-    head = 0.0
-    while a < sigma or a < 16.0:
-        head += a ** -sigma
-        a += 1.0
-    bracket = a / (sigma - 1.0) + 0.5
-    rising = sigma / a                   # (sigma)_{2k-1} a^{1-2k} at k = 1
-    inv_a2 = 1.0 / (a * a)
-    for k, coeff in enumerate(_EM_COEFFS, start=1):
-        term = coeff * rising
-        bracket += term
-        if abs(term) < 1e-17 * bracket:
-            break
-        rising *= (sigma + 2 * k - 1) * (sigma + 2 * k) * inv_a2
-    return head + bracket * a ** -sigma
-
-
-def _tail_power_sum(sigma: float, j_from: int, alternating: bool) -> float:
-    """sum_{j>=j_from} (+-1)^{j-1} j^{-sigma} by `_hurwitz_zeta`.
-
-    The alternating sum splits by parity: odd j sum to
-    2^{-sigma} zeta(sigma, first_odd/2) and even j to
-    2^{-sigma} zeta(sigma, first_even/2).
-    """
-    if not alternating:
-        return _hurwitz_zeta(sigma, j_from)
-    # odd j >= j_from carry +, even j carry -
-    first_odd = j_from if j_from % 2 == 1 else j_from + 1
-    first_even = j_from if j_from % 2 == 0 else j_from + 1
-    odd = 2.0 ** (-sigma) * _hurwitz_zeta(sigma, (first_odd + 1) / 2.0 - 0.5)
-    even = 2.0 ** (-sigma) * _hurwitz_zeta(sigma, first_even / 2.0)
-    return odd - even
+    shape = np.shape(sigma)
+    sigma = np.asarray(sigma, dtype=float).reshape(-1)
+    n_head = max(0, math.ceil(max(sigma.max(), 16.0) - a))
+    head = np.power.outer(a + np.arange(n_head), -sigma).sum(axis=0)
+    a += n_head
+    # row k - 1: (sigma)_{2k-1} a^{1-2k}, the row above times (sigma+2k-3)(sigma+2k-2)/a^2
+    steps = (sigma + _EM_2K - 1.0) * (sigma + _EM_2K) * (1.0 / (a * a))
+    terms = _EM_COEFFS[:, None] * np.cumprod(np.vstack([sigma / a, steps]), axis=0)
+    brackets = np.cumsum(np.vstack([a / (sigma - 1.0) + 0.5, terms]), axis=0)[1:]
+    settled = np.abs(terms) < 1e-17 * brackets
+    settled[-1] = True                   # none settled: the whole table
+    bracket = brackets[settled.argmax(axis=0), np.arange(sigma.size)]
+    return (head + bracket * a ** -sigma).reshape(shape)
 
 
 def transform_moment_sum(m: int, b: float, alternating: bool) -> float:
     """S = sum_{j>=1} (+-1)^{j-1} j^{-m-1/2} e^{-b^2/j} H_{2m}(b/sqrt(j)).
 
     Head summed directly out to j ~ 4 b^2, its terms built as one array (one
-    Hermite recurrence over all j); the tail expands
-    e^{-b^2 u} H_{2m}(b sqrt(u)) in powers of u = 1/j (integer powers only:
-    H_{2m} is even) and sums each power with a Hurwitz zeta, so the slow
-    j^{-m-1/2} tail costs nothing.  b^2/j0 < 1/4 keeps the expansion short and
+    Hermite recurrence over all j); the tail expands e^{-b^2 u} H_{2m}(b sqrt(u))
+    in powers of u = 1/j (integer powers only: H_{2m} is even), all orders
+    from one `_power_tails` call; b^2/j0 < 1/4 keeps the expansion short and
     cancellation-free.
     """
     if m < 1:
@@ -241,18 +234,13 @@ def transform_moment_sum(m: int, b: float, alternating: bool) -> float:
     head = (sign * j ** (-m - 0.5) * np.exp(-b * b / j)
             * hermite_eval(2 * m, b / np.sqrt(j)).real)
     s = math.fsum(head.tolist())
-    # power-series coefficients of H_{2m}; the even ones multiply w^{2i}
-    even_coeffs = np.polynomial.hermite.herm2poly([0.0] * (2 * m) + [1.0])[0::2]
-    j0 = j_direct + 1
-
-    def contrib(p: int) -> float:
-        # f_p = (b^2)^p sum_i E_i (-1)^{p-i}/(p-i)!  (Taylor coeff of the tail kernel)
-        g_p = sum(even_coeffs[i] * (-1.0) ** (p - i) / math.factorial(p - i)
-                  for i in range(0, min(p, m) + 1))
-        return g_p * (b * b) ** p * _tail_power_sum(m + 0.5 + p, j0, alternating)
-
-    tail = _sum_until_settled(contrib, s, 1e-20, 120, "transform-moment")[0]
-    return s + tail
+    # g_p = sum_i E_i (-1)^{p-i}/(p-i)! over the coefficients E_i of w^{2i} in H_{2m}(w)
+    fact = math.factorial
+    even = [(-1) ** (m - i) * 4**i * fact(2 * m) // (fact(m - i) * fact(2 * i))
+            for i in range(m + 1)]
+    g = np.convolve(even, _SIGNED_INV_FACTORIALS)[:len(_ORDERS)]
+    contribs = g * _power_tails(m + 0.5, b * b, j_direct + 1, alternating)
+    return s + _settled_sum(contribs, s, 1e-20, "transform-moment")[0]
 
 
 def fermi_moment_transform(m: int, b: float) -> float:
@@ -339,15 +327,19 @@ def poisson_cosine_check(f, K: int, N: int, f0: float, decay: DecayBound,
     """|sum_{n=1}^N f(n) - (-f(0)/2 + int_0^inf f + 2 sum_{k<=K} fc(2 pi k))|.
 
     The cosine-form Poisson summation discrepancy for an even, smooth, rapidly
-    decaying f; all integrals by the oracle.
+    decaying f; all integrals by the oracle, which must converge.
     """
     left = sum(float(np.real(np.asarray(f(np.array([float(n)]))).item())) for n in range(1, N + 1))
     base = integrate_decaying(f, (0.0, math.inf), tol=tol, decay=decay)
     right = -f0 / 2.0 + base.value.real
+    converged = base.converged
     for k in range(1, K + 1):
         wk = 2.0 * math.pi * k
         r = integrate_decaying(lambda z: np.asarray(f(z), dtype=complex) * np.cos(wk * np.asarray(z)),
                                (0.0, math.inf), tol=tol, decay=decay,
                                osc_freq=lambda z: wk)
         right += 2.0 * r.value.real
+        converged = converged and r.converged
+    if not converged:
+        raise NonConvergenceError("a Poisson-check integral did not converge")
     return abs(left - right)

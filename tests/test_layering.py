@@ -9,7 +9,9 @@ builds no `DecayBound` of its own.  The result types are slotted, one
 function of `quadrature` applies the Kronrod rule, and only the zero-damping
 limit and the finite-difference derivative call the Neville table.  The run
 time needs numpy only: no module imports scipy or mpmath, which stay test
-dependencies.
+dependencies.  Every private top-level function has a caller in the package
+(helpers nothing calls get deleted), and one place builds the CVZ constant
+3 + sqrt(8), so the package keeps one alternating-series accelerator.
 """
 import ast
 import os
@@ -127,3 +129,44 @@ def test_only_the_limit_and_fd_call_neville():
                for call in ast.walk(top) if isinstance(call, ast.Call)
                and getattr(call.func, "id", getattr(call.func, "attr", None)) == "neville_extrapolate"}
     assert callers == {"quadrature.regularized_limit", "fd.derivative"}
+
+
+def _is_evaluator(fn):
+    # registered through @evaluator("name") and called through the registry table
+    return any(isinstance(deco, ast.Call) and getattr(deco.func, "id", None) == "evaluator"
+               for deco in fn.decorator_list)
+
+
+def test_every_private_function_has_a_caller():
+    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    private = {(module, top.name) for module, tree in trees.items() for top in tree.body
+               if isinstance(top, ast.FunctionDef) and top.name.startswith("_")
+               and not top.name.startswith("__") and not _is_evaluator(top)}
+    # (module, top-level definition) of every name read anywhere in the package
+    used = {(node.id if isinstance(node, ast.Name) else node.attr,
+             module, getattr(top, "name", None))
+            for module, tree in trees.items() for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Name) or isinstance(node, ast.Attribute)}
+    uncalled = {f"{module}.{name}" for module, name in private
+                if not any(n == name and (m, d) != (module, name) for n, m, d in used)}
+    assert uncalled == set()
+
+
+def _is_cvz_constant(node):
+    """3 + sqrt(8), either order, or a literal equal to it."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, float):
+        return abs(node.value - 5.828427124746190) < 1e-9
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+    def is_three(n):
+        return isinstance(n, ast.Constant) and n.value == 3
+    def is_sqrt8(n):
+        return (isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None)) == "sqrt"
+                and len(n.args) == 1 and isinstance(n.args[0], ast.Constant) and n.args[0].value == 8)
+    return (is_three(node.left) and is_sqrt8(node.right)) or (is_sqrt8(node.left) and is_three(node.right))
+
+
+def test_one_place_builds_the_cvz_constant():
+    sites = [f"{path.name}:{node.lineno}" for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text())) if _is_cvz_constant(node)]
+    assert len(sites) == 1, sites

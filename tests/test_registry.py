@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from wavepack import asymptotics, registry, zeta
 from wavepack.errors import DomainError
 from wavepack.registry import (CORRECTION_LEDGER, IdentityCase, IdentityReport,
                                emit_report, ledger_json, ledger_markdown,
@@ -68,6 +70,34 @@ class TestRunSuite:
         case = next(c for c in catalogue if c.id == "QUAD-gauss-halfline")
         strict = run_case(case, tol_override=1e-300)
         assert not strict.passed
+
+
+def _unconverged(oracle):
+    def wrapped(*args, **kwargs):
+        return dataclasses.replace(oracle(*args, **kwargs), converged=False)
+    return wrapped
+
+
+class TestUnconvergedOracle:
+    # each oracle read of the evaluators, reported unconverged: the case fails
+    # with the error instead of passing on the value
+    @pytest.mark.parametrize("case_id,module,name", [
+        ("L1.1-coscos-n0", registry, "integrate_decaying"),
+        ("GR1.3-cos-n0", registry, "integrate_decaying"),
+        ("QUAD-gauss-halfline", registry, "integrate_decaying"),
+        ("QUAD-sech-line", registry, "integrate_decaying"),
+        ("T2.2-exact-x1", registry, "psi_oracle"),
+        ("HEAT-gauss-smalltau", registry, "psi_oracle"),
+        ("G2.4-regularized-x1", registry, "integrate_oscillatory_regularized"),
+        ("G2.4-x1", asymptotics, "integrate_decaying"),
+        ("G3.1-b05", zeta, "integrate_decaying"),
+        ("PSF-fermi-m1", zeta, "integrate_decaying"),
+    ])
+    def test_case_fails_with_the_error(self, catalogue, monkeypatch, case_id, module, name):
+        monkeypatch.setattr(module, name, _unconverged(getattr(module, name)))
+        [report] = run_suite(case_id, catalogue=catalogue)
+        assert not report.passed
+        assert report.error.startswith("NonConvergenceError")
 
 
 def _mkreport(case_id="c1", passed=True):

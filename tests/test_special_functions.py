@@ -17,7 +17,7 @@ from scipy.special import gamma, gammaincc
 from wavepack import amplitudes
 from wavepack.amplitudes import GLAISHER_POLES, _faddeeva, sech_poles
 from wavepack.quadrature import DecayBound
-from wavepack.zeta import _hurwitz_zeta, _tail_power_sum
+from wavepack.zeta import _hurwitz_zeta, _power_tails
 
 
 def _mp_faddeeva(z: complex) -> complex:
@@ -151,9 +151,9 @@ class TestTailIntegral:
 
 
 class TestHurwitz:
-    # a = 32.5 and 33 are the odd and even halves of the alternating tail from
-    # j = 65 and 66; mpmath's zeta loses about sigma log10(a) digits at large
-    # a, so the working precision grows with both
+    # a = 65 is the first bose tail index, and 32.5 and 33 lie below it;
+    # mpmath's zeta loses about sigma log10(a) digits at large a, so the
+    # working precision grows with both
     @pytest.mark.parametrize("a", [32.5, 33.0, 65.0, 400.0])
     def test_against_mpmath(self, a):
         for sigma in np.arange(1.5, 46.0, 1.0):
@@ -171,18 +171,25 @@ class TestHurwitz:
             ref = mpmath.zeta(mpmath.mpf(sigma), mpmath.mpf(a))
         assert abs(_hurwitz_zeta(float(sigma), a) - ref) <= 1e-15 * ref
 
-    @pytest.mark.parametrize("j_from", [65, 66])
+    # j_from = 25 and sigma = 0.5 is the smallest Gaussian-series tail; the
+    # transform tails start at 65; mpmath works at sigma log10(j_from) + 40
+    # digits, as the terms fall by that many
+    @pytest.mark.parametrize("j_from", [25, 65, 66])
     @pytest.mark.parametrize("alternating", [True, False])
     def test_tail_power_sums(self, j_from, alternating):
-        # the alternating tail is a difference of the two parity halves, about
-        # j_from/sigma times smaller than each, so it keeps fewer digits
-        for sigma in np.arange(1.5, 46.0, 1.0):
-            s = mpmath.mpf(sigma)
-            with mpmath.workdps(int(sigma * 2.0) + 40):
-                if alternating:
-                    odd, even = (j_from, j_from + 1) if j_from % 2 else (j_from + 1, j_from)
-                    ref = 2**-s * (mpmath.zeta(s, mpmath.mpf(odd) / 2) - mpmath.zeta(s, mpmath.mpf(even) / 2))
-                else:
-                    ref = mpmath.zeta(s, j_from)
-            tol = 1e-13 if alternating else 1e-15
-            assert abs(_tail_power_sum(float(sigma), j_from, alternating) - ref) <= tol * abs(ref)
+        # at x = 1 row p of _power_tails(sigma0, ...) is the power sum at
+        # sigma0 + p, for p < 40: two calls cover sigma 0.5 (1.5 plain) to 45.5
+        first = 0.5 if alternating else 1.5
+        for sigma0 in (first, 6.5):
+            tails = _power_tails(sigma0, 1.0, j_from, alternating)
+            for p, got in enumerate(tails):
+                s = mpmath.mpf(sigma0 + p)
+                with mpmath.workdps(int(float(s) * math.log10(j_from)) + 40):
+                    if alternating:
+                        odd, even = (j_from, j_from + 1) if j_from % 2 else (j_from + 1, j_from)
+                        ref = 2**-s * (mpmath.zeta(s, mpmath.mpf(odd) / 2)
+                                       - mpmath.zeta(s, mpmath.mpf(even) / 2))
+                    else:
+                        ref = mpmath.zeta(s, j_from)
+                tol = 1e-14 if alternating else 1e-15
+                assert abs(got - ref) <= tol * abs(ref), (sigma0 + p, got, ref)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from numpy.polynomial.hermite import hermval
 from scipy.integrate import quad
 
-from wavepack import fd
-from wavepack.errors import CapacityError, DomainError
+from wavepack import fd, zeta
+from wavepack.errors import CapacityError, DomainError, NonConvergenceError
 from wavepack.quadrature import DecayBound
 from wavepack.zeta import (KAPPA0, KAPPA1, LatticeSumSpec,
                            alternating_series_cvz, bose_moment_transform,
@@ -30,6 +31,17 @@ ZETA_LATTICE_PINNED = {
     "bose": [2.6123753486854886, 1.3414872572509176, 1.1267338673170568,
              1.0547075107614543, 1.025204579954686, 1.0120058998885249],
 }
+# glaisher_alternating_series(b): (value, terms_used, tail_estimate), frozen
+GLAISHER_SERIES_PINNED = {
+    0.05: (0.6029884834457802, 29, 2.400000009244117e-15),
+    0.3: (0.5394374539549662, 31, 2.4000001785607366e-15),
+    0.5: (0.4384452206440122, 32, 2.4000002896303125e-15),
+    1.0: (0.1518546915227531, 34, 2.4000003485128484e-15),
+    1.7: (-0.009001949087390507, 36, 2.400001478709126e-15),
+    2.5: (-0.0027424013254361834, 38, 2.4000054722094986e-15),
+    4.0: (1.6123754846469884e-05, 63, 4.900109526372437e-15),
+    6.0: (5.83917904660447e-07, 123, 1.0900094248775898e-14),
+}
 # frozen high-precision brute force (direct head + exact expansion remainder)
 S_MONO_M1_B1 = -0.962983614865014411
 
@@ -44,7 +56,7 @@ class TestReferences:
 
     def test_cvz_geometric_sanity(self):
         # sum (-1)^k 2^{-k} = 2/3
-        assert abs(alternating_series_cvz(lambda k: 0.5**k) - 2.0 / 3.0) <= 1e-14
+        assert abs(alternating_series_cvz(0.5 ** np.arange(32.0)) - 2.0 / 3.0) <= 1e-14
 
     def test_gamma_half(self):
         assert abs(gamma_half(0) - SQRT_PI) <= 1e-15
@@ -66,11 +78,47 @@ class TestAlternatingGaussian:
         assert abs(se.value - ETA_HALF) <= 1e-13
         assert abs(integ.value - ETA_HALF) <= 1e-10
 
+    def test_series_pinned(self):
+        for b, (value, terms_used, tail_estimate) in GLAISHER_SERIES_PINNED.items():
+            se = glaisher_alternating_series(b)
+            assert abs(se.value - value) <= 1e-15
+            assert se.terms_used == terms_used
+            assert abs(se.tail_estimate - tail_estimate) <= 1e-15 * tail_estimate
+
     def test_large_b_both_tiny(self):
         se, integ = glaisher_alternating_gaussian(5.0)
         assert abs(se.value) <= 1e-5
         assert abs(integ.value) <= 1e-5
         assert abs(se.value - integ.value) <= 1e-9
+
+
+class TestSettledSum:
+    @staticmethod
+    def _sequential(contribs, scale, floor):
+        # the term-by-term loop the array form replaces
+        total, small_runs = 0.0, 0
+        for q, c in enumerate(contribs):
+            total += c
+            small_runs = small_runs + 1 if abs(c) < floor * (1.0 + abs(scale)) else 0
+            if small_runs >= 2 and q >= 2:
+                return total, q, c
+        raise NonConvergenceError("unsettled")
+
+    def test_matches_the_sequential_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            contribs = rng.standard_normal(40) * 10.0 ** -rng.integers(0, 25, 40)
+            try:
+                expected = self._sequential(contribs, 0.3, 1e-17)
+            except NonConvergenceError:
+                with pytest.raises(NonConvergenceError):
+                    zeta._settled_sum(contribs, 0.3, 1e-17, "test")
+                continue
+            assert zeta._settled_sum(contribs, 0.3, 1e-17, "test") == expected
+
+    def test_unsettled_tail_raises(self):
+        with pytest.raises(NonConvergenceError):
+            zeta._settled_sum(np.full(40, 1e-3), 0.0, 1e-17, "test")
 
 
 class TestMomentTerms:
@@ -248,3 +296,20 @@ class TestPoisson:
                                    decay=DecayBound(rate=0.5, power=2.0, scale=2.0))
               for k in (0, 1, 2, 3)]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(ds, ds[1:]))
+
+    def test_unconverged_integral_raises(self, monkeypatch):
+        # only the last cosine integral (k = K) reports failure
+        real = zeta.integrate_decaying
+        calls = []
+
+        def last_unconverged(*args, **kwargs):
+            calls.append(1)
+            r = real(*args, **kwargs)
+            return dataclasses.replace(r, converged=len(calls) < 4)
+
+        monkeypatch.setattr(zeta, "integrate_decaying", last_unconverged)
+        f = lambda x: np.asarray(x, dtype=float) ** 2 / (np.exp(np.asarray(x, dtype=float) ** 2) + 1.0)
+        with pytest.raises(NonConvergenceError):
+            poisson_cosine_check(f, K=3, N=8, f0=0.0,
+                                 decay=DecayBound(rate=0.5, power=2.0, scale=2.0))
+        assert len(calls) == 4
