@@ -276,8 +276,10 @@ class Amplitude:
     The class attributes below are the optional capabilities, None where a
     family lacks one.  The transform capabilities describe the even member
     (z0 = 0), so callers check `parity` first.  An amplitude without
-    `derivative` gets finite differences up to order 8.  `Amplitude.gaussian`,
-    `.sech`, `.glaisher` and `.custom` are the family classes themselves.
+    `derivative` gets finite differences up to order 8.  Declared bounds hold
+    at every parameter; none is guessed, so subclass to declare one.
+    `Amplitude.gaussian`, `.sech`, `.glaisher` and `.custom` are the family
+    classes themselves.
     """
 
     z0 = 0.0
@@ -285,7 +287,7 @@ class Amplitude:
     closed_psi = None                    # (x, tau) -> closed-form packet
     cosine_transform = None              # (w) -> phibar_c(w) = int_0^inf phi cos(zw) dz
     cosine_transform_derivative = None   # (n, a) -> d^{2n} phibar_c / da^{2n}
-    transform_decay = None               # DecayBound of phibar_c
+    transform_decay = None               # DecayBound of phibar_c (of phibar_s, if odd)
     poles = None                         # PoleExpansion
 
     @property
@@ -313,9 +315,9 @@ class Gaussian(Amplitude):
 
     @property
     def transform_decay(self) -> DecayBound:
-        # |phibar_c(w)| ~ exp(-w^2 Re(1/(4 alpha)))
+        # |phibar_c(w)| = (1/2) |sqrt(pi/alpha)| exp(-w^2 Re(1/(4 alpha)))
         rr = self.alpha.real / (4.0 * abs(self.alpha) ** 2)
-        return DecayBound(rate=rr / 2.0, power=2.0, scale=2.0)
+        return DecayBound(rate=rr / 2.0, power=2.0, scale=max(2.0, abs(self.cosine_transform(0.0))))
 
     def __call__(self, z):
         return scalar_or_array(np.exp(-self.alpha * (np.asarray(z, dtype=complex) - self.z0) ** 2), z)
@@ -365,7 +367,8 @@ class Sech(_PoleFamily):
 
     @property
     def transform_decay(self) -> DecayBound:
-        return DecayBound(rate=math.pi / (2.0 * self.beta), power=1.0, scale=4.0)
+        c = math.pi / (2.0 * self.beta)       # c sech(c w) <= 2c exp(-c w)
+        return DecayBound(rate=c, power=1.0, scale=max(4.0, 2.0 * c))
 
     @property
     def poles(self) -> PoleExpansion | None:
@@ -416,17 +419,12 @@ class Glaisher(_PoleFamily):
 @dataclass(frozen=True)
 class Custom(Amplitude):
     """A user-supplied callable with declared parity and tail bound; decay=None
-    sends it down the oracle's regularized path."""
+    sends it down the oracle's regularized path.  The decay of phi does not
+    bound its transform's, so it declares no `transform_decay`."""
 
     fn: object
     parity: str = "none"
     decay: DecayBound | None = None
-
-    @property
-    def transform_decay(self) -> DecayBound | None:
-        if self.decay is None or self.decay.power < 2.0:
-            return None
-        return DecayBound(rate=1.0 / (4.0 * self.decay.rate), power=2.0, scale=4.0)
 
     def __call__(self, z):
         return scalar_or_array(np.asarray(self.fn(np.asarray(z, dtype=complex)), dtype=complex), z)

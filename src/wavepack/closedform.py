@@ -89,12 +89,12 @@ def base_sinsin(a, b, x):
 def g_n(n: int, a, b, x):
     """The binomial-Hermite building block of the z^{2n} trig-product integrals:
 
-    g_n(a,b,x) = (ib/2x)^{2n} (1/4) sqrt(pi/x) e^{-(a^2+b^2)/(4x)} e^{ab/(2x)}
+    g_n(a,b,x) = (ib/2x)^{2n} (1/4) sqrt(pi/x) e^{-(a-b)^2/(4x)}
                  sum_{k=0}^{2n} C(2n,k) (-sqrt(x)/b)^k H_k(a/sqrt(4x))
 
-    so that coscos = g_n(a,b,x) + g_n(a,-b,x) and sinsin = the difference.
-    Requires b != 0 (negative powers of b); small |b| callers should use the
-    F route instead.
+    so that coscos = g_n(a,b,x) + g_n(a,-b,x) and sinsin = the difference
+    (one exponent: e^{ab/(2x)} alone can overflow where the product underflows).
+    Requires b != 0 (negative powers of b); small |b| callers use the F route.
     """
     _check_order(n)
     x = _check_gaussian_param(x)
@@ -110,7 +110,7 @@ def g_n(n: int, a, b, x):
         acc = acc + binomial(2 * n, k) * term * hk[k]
         term = term * ratio
     pref = (1j * bv / (2.0 * x)) ** (2 * n) * 0.25 * sqrt_principal(math.pi / x)
-    val = pref * np.exp(-(bv * bv + av * av) / (4.0 * x)) * np.exp(av * bv / (2.0 * x)) * acc
+    val = pref * np.exp(-((av - bv) ** 2) / (4.0 * x)) * acc
     return scalar_or_array(val, a, b)
 
 

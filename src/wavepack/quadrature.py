@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -137,7 +137,7 @@ class DecayBound:
 
     power=2 declares Gaussian decay, power=1 exponential, power=0.5 covers the
     exp(-rate sqrt(z)) class.  Only used for tail truncation, so loose bounds
-    are safe.
+    are safe; but a loose decay of phi bounds nothing of its transform's decay.
     """
 
     rate: float
@@ -166,6 +166,10 @@ class DecayBound:
                 return T
             T *= 1.25
         raise DomainError("decay bound too weak to truncate the tail")
+
+    def times_const(self, c: float) -> "DecayBound":
+        """A bound on c > 0 times this bound."""
+        return replace(self, scale=self.scale * c)
 
     def times_poly(self, degree: int) -> "DecayBound":
         """A bound on |z|^degree times this bound: the rate is halved and the

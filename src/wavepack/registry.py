@@ -133,15 +133,16 @@ def _ev_gn_symmetry(p):
     return closedform.g_n(n, a, b, x), closedform.g_n(n, b, a, x)
 
 
-def _gr_oracle(n, a, beta, order, trig):
+def _gr_oracle(a, beta, order, trig):
     """int_0^inf e^{-a z^2} H_order(sqrt(a) z) trig(sqrt(2) beta z) dz by the oracle."""
     def f(z):
         zz = np.asarray(z, dtype=float)
         return (np.exp(-a * zz**2) * hermite_eval(order, math.sqrt(a) * zz)
                 * trig(math.sqrt(2.0) * beta * zz))
 
-    bound = DecayBound(rate=a / 2.0, power=2.0,
-                       scale=(2 * math.sqrt(a) * (4 * n / a + 4)) ** order * 2)
+    # |H_k(y)| <= |H_k(i)| |y|^k at |y| >= 1: |H_k(i)| sums H_k's absolute coefficients
+    bound = DecayBound(rate=a, power=2.0, scale=abs(hermite_eval(order, 1j)) * a ** (order / 2),
+                       onset=1.0 / math.sqrt(a)).times_poly(order)
     return _converged(integrate_decaying(f, (0.0, math.inf), tol=1e-11, decay=bound,
                                          osc_freq=lambda z: math.sqrt(2.0) * beta))
 
@@ -149,14 +150,14 @@ def _gr_oracle(n, a, beta, order, trig):
 @evaluator("gr_cos_vs_oracle")
 def _ev_gr_cos(p):
     n, a, beta = p["n"], float(p["a"]), float(p["beta"])
-    return complex(closedform.gr_hermite_cos(n, a, beta)), _gr_oracle(n, a, beta, 2 * n, np.cos)
+    return complex(closedform.gr_hermite_cos(n, a, beta)), _gr_oracle(a, beta, 2 * n, np.cos)
 
 
 @evaluator("gr_sin_vs_oracle")
 def _ev_gr_sin(p):
     n, a, beta = p["n"], float(p["a"]), float(p["beta"])
     return (complex(closedform.gr_hermite_sin(n, a, beta)),
-            _gr_oracle(n, a, beta, 2 * n + 1, np.sin))
+            _gr_oracle(a, beta, 2 * n + 1, np.sin))
 
 
 @evaluator("base_pair_consistency")

@@ -9,14 +9,15 @@ to the quadrature oracle where a capability is missing.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import asymptotics, fd
 from .amplitudes import Amplitude, glaisher_kernel  # noqa: F401  (glaisher_kernel re-exported)
-from .closedform import coscos, sinsin
+from .closedform import f_cosine_moment
 from .errors import DomainError, NonConvergenceError, UnsupportedMethodError
 from .foundation import (NATURAL_UNITS, PhysicalConfig, binomial, reduced_time,
                          scalar_or_array, sqrt_principal)
@@ -45,7 +46,7 @@ def amplitude_eval(amp: Amplitude, z):
 
 def amplitude_derivative(amp: Amplitude, k: int, z):
     """d^k phi / dz^k: the amplitude's analytic derivative, else Richardson FD
-    up to order _FD_MAX_ORDER."""
+    up to order _FD_MAX_ORDER, taken at real z, over a whole node array at once."""
     if k < 0:
         raise DomainError("derivative order must be >= 0")
     if k == 0:
@@ -54,10 +55,8 @@ def amplitude_derivative(amp: Amplitude, k: int, z):
         return amp.derivative(k, z)
     if k > _FD_MAX_ORDER:
         raise DomainError(f"derivative order {k} beyond this amplitude's capability")
-    zs = np.asarray(np.real(z), dtype=float)
-    vals = [fd.derivative(lambda u: amp(complex(u)), float(zv), k, h0=0.05 * (k + 1), levels=4)
-            for zv in zs.ravel()]
-    return scalar_or_array(np.reshape(np.asarray(vals, dtype=complex), zs.shape), z)
+    return scalar_or_array(fd.derivative(lambda u: amp(u + 0j), np.real(z), k,
+                                         h0=0.05 * (k + 1), levels=4), z)
 
 
 def _check_tau(tau: complex) -> complex:
@@ -119,21 +118,28 @@ def psi(amp: Amplitude, x, t, cfg: PhysicalConfig = NATURAL_UNITS,
                      error_estimate=2.0 * se.tail_estimate)
 
 
-def _halfline_moment_quadrature(amp: Amplitude, n: int, x: float, tau: complex,
+def _halfline_moment_quadrature(amp: Amplitude, n: int, x, tau: complex,
                                 trig, tol: float) -> QuadratureResult:
-    """int_0^inf phi(z) z^n trig(zx) exp(-i tau z^2) dz by the oracle (trig: np.cos, np.sin)."""
-    tau = _check_tau(tau)
+    """int_0^inf phi(z) z^n trig(zx) exp(-i tau z^2) dz by the oracle (trig: np.cos, np.sin),
+    converged or NonConvergenceError; the points of a 1-D x share one panel set."""
+    xs = np.asarray(x, dtype=float)
+    x_max = float(np.max(np.abs(xs)))
 
     def f(z):
         zz = np.asarray(z, dtype=float)
-        return (np.asarray(amp(zz), dtype=complex) * zz**n * trig(zz * x)
+        if xs.ndim:
+            zz = zz[:, None]
+        return (np.asarray(amp(zz), dtype=complex) * zz**n * trig(zz * xs)
                 * np.exp(-1j * tau * zz * zz))
 
     base = packet_decay(amp, tau, tol / 10.0)
     if base is None:
         raise DomainError("half-line moments need decay or Im(tau) < 0")
-    return integrate_decaying(f, (0.0, math.inf), tol=tol, decay=base.times_poly(n),
-                              osc_freq=lambda z: abs(x) + 2.0 * abs(tau) * abs(z))
+    r = integrate_decaying(f, (0.0, math.inf), tol=tol, decay=base.times_poly(n),
+                           osc_freq=lambda z: x_max + 2.0 * abs(tau) * abs(z))
+    if not r.converged:
+        raise NonConvergenceError(f"half-line quadrature did not converge: {r}")
+    return r
 
 
 def _derivative_form(amp: Amplitude, n: int):
@@ -159,22 +165,8 @@ def psi_x_derivative(amp: Amplitude, n: int, x, t, cfg: PhysicalConfig = NATURAL
         raise DomainError("derivative order capped at 8")
     tau = _check_tau(reduced_time(t, cfg))
     r = _halfline_moment_quadrature(amp, n, float(x), tau, np.cos if even else np.sin, tol)
-    if not r.converged:
-        raise NonConvergenceError(f"derivative quadrature did not converge: {r}")
     return WaveValue(psi=pref * r.value, method="quadrature",
                      error_estimate=2.0 * r.abs_error_estimate)
-
-
-def _halfline_transform_quadrature(amp: Amplitude, w, trig, tol: float):
-    """int_0^inf phi(z) trig(zw) dz by the oracle, one quadrature per w."""
-    ws = np.asarray(w, dtype=float)
-    vals = []
-    for wi in ws.ravel():
-        r = _halfline_moment_quadrature(amp, 0, wi, 0j, trig, tol)
-        if not r.converged:
-            raise NonConvergenceError(f"transform quadrature did not converge: {r}")
-        vals.append(r.value)
-    return scalar_or_array(np.reshape(np.asarray(vals, dtype=complex), ws.shape), w)
 
 
 def fourier_cosine_transform(amp: Amplitude, w, tol: float = 1e-11):
@@ -183,21 +175,22 @@ def fourier_cosine_transform(amp: Amplitude, w, tol: float = 1e-11):
     The amplitude's own transform where it has one: Gaussian ->
     (1/2) sqrt(pi/alpha) e^{-w^2/(4 alpha)}; sech -> (pi/(2 beta))
     sech(pi w /(2 beta)); Glaisher kernel -> the theta series G(w).  Other
-    even amplitudes fall back to quadrature.
+    even amplitudes fall back to quadrature, one panel set for all of w.
     """
     if amp.parity != "even":
         raise DomainError("cosine transform defined for even amplitudes")
     if amp.cosine_transform is None:
-        return _halfline_transform_quadrature(amp, w, np.cos, tol)
+        return scalar_or_array(_halfline_moment_quadrature(amp, 0, w, 0j, np.cos, tol).value, w)
     val = amp.cosine_transform(np.asarray(w, dtype=float))
     return scalar_or_array(np.asarray(val, dtype=complex), w)
 
 
 def fourier_sine_transform(amp: Amplitude, w, tol: float = 1e-11):
-    """Bare half-line sine transform int_0^inf phi(z) sin(zw) dz (odd amplitudes)."""
+    """Bare half-line sine transform int_0^inf phi(z) sin(zw) dz (odd amplitudes),
+    by quadrature, one panel set for all of w."""
     if amp.parity != "odd":
         raise DomainError("sine transform defined for odd amplitudes")
-    return _halfline_transform_quadrature(amp, w, np.sin, tol)
+    return scalar_or_array(_halfline_moment_quadrature(amp, 0, w, 0j, np.sin, tol).value, w)
 
 
 def parseval_transformed_derivative(amp: Amplitude, n: int, x, t,
@@ -209,35 +202,40 @@ def parseval_transformed_derivative(amp: Amplitude, n: int, x, t,
 
         int_0^inf phi(z) [z^n trig(zx) e^{-i tau z^2}] dz
 
-    into c_P int_0^inf phibar(w) T_n(x, w; i tau) dw, where T_n is the closed
-    coscos/sinsin form with the Gaussian slot carrying i tau and the trig slots
-    carrying (x, w), and c_P = 2/pi.  The printed source puts the position
-    variable in the Gaussian slot; only this assignment reproduces the
-    defining integral (ledgered).  Im(tau) < 0 uses the direct path; real tau
-    shifts the Gaussian slot by each damping strength delta of
-    `quadrature.regularized_limit`, which extrapolates to delta = 0.  Each
-    outer quadrature gets tol/4; an unconverged outer quadrature or an
-    unsettled or unconverged limit raises NonConvergenceError.
+    into c_P int_0^inf phibar(w) T_m(x, w; s) dw, m = n/2, c_P = 2/pi, where
+    T_m is the coscos/sinsin integral with the Gaussian slot carrying s = i tau
+    and the trig slots carrying (x, w), evaluated as (F(x-w) +- F(x+w))/2 from
+    the cosine moment F (the g_n route cancels at small Re(s)).  The printed
+    source puts the position variable in the Gaussian slot; only this
+    assignment reproduces the defining integral (ledgered).  Im(tau) < 0 uses
+    the direct path; real tau shifts the Gaussian slot by each damping
+    strength delta of `quadrature.regularized_limit`, which extrapolates to
+    delta = 0.  Each outer quadrature gets tol/4; an unconverged outer
+    quadrature or an unsettled or unconverged limit raises NonConvergenceError.
+
+    Tail bound: for real x and w the trig products are at most 1, so |T_m| <=
+    int_0^inf e^{-Re(s) z^2} z^{2m} dz = Gamma(m+1/2) / (2 Re(s)^{m+1/2}); that
+    constant times the declared `transform_decay` (else UnsupportedMethodError)
+    bounds the outer integrand, and grows at real tau as delta = Re(s) falls.
     """
     even, pref = _derivative_form(amp, n)
+    tdec = amp.transform_decay
+    if tdec is None:
+        raise UnsupportedMethodError("no declared transform decay for this amplitude")
     tau = _check_tau(reduced_time(t, cfg))
     m = n // 2
     x = float(x)
-    tr_closed = coscos if even else sinsin
+    sign = 1.0 if even else -1.0
     transform = fourier_cosine_transform if even else fourier_sine_transform
 
     def outer(s) -> QuadratureResult:
         def f(w):
-            wv = np.asarray(w, dtype=float)
-            return (np.asarray(transform(amp, wv), dtype=complex)
-                    * np.asarray(tr_closed(m, x, wv, s), dtype=complex))
+            t_m = 0.5 * (f_cosine_moment(m, x - w, s) + sign * f_cosine_moment(m, x + w, s))
+            return transform(amp, w) * t_m
 
-        tdec = amp.transform_decay
-        if tdec is None:
-            raise UnsupportedMethodError("no transform decay model for this amplitude")
-        kern = 0.5 * abs(sqrt_principal(math.pi / s)) + 1.0
+        kernel = math.gamma(m + 0.5) / (2.0 * s.real ** (m + 0.5))
         return integrate_decaying(f, (0.0, math.inf), tol=tol / 4.0,
-                                  decay=replace(tdec, scale=tdec.scale * kern))
+                                  decay=tdec.times_const(kernel))
 
     if tau.imag < -1e-12:
         r = outer(1j * tau)
@@ -332,8 +330,9 @@ def calibrate_self_reciprocal_scale(lo: float = 1.0, hi: float = 1.6,
     return _golden_section_min(defect, lo, hi, iters)
 
 
+@functools.cache
 def self_reciprocal_scaled_sech() -> Amplitude:
-    """The calibrated self-reciprocal amplitude sech(s* z), s* = sqrt(pi/2)."""
+    """The calibrated self-reciprocal amplitude sech(s* z), s* = sqrt(pi/2); calibrated once."""
     return Amplitude.sech(calibrate_self_reciprocal_scale())
 
 
@@ -397,8 +396,7 @@ def hermite_weighted_expansion(amp: Amplitude, n: int, x, t,
     if amp.decay is None:
         raise DomainError("expansion quadrature needs a decaying amplitude")
     base = packet_decay(amp, tau, tol / 10.0)
-    scale_bump = (1.0 + abs(rt)) ** n * 4.0**n
-    eff = replace(base, scale=base.scale * scale_bump).times_poly(n)
+    eff = base.times_const((1.0 + abs(rt)) ** n * 4.0**n).times_poly(n)
     r = integrate_decaying(f, (-math.inf, math.inf), tol=tol, decay=eff,
                            osc_freq=lambda z: abs(x) + 2.0 * abs(tau) * abs(z))
     if not r.converged:

@@ -59,7 +59,7 @@ class TestFamilies:
         amp = _custom()
         with pytest.raises(DomainError):
             heat_series(amp, 1.0, 0.01)
-        # power < 2 declares no transform decay model
+        # a custom amplitude declares no transform decay
         assert amp.transform_decay is None
 
     def test_shared_constructor_table(self):

@@ -50,6 +50,14 @@ class TestGn:
         with pytest.raises(DomainError):
             g_n(1, 1.0, 0.0, 1.0)
 
+    def test_vanishing_value_underflows_to_zero(self):
+        # e^{-(a-b)^2/(4x)} underflows here; split into e^{-(a^2+b^2)/(4x)}
+        # e^{ab/(2x)}, the second factor overflows and the product is nan
+        x = 0.01 + 0.05j
+        assert coscos(0, 2.0, 185.0, x) == 0
+        assert sinsin(2, 2.0, 185.0, x) == 0
+        assert g_n(1, 2.0, 185.0, x) == 0
+
     def test_domain(self):
         with pytest.raises(DomainError):
             g_n(0, 1.0, 1.0, -1.0)

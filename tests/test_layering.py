@@ -5,7 +5,8 @@ dependency and costs a lookup on every call), and the amplitude layer sits
 below the packet layer: `amplitudes` imports neither `asymptotics` nor
 `wavepacket`, and `asymptotics` does not import `wavepacket`.  Tail bounds
 are declared in `amplitudes` and derived in `quadrature`, so `wavepacket`
-builds no `DecayBound` of its own.  The result types are slotted, one
+builds no `DecayBound` of its own and rescales none by hand, and `Custom`
+guesses no transform bound.  The result types are slotted, one
 function of `quadrature` applies the Kronrod rule, and only the zero-damping
 limit and the finite-difference derivative call the Neville table.  The run
 time needs numpy only: no module imports scipy or mpmath, which stay test
@@ -94,6 +95,24 @@ def test_wavepacket_derives_no_tail_bound_itself():
     built = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "DecayBound"]
     assert built == []
+
+
+def test_no_bound_is_rescaled_by_hand_or_guessed():
+    # wavepacket scales a bound through DecayBound.times_const, not
+    # dataclasses.replace, and Custom guesses no transform bound from its decay
+    tree = ast.parse((SRC / "wavepacket.py").read_text())
+    replaced = [node.lineno for node in ast.walk(tree)
+                if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+                    and any(alias.name == "replace" for alias in node.names))
+                or (isinstance(node, ast.Attribute) and node.attr == "replace"
+                    and getattr(node.value, "id", None) == "dataclasses")]
+    custom = next(node for node in ast.walk(ast.parse((SRC / "amplitudes.py").read_text()))
+                  if isinstance(node, ast.ClassDef) and node.name == "Custom")
+    declared = [node.lineno for node in custom.body
+                if getattr(node, "name", None) == "transform_decay"
+                or any(getattr(t, "id", None) == "transform_decay"
+                       for t in getattr(node, "targets", [getattr(node, "target", None)]))]
+    assert (replaced, declared) == ([], [])
 
 
 @pytest.mark.parametrize("module,name", [

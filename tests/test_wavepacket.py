@@ -90,6 +90,18 @@ class TestAmplitudeDerivative:
         with pytest.raises(DomainError):
             amplitude_derivative(amp, 9, 0.5)
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("amp", [Amplitude.glaisher(), Amplitude.custom(
+        lambda z: np.exp(-z**2), parity="even", decay=DecayBound(rate=0.5))],
+        ids=["glaisher", "custom"])
+    def test_fd_fallback_over_a_node_array(self, amp, k):
+        zs = np.linspace(0.3, 3.1, 11)
+        loop = np.array([fd.derivative(lambda u: amp(complex(u)), float(z), k,
+                                       h0=0.05 * (k + 1), levels=4) for z in zs])
+        got = amplitude_derivative(amp, k, zs)
+        assert got.shape == zs.shape
+        assert np.max(np.abs(got - loop)) <= 1e-15 * np.max(np.abs(loop))
+
 
 class TestPsi:
     def test_trivial_values(self):
@@ -197,6 +209,22 @@ class TestTransforms:
         with pytest.raises(NonConvergenceError):
             transform(amp, np.array([0.5, 1.0]))
 
+    @pytest.mark.parametrize("transform,parity,fn", [
+        (fourier_cosine_transform, "even", lambda z: np.exp(-z**2)),
+        (fourier_sine_transform, "odd", lambda z: z * np.exp(-z**2))])
+    def test_quadrature_fallback_is_one_panel_set(self, monkeypatch, transform, parity, fn):
+        amp = Amplitude.custom(fn, parity=parity,
+                               decay=DecayBound(rate=0.5, power=2.0, scale=2.0))
+        ws = np.linspace(0.0, 6.0, 13)
+        scalar = [transform(amp, float(w)) for w in ws]
+        real = wavepacket.integrate_decaying
+        calls = []
+        monkeypatch.setattr(wavepacket, "integrate_decaying",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        got = transform(amp, ws)
+        assert len(calls) == 1
+        assert np.all(np.abs(got - scalar) <= 1e-11)
+
     def test_quadrature_fallback_even_custom(self):
         amp = Amplitude.custom(lambda z: np.exp(-np.asarray(z) ** 4), parity="even",
                                decay=DecayBound(rate=0.5, power=2.0, scale=2.0))
@@ -252,6 +280,17 @@ class TestPsiXDerivative:
             psi_x_derivative(Amplitude.gaussian(1.0, z0=1.0), 2, 0.0, 0.0)
 
 
+class _OddGaussian(Amplitude):
+    """z e^{-z^2}, declaring the bound of its sine transform (sqrt(pi)/4) w e^{-w^2/4}."""
+
+    parity = "odd"
+    decay = DecayBound(rate=0.5, power=2.0, scale=2.0)
+    transform_decay = DecayBound(rate=0.25, scale=SQRT_PI / 4).times_poly(1)
+
+    def __call__(self, z):
+        return z * np.exp(-np.asarray(z) ** 2)
+
+
 class TestParseval:
     @pytest.mark.parametrize("n", [0, 2])
     @pytest.mark.parametrize("ampname", ["gauss", "sech"])
@@ -290,9 +329,23 @@ class TestParseval:
         with pytest.raises(NonConvergenceError):
             parseval_transformed_derivative(Amplitude.gaussian(1.0), 0, 0.5, 0.4)
 
+    def test_within_its_estimate_at_a_narrow_sech(self):
+        # at m = 2 and real tau the kernel bound grows like delta^{-5/2}; a
+        # smaller constant truncates the outer integral too early
+        amp = Amplitude.sech(0.7)
+        lhs = parseval_transformed_derivative(amp, 4, 1.0, 1.0)
+        rhs = psi_x_derivative(amp, 4, 1.0, 1.0)
+        assert abs(lhs.psi - rhs.psi) <= lhs.error_estimate + rhs.error_estimate
+
+    def test_custom_declares_no_transform_bound(self):
+        # a declared decay of phi, loose or not, bounds nothing about its transform
+        amp = Amplitude.custom(lambda z: np.exp(-z**2), parity="even",
+                               decay=DecayBound(rate=0.25, power=2.0, scale=1.0))
+        with pytest.raises(UnsupportedMethodError):
+            parseval_transformed_derivative(amp, 2, 1.0, 0.5 - 0.3j)
+
     def test_odd_amplitude_sine_parseval(self):
-        amp = Amplitude.custom(lambda z: z * np.exp(-z**2), parity="odd",
-                               decay=DecayBound(rate=0.5, power=2.0, scale=2.0))
+        amp = _OddGaussian()
         lhs = parseval_transformed_derivative(amp, 0, 0.9, 0.5 - 0.3j)
         rhs = psi_x_derivative(amp, 0, 0.9, 0.5 - 0.3j, tol=1e-11)
         assert abs(lhs.psi - rhs.psi) <= 1e-7 * max(1.0, abs(rhs.psi))
@@ -317,6 +370,14 @@ class TestSelfReciprocal:
     def test_calibration_lands_on_sqrt_pi_over_2(self):
         s = calibrate_self_reciprocal_scale()
         assert abs(s - math.sqrt(math.pi / 2)) < 1e-7
+
+    def test_calibrates_once(self, monkeypatch):
+        real = wavepacket.calibrate_self_reciprocal_scale
+        calls = []
+        monkeypatch.setattr(wavepacket, "calibrate_self_reciprocal_scale",
+                            lambda: calls.append(1) or real())
+        assert self_reciprocal_scaled_sech() == self_reciprocal_scaled_sech()
+        assert len(calls) <= 1
 
     def test_ratio_is_one_for_calibrated_amplitude(self):
         amp = self_reciprocal_scaled_sech()

@@ -254,6 +254,17 @@ class TestZetaFromLattice:
         assert abs(right - zeta_half_reference(1)) <= 1e-10
         assert abs(wrong - zeta_half_reference(1)) > 0.1
 
+    @pytest.mark.parametrize("stat", ["bose", "fermi"])
+    def test_correction_stops_at_the_round_off_floor(self, monkeypatch, stat):
+        # from k = 4 (bose) or 5 (fermi) on, the m = 1 transforms are below
+        # the round-off of the lattice sum, so the sum stops before its 8th
+        name = f"{stat}_moment_transform"
+        real = getattr(zeta, name)
+        calls = []
+        monkeypatch.setattr(zeta, name, lambda m, a: calls.append(a) or real(m, a))
+        poisson_correction_sum(1, stat)
+        assert len(calls) < 8
+
     def test_values_pinned(self):
         for stat, values in ZETA_LATTICE_PINNED.items():
             for m, frozen in enumerate(values, start=1):
