@@ -61,6 +61,11 @@ def sum_to_smallest_term(prefactor: float, terms, N: int, grow_from: int = 1) ->
     n = grow_from on) larger than its predecessor: optimal truncation of an
     asymptotic series.  The tail estimate is the first omitted term; growth
     above the rounding floor sets `diverging`.
+
+    Use it for divergent asymptotic series, where the error is smallest at
+    the smallest term and summing on makes it worse.  Convergent alternating
+    series belong to `zeta.alternating_series_cvz`, which accelerates them
+    instead of truncating.
     """
     acc = 0j
     last_mag = math.inf

@@ -217,6 +217,14 @@ def parseval_transformed_derivative(amp: Amplitude, n: int, x, t,
     int_0^inf e^{-Re(s) z^2} z^{2m} dz = Gamma(m+1/2) / (2 Re(s)^{m+1/2}); that
     constant times the declared `transform_decay` (else UnsupportedMethodError)
     bounds the outer integrand, and grows at real tau as delta = Re(s) falls.
+
+    Resolution: F(x -+ w) carries e^{-q (x -+ w)^2} with q = 1/(4s), a
+    Gaussian peak of width 1/sqrt(Re q) at w = +-x (2 sqrt(delta) at tau = 0)
+    under the phase -Im(q) (x -+ w)^2, whose frequency in w is
+    2 |Im q| |x -+ w| <= 2 |Im q| (|x| + w).  The outer quadrature takes
+    2 |Im q| (|x| + w) + sqrt(Re q) as its oscillation frequency, so its
+    starting panels are no wider than a few peak widths and cannot step over
+    the peak.
     """
     even, pref = _derivative_form(amp, n)
     tdec = amp.transform_decay
@@ -234,8 +242,11 @@ def parseval_transformed_derivative(amp: Amplitude, n: int, x, t,
             return transform(amp, w) * t_m
 
         kernel = math.gamma(m + 0.5) / (2.0 * s.real ** (m + 0.5))
+        q = 1.0 / (4.0 * s)
         return integrate_decaying(f, (0.0, math.inf), tol=tol / 4.0,
-                                  decay=tdec.times_const(kernel))
+                                  decay=tdec.times_const(kernel),
+                                  osc_freq=lambda w: (2.0 * abs(q.imag) * (abs(x) + w)
+                                                      + math.sqrt(q.real)))
 
     if tau.imag < -1e-12:
         r = outer(1j * tau)
@@ -439,7 +450,10 @@ def position_norm_squared(amp: Amplitude, t: complex, cfg: PhysicalConfig = NATU
     "closed" (the "auto" choice for the Gaussian) evaluates the closed form
     node by node, "quadrature" (the "auto" choice otherwise) takes one batched
     quadrature over the whole grid (each node within tol), and the series
-    methods evaluate psi node by node.
+    methods evaluate psi node by node.  The grid is evenly spaced, so the
+    batched oracle factors its exp(i z x) table in blocks of about sqrt(npts)
+    columns (`quadrature.psi_oracle`): each node's psi is taken at a point
+    within a few ulps of max |x| of the grid point.
     """
     npts = 2 * int(half_width / step) + 1
     xs = np.linspace(-half_width, half_width, npts)

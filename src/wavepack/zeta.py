@@ -80,7 +80,15 @@ _CVZ_K = np.arange(32.0)
 def alternating_series_cvz(terms) -> np.ndarray:
     """sum_{k>=0} (-1)^k a_k from terms[..., k] = a_k, k < 32, one sum per row;
     added in order (a BLAS dot product of these sign-alternating products lost
-    up to 8.7e-15 relative, against 3.0e-15 in order)."""
+    up to 8.7e-15 relative, against 3.0e-15 in order).
+
+    Use it for convergent alternating series whose terms are totally monotone
+    (moments of a positive measure on [0, 1]); that is where the weights'
+    error bound holds.  Terms that rise before they fall need the full
+    n = 32: the ROADMAP item 3 table has n = 24 off by 5.0e-12 on the
+    Glaisher terms at x = 0.05 and n = 32 within 1.4e-16.  Divergent
+    asymptotic series belong to `foundation.sum_to_smallest_term` instead.
+    """
     return np.cumsum(np.asarray(terms) * _CVZ_WEIGHTS, axis=-1)[..., -1]
 
 

@@ -12,7 +12,7 @@ from wavepack.closedform import f_cosine_moment
 from wavepack.errors import DomainError, NonConvergenceError
 from wavepack.quadrature import (DecayBound, integrate_decaying, integrate_interval,
                                  integrate_oscillatory_regularized,
-                                 neville_extrapolate, psi_oracle)
+                                 neville_extrapolate, packet_decay, psi_oracle)
 from wavepack.wavepacket import Amplitude, position_norm_squared, psi
 
 SQRT_PI = math.sqrt(math.pi)
@@ -286,19 +286,81 @@ _BATCH_CASES = [
     ("glaisher/damped", Amplitude.glaisher(), 0.8 - 0.3j),
 ]
 
+_EVEN_X = np.linspace(-3.0, 3.0, 10)
+# (label, amplitude, tau, evaluations on linspace(-20, 20, 401) at tol 1e-8)
+_GRID_CASES = [
+    ("sech/real", Amplitude.sech(1.5), 0.55, 2280),
+    ("sech-shift/damped", Amplitude.sech(1.5, -0.4), 0.55 - 0.15j, 1740),
+    ("glaisher/damped", Amplitude.glaisher(), 0.55 - 0.2j, 1170),
+]
+
+
+def _direct_table_psi(amp, xs, tau, tol):
+    """psi_oracle over an x-array with the unfactored table exp(i z x_k):
+    one complex exponential per node and x."""
+    tau = complex(tau)
+
+    def f(z):
+        zz = np.asarray(z, dtype=complex)
+        head = np.asarray(amp(zz), dtype=complex) * np.exp(-1j * tau * zz * zz)
+        return head[:, None] * np.exp(1j * np.multiply.outer(zz, xs))
+
+    def osc(z):
+        drift = 2.0 * tau.real * z
+        return max(abs(xs.min() - drift), abs(xs.max() - drift)) + 2.0 * abs(tau.imag) * abs(z)
+
+    return integrate_decaying(f, domain=(-math.inf, math.inf), tol=tol,
+                              decay=packet_decay(amp, tau, tol / 10.0), osc_freq=osc)
+
 
 class TestBatchedPsi:
     @pytest.mark.parametrize("label,amp,tau", _BATCH_CASES, ids=[c[0] for c in _BATCH_CASES])
     def test_array_x_matches_scalar_calls(self, label, amp, tau):
         tol = 1e-9
-        r = psi_oracle(amp, _BATCH_X, tau, tol=tol)
-        vals, errs = _columns(r)
-        assert r.converged and vals.shape == _BATCH_X.shape
-        assert np.all(errs <= tol)
-        for x, v, e in zip(_BATCH_X, vals, errs):
-            s = psi_oracle(amp, float(x), tau, tol=tol)
-            assert s.converged
-            assert abs(v - s.value) <= e + s.abs_error_estimate
+        for xs in (_BATCH_X, _EVEN_X):
+            r = psi_oracle(amp, xs, tau, tol=tol)
+            vals, errs = _columns(r)
+            assert r.converged and vals.shape == xs.shape
+            assert np.all(errs <= tol)
+            for x, v, e in zip(xs, vals, errs):
+                s = psi_oracle(amp, float(x), tau, tol=tol)
+                assert s.converged
+                assert abs(v - s.value) <= e + s.abs_error_estimate
+
+    @pytest.mark.parametrize("label,amp,tau,evaluations", _GRID_CASES,
+                             ids=[c[0] for c in _GRID_CASES])
+    def test_factored_table_matches_the_direct_one(self, label, amp, tau, evaluations):
+        # the deterministic counts are pinned: a change to refinement fails here
+        xs = np.linspace(-20.0, 20.0, 401)
+        assert quadrature._phase_block(xs)[0] == 20
+        r = psi_oracle(amp, xs, tau, tol=1e-8)
+        ref = _direct_table_psi(amp, xs, tau, tol=1e-8)
+        assert r.converged and r.evaluations == ref.evaluations == evaluations
+        assert np.max(np.abs(r.value - ref.value)) <= 1e-13 * np.max(np.abs(ref.value))
+
+    @pytest.mark.parametrize("xs", [np.array([0.7]), np.linspace(-1.0, 2.0, 2),
+                                    np.linspace(-1.0, 2.0, 3), np.linspace(-8.0, 8.0, 400),
+                                    np.linspace(-8.0, 8.0, 401), np.linspace(6.0, -4.0, 57)],
+                             ids=["n1", "n2", "n3", "n400", "n401", "descending"])
+    def test_factored_table_edge_sizes(self, xs):
+        amp, tau = Amplitude.sech(1.1, -0.5), 0.6 - 0.2j
+        block = quadrature._phase_block(xs)[0]
+        assert block == (1 if xs.size < 3 else round(math.sqrt(xs.size)))
+        r = psi_oracle(amp, xs, tau, tol=1e-9)
+        ref = _direct_table_psi(amp, xs, tau, tol=1e-9)
+        assert r.converged and r.evaluations == ref.evaluations
+        assert np.max(np.abs(r.value - ref.value)) <= 1e-13 * np.max(np.abs(ref.value))
+
+    def test_uneven_grid_keeps_the_direct_table_bitwise(self):
+        xs = np.linspace(-20.0, 20.0, 401)
+        xs[137] += 1e-9
+        assert quadrature._phase_block(xs) == (1, 0.0)
+        amp, tau = Amplitude.sech(1.5), 0.55
+        r = psi_oracle(amp, xs, tau, tol=1e-8)
+        ref = _direct_table_psi(amp, xs, tau, tol=1e-8)
+        assert r.evaluations == ref.evaluations
+        assert np.array_equal(r.value, ref.value)
+        assert np.array_equal(r.abs_error_estimate, ref.abs_error_estimate)
 
     def test_regularized_path_array_x(self):
         # decay=None at real tau takes the Gaussian-regularized path

@@ -137,7 +137,7 @@ def test_parseval_bound_dominates_its_integrand(m, x, tau_re, damping, parity):
                {"parity": parity, "transform_decay": DecayBound(rate=1.0, power=1.0)})()
     seen = []
 
-    def capture(f, domain, tol, decay):
+    def capture(f, domain, tol, decay, osc_freq=None):
         seen.append((f, decay))
         return QuadratureResult(0j, 0.0, 0, True)
 

@@ -337,6 +337,29 @@ class TestParseval:
         rhs = psi_x_derivative(amp, 4, 1.0, 1.0)
         assert abs(lhs.psi - rhs.psi) <= lhs.error_estimate + rhs.error_estimate
 
+    def test_outer_panels_resolve_the_kernel_peak_at_tau_zero(self):
+        # at tau = 0 the kernel is a peak of width ~sqrt(delta) at w = x; eight
+        # unresolved starting panels stepped over it at the smallest strengths
+        amp = Amplitude.sech(math.pi / 2)
+        lhs = parseval_transformed_derivative(amp, 0, 2.0, 0.0)
+        rhs = psi_x_derivative(amp, 0, 2.0, 0.0, tol=1e-11)
+        assert abs(lhs.psi - rhs.psi) <= lhs.error_estimate + rhs.error_estimate
+        assert abs(lhs.psi - rhs.psi) <= 1e-11
+
+    def test_unsettled_limit_raises_without_spending_the_budget(self, monkeypatch):
+        real = wavepacket.integrate_decaying
+        evaluations = []
+
+        def counted(*args, **kwargs):
+            r = real(*args, **kwargs)
+            evaluations.append(r.evaluations)
+            return r
+
+        monkeypatch.setattr(wavepacket, "integrate_decaying", counted)
+        with pytest.raises(NonConvergenceError):
+            parseval_transformed_derivative(Amplitude.gaussian(1.0), 4, 2.0, 0.0)
+        assert sum(evaluations) < 100_000
+
     def test_custom_declares_no_transform_bound(self):
         # a declared decay of phi, loose or not, bounds nothing about its transform
         amp = Amplitude.custom(lambda z: np.exp(-z**2), parity="even",
