@@ -74,7 +74,7 @@ def ibp_expansion(derivs, a: float, b: float, x: float, n: int,
         zz = np.asarray(z, dtype=float)
         return np.asarray(derivs(n, zz), dtype=complex) * np.exp(1j * x * zz)
 
-    r = integrate_interval(f, a, b, tol=tol, osc_freq=lambda z: abs(x))
+    r = integrate_interval(f, a, b, tol=tol, osc_freq=abs(x))
     remainder = (1j / x) ** n * r.value
     return IbpExpansion(boundary_terms=tuple(terms), remainder=remainder, order=n)
 
@@ -171,12 +171,25 @@ def calibrate_glaisher_quartic_phase(x: float = 1.0, sigma: float = 0.01) -> flo
     return _bisect_increasing(model, ref, 0.0, 2.0)
 
 
+# The Glaisher kernel's frequency allowance 0.3/sqrt(max(z, 0.01)) on z >= 0,
+# as a convex majorant: the chords of the convex 0.3/sqrt(z) between the nodes
+# z = 0.01 4^j, j = 0..5 (each lies above it between its nodes), and its value
+# at the last node.
+_GLAISHER_NODES = [(z, 0.3 / math.sqrt(z)) for z in (0.01 * 4.0**j for j in range(6))]
+_GLAISHER_CHORDS = tuple(
+    (g0 - (g1 - g0) / (z1 - z0) * z0, (g1 - g0) / (z1 - z0))
+    for (z0, g0), (z1, g1) in zip(_GLAISHER_NODES, _GLAISHER_NODES[1:])) + ((_GLAISHER_NODES[-1][1], 0.0),)
+
+
 def glaisher_theta_integral(x: float, tol: float = 1e-9):
     """The Glaisher transform pair: (integral, series) for int_0^inf K cos(xz) dz.
 
     The integral side is evaluated by the oracle (the corrected kernel decays
     like exp(-c sqrt(z)), so the decaying path applies; the regularized path
-    reproduces it and is exercised in the tests).  The series side is G(x).
+    reproduces it and is exercised in the tests).  Its panels are sized by
+    |x| + 0.3/sqrt(max(z, 0.01)), declared through the convex majorant
+    `_GLAISHER_CHORDS`: the chords of 0.3/sqrt(z) between z = 0.01 4^j,
+    j = 0..5, and the constant at the last node.  The series side is G(x).
     The printed pair carries a spurious 1/2 on the integral; the reconciled
     pair has none (ledgered).
     """
@@ -189,7 +202,7 @@ def glaisher_theta_integral(x: float, tol: float = 1e-9):
         return np.asarray(amp(zz), dtype=complex) * np.cos(x * zz)
 
     r = integrate_decaying(f, (0.0, math.inf), tol=tol, decay=amp.decay,
-                           osc_freq=lambda z: abs(x) + 0.3 / math.sqrt(max(abs(z), 1e-2)))
+                           osc_freq=[(abs(x) + c, s) for c, s in _GLAISHER_CHORDS])
     series = glaisher_series_g(x)
     return r, series
 

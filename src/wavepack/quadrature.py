@@ -49,8 +49,11 @@ _GAUSS_IDX = slice(1, 15, 2)   # the G7 nodes among the K15 ones; a slice, so no
 
 DEFAULT_BUDGET = 2_000_000
 # Panels are pre-split until a 15-node panel spans at most 15/8 oscillation
-# periods, i.e. at least 8 nodes per period of the local phase.
-_NODES_PER_PERIOD = 8.0
+# periods, i.e. at least 8 nodes per period of the local phase: a panel of
+# width w is short enough where w omega <= _PANEL_PHASE.  Every presplit has
+# at least 2**_MIN_DEPTH = 8 panels.
+_PANEL_PHASE = (15.0 / 8.0) * 2.0 * math.pi
+_MIN_DEPTH = 3
 # One integrand call holds at most this many node x column cells (136 scalar
 # panels): a wider call saves no more numpy overhead, only adds temporaries,
 # and a wide vector integrand is fastest one panel per call.
@@ -159,13 +162,24 @@ class DecayBound:
         return self.scale * a * self.rate ** (-a) * _upper_gamma(a, u)
 
     def truncation_point(self, eps: float) -> float:
-        """Smallest convenient T with tail_integral(T) <= eps."""
-        T = max(1.0, self.onset, (1.0 / self.rate) ** (1.0 / self.power))
-        for _ in range(400):
-            if self.tail_integral(T) <= eps:
-                return T
-            T *= 1.25
-        raise DomainError("decay bound too weak to truncate the tail")
+        """Smallest convenient T with tail_integral(T) <= eps.
+
+        T is the first rung of the ladder T_0 = max(1, onset, rate^(-1/power)),
+        T_{k+1} = 1.25 T_k, k < 400, whose tail is within eps; the tail falls
+        along the ladder, so the rung is found by galloping, then bisection.
+        """
+        ladder = [max(1.0, self.onset, (1.0 / self.rate) ** (1.0 / self.power))]
+
+        def beyond(k):
+            # tail_integral(T_k) > eps, building the ladder up to rung k
+            while len(ladder) <= k:
+                ladder.append(ladder[-1] * 1.25)
+            return not self.tail_integral(ladder[k]) <= eps
+
+        k = _first_false(beyond, 0, 400)
+        if k == 400:
+            raise DomainError("decay bound too weak to truncate the tail")
+        return ladder[k]
 
     def times_const(self, c: float) -> "DecayBound":
         """A bound on c > 0 times this bound."""
@@ -263,28 +277,131 @@ def _eval_panels(f, spans, cols: int = 0):
     return vals, errs, keys or errs, cols
 
 
-def _presplit(a: float, b: float, osc_freq, max_panels: int, min_panels: int = 8):
-    """Split [a, b] so each 15-node panel spans <= 15/8 periods of the local phase.
+def _freq_bound(osc_freq):
+    """(flat, rising, falling) of a declared frequency bound: its largest
+    constant (at least 0) and its lines of positive and of negative slope."""
+    flat, rising, falling = 0.0, [], []
+    if osc_freq is None:
+        return flat, rising, falling
+    if isinstance(osc_freq, (tuple, list)):
+        lines = osc_freq
+    elif callable(osc_freq):
+        raise TypeError("osc_freq is declared, not called: give None, a constant, or "
+                        "(intercept, slope) lines whose maximum bounds the local phase frequency")
+    else:
+        lines = ((osc_freq, 0.0),)
+    for c, s in lines:
+        if not (math.isfinite(c) and math.isfinite(s)):
+            raise DomainError("a frequency bound line must be finite")
+        if s > 0.0:
+            rising.append((c, s))
+        elif s < 0.0:
+            falling.append((c, s))
+        elif c > flat:
+            flat = c
+    return flat, rising, falling
 
-    A minimum panel count guards against the single-panel deception where the
-    Gauss and Kronrod values agree by accident on an under-resolved integrand.
-    """
-    out = []
-    base_w = (b - a) / max(min_panels, 1)
-    stack = [(a, b)]
-    width_floor = (b - a) / max(max_panels, 1)
-    while stack:
-        lo, hi = stack.pop()
-        mid = 0.5 * (lo + hi)
-        omega = float(osc_freq(mid)) if osc_freq is not None else 0.0
-        max_w = (15.0 / _NODES_PER_PERIOD) * 2.0 * math.pi / omega if omega > 0 else base_w
-        max_w = min(max_w, base_w)
-        if hi - lo > max_w and hi - lo > width_floor and len(out) + len(stack) < max_panels:
-            stack.append((lo, mid))
-            stack.append((mid, hi))
+
+def _first_false(holds, k: int, n: int) -> int:
+    """First j in range(n) where `holds` fails (n if none), for `holds` true
+    on a prefix of range(n): galloping out from the guess k, then bisection.
+    A right guess costs two calls."""
+    k = min(max(k, 0), n)
+    step = 1
+    if k < n and holds(k):
+        lo = k
+        while lo + step < n and holds(lo + step):
+            lo, step = lo + step, 2 * step
+        hi = min(lo + step, n)
+    else:
+        hi = k
+        while hi - step >= 0 and not holds(hi - step):
+            hi, step = hi - step, 2 * step
+        lo = max(hi - step, -1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            lo = mid
         else:
-            out.append((lo, hi))
-    out.sort()
+            hi = mid
+    return hi
+
+
+def _presplit(a: float, b: float, osc_freq, max_panels: int):
+    """Dyadic panels of [a, b], each spanning <= 15/8 periods of the local phase.
+
+    `osc_freq` declares a convex majorant of the local phase frequency: None
+    (no oscillation), a constant, or (intercept, slope) lines, with
+    omega(z) = max(0, c_i + s_i z).  At depth d the cells have width
+    w = (b - a)/2^d and midpoints m_k = a + (k + 1/2) w.  From depth 3 on
+    (at least 8 panels, against the single-panel deception where Gauss and
+    Kronrod agree by accident) cell k is a leaf iff not (w > K/omega(m_k)),
+    K = (15/8) 2 pi, and every other cell is halved.  As omega is convex, a
+    depth's leaves are the cells where omega <= K/w: one index range, found
+    from the lines in closed form and confirmed by the lines at its two ends, so
+    a depth costs O(lines) whatever its panel count.  Where the full split
+    would exceed max_panels it stops at the deepest depth whose panels fit.
+    """
+    flat, rising, falling = _freq_bound(osc_freq)
+
+    def leaf(lines, k):
+        # the leaf test of cell k at width w, on the lines' maximum at m_k
+        m = a + (k + 0.5) * w
+        v = max([c + s * m for c, s in lines])
+        return v <= 0.0 or not (w > _PANEL_PHASE / v)
+
+    d = min(_MIN_DEPTH, max(max_panels, 1).bit_length() - 1)
+    n = 1 << d
+    runs_lo, runs_hi = [], []     # leaf runs (depth, first, stop), shallowest first
+    count = 0
+    live_lo = live_hi = n         # live cells of this depth: [0, live_lo) and [live_hi, n)
+    while d >= _MIN_DEPTH:
+        w = math.ldexp(b - a, -d)
+        t = _PANEL_PHASE / w
+        keep_lo, keep_hi = live_lo, live_hi   # cells halved: [0, keep_lo) and [keep_hi, n)
+        if flat <= 0.0 or not (w > _PANEL_PHASE / flat):
+            # the leaves are the cells [first, stop) where no rising and no
+            # falling line exceeds K/w; each end from the lines' crossings of t
+            gap = live_lo < live_hi
+            first, stop = 0, n
+            if rising and (live_hi < n or not gap):
+                x = (min([(t - c) / s for c, s in rising]) - a) / w - 0.5
+                stop = _first_false(lambda k: leaf(rising, k),
+                                    n if not x < n else 0 if not x >= 0 else int(x) + 1, n)
+            if falling and live_lo > 0:
+                y = (max([(t - c) / s for c, s in falling]) - a) / w - 0.5
+                first = _first_false(lambda k: not leaf(falling, k),
+                                     0 if not y > 0 else n if not y < n else math.ceil(y), n)
+            if gap:
+                # the gap holds an earlier leaf, so the live cells left of it
+                # pass every rising line and those right of it every falling one
+                keep_lo, keep_hi = min(live_lo, first), max(live_hi, stop)
+            elif first < stop:
+                keep_lo, keep_hi = first, stop
+        split = keep_lo + n - keep_hi
+        leaves = (live_lo - keep_lo) + (keep_hi - live_hi)
+        if split == 0 or count + leaves + 2 * split > max_panels:
+            break
+        if live_lo == live_hi:
+            runs_lo.append((d, keep_lo, keep_hi))
+        else:
+            runs_lo.append((d, keep_lo, live_lo))
+            runs_hi.append((d, live_hi, keep_hi))
+        count += leaves
+        live_lo, live_hi, n, d = 2 * keep_lo, 2 * keep_hi, 2 * n, d + 1
+    # the live cells of the last depth are leaves
+    runs_lo.append((d, 0, live_lo))
+    runs_hi.append((d, live_hi, n))
+    out = []
+    for d, first, stop in runs_lo[::-1] + runs_hi:
+        if first < stop:
+            w = math.ldexp(b - a, -d)
+            ends = [a + j * w for j in range(first, stop + 1)]
+            if first == 0:
+                ends[0] = a
+            if stop == 1 << d:
+                ends[-1] = b
+            out += zip(ends, ends[1:])
     return out
 
 
@@ -314,6 +431,13 @@ def integrate_interval(f, a: float, b: float, tol: float = 1e-10,
     every child of a generation is evaluated in one call.  Panels are refined
     worst column first until every column's error is <= tol.  `evaluations`
     counts z-nodes, 15 per panel, whatever m is.
+
+    `osc_freq` declares a convex majorant omega(z) of the local phase
+    frequency of f: None (no oscillation), a constant, or a sequence of
+    (intercept, slope) lines with omega(z) = max(0, c_i + s_i z); a callable
+    is a TypeError.  `_presplit` sizes the starting panels from it in closed
+    form, so an omega below the true frequency leaves more to refinement and
+    one above it costs more starting panels.
     """
     if not (b > a):
         raise DomainError("empty or inverted interval")
@@ -371,7 +495,9 @@ def integrate_decaying(f, domain=(0.0, math.inf), tol: float = 1e-10,
     set covers [0, T] or [-T, T] with the whole budget and a tolerance of
     max(tol - tails, tol/2, 1e-13).  The tails (one per side) are folded into
     the error estimate.  On the line the first bisection falls at exactly 0,
-    so z = 0 stays a panel boundary.
+    so z = 0 stays a panel boundary.  `osc_freq` declares a convex majorant of
+    the local phase frequency over the truncated range, in the form
+    `integrate_interval` takes.
     """
     lo, hi = domain
     if hi != math.inf or lo not in (0.0, -math.inf):
@@ -448,7 +574,9 @@ def integrate_oscillatory_regularized(f, tol: float = 1e-8, domain=(0.0, math.in
     budget (at least 30,000 evaluations) and tol/20 (at least 2e-13); its tail
     bound takes 1.5 max |f| on a coarse grid over [0, 40] (mirrored on the
     line) as the scale of the bounded integrand.  A vector-valued f is
-    extrapolated column by column.
+    extrapolated column by column.  `osc_freq` declares a convex majorant of
+    the local phase frequency of f, in the form `integrate_interval` takes;
+    the damping adds no oscillation.
     """
     zs = np.linspace(0.0, 40.0, 401)
     if domain[0] == -math.inf:
@@ -512,6 +640,11 @@ def psi_oracle(amp, x, tau, tol: float = 1e-10,
     from the stored x_k by at most the spacing test's few ulps of max |x|,
     the same order as the rounding of the direct product z x_k.  Any other
     x (B = 1) gets the direct table, bitwise as before.
+
+    The panels are sized by the local phase frequency of the chirp,
+    |x - 2 Re(tau) z| + 2 |Im tau| |z|, at its worst over [x_lo, x_hi], the
+    range of x.  That is convex and piecewise linear in z, exactly the
+    maximum of four lines, which the oracle declares as its `osc_freq`.
     """
     tau = complex(tau)
     if tau.imag > 1e-12:
@@ -543,11 +676,9 @@ def psi_oracle(amp, x, tau, tol: float = 1e-10,
             zz = np.asarray(z, dtype=complex)
             return np.asarray(amp(zz), dtype=complex) * np.exp(1j * zz * x - 1j * tau * zz * zz)
 
-    def osc(z):
-        # local phase frequency |x - 2 Re(tau) z|, worst case over [x_lo, x_hi]
-        drift = 2.0 * tau.real * z
-        return max(abs(x_lo - drift), abs(x_hi - drift)) + 2.0 * abs(tau.imag) * abs(z)
-
+    # max(x_hi - 2 Re(tau) z, 2 Re(tau) z - x_lo) + 2 |Im tau| |z|, as lines
+    drift, damp = 2.0 * tau.real, 2.0 * abs(tau.imag)
+    osc = ((x_hi, damp - drift), (x_hi, -damp - drift), (-x_lo, drift + damp), (-x_lo, drift - damp))
     eff = packet_decay(amp, tau, tol / 10.0, grow)
     if eff is not None:
         return integrate_decaying(f, domain=(-math.inf, math.inf), tol=tol,

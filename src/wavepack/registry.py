@@ -110,8 +110,8 @@ def _trig_oracle(n, a, b, x, which):
     grow = abs(complex(a).imag) + abs(complex(b).imag)
     bound = DecayBound(rate=complex(x).real).times_exp_growth(grow).times_poly(2 * n)
     r = integrate_decaying(f, (0.0, math.inf), tol=1e-11, decay=bound,
-                           osc_freq=lambda z: abs(complex(a).real) + abs(complex(b).real)
-                           + 2 * abs(complex(x).imag) * abs(z))
+                           osc_freq=((abs(complex(a).real) + abs(complex(b).real),
+                                      2 * abs(complex(x).imag)),))
     return _converged(r)
 
 
@@ -144,7 +144,7 @@ def _gr_oracle(a, beta, order, trig):
     bound = DecayBound(rate=a, power=2.0, scale=abs(hermite_eval(order, 1j)) * a ** (order / 2),
                        onset=1.0 / math.sqrt(a)).times_poly(order)
     return _converged(integrate_decaying(f, (0.0, math.inf), tol=1e-11, decay=bound,
-                                         osc_freq=lambda z: math.sqrt(2.0) * beta))
+                                         osc_freq=math.sqrt(2.0) * beta))
 
 
 @evaluator("gr_cos_vs_oracle")
@@ -283,7 +283,7 @@ def _ev_glaisher_reg(p):
         zz = np.asarray(z, dtype=float)
         return np.asarray(amp(zz), dtype=complex) * np.cos(x * zz)
 
-    r = integrate_oscillatory_regularized(f, tol=1e-7, osc_freq=lambda z: x)
+    r = integrate_oscillatory_regularized(f, tol=1e-7, osc_freq=x)
     return _converged(r), asymptotics.glaisher_series_g(x).value
 
 

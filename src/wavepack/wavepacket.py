@@ -136,7 +136,7 @@ def _halfline_moment_quadrature(amp: Amplitude, n: int, x, tau: complex,
     if base is None:
         raise DomainError("half-line moments need decay or Im(tau) < 0")
     r = integrate_decaying(f, (0.0, math.inf), tol=tol, decay=base.times_poly(n),
-                           osc_freq=lambda z: x_max + 2.0 * abs(tau) * abs(z))
+                           osc_freq=((x_max, 2.0 * abs(tau)),))
     if not r.converged:
         raise NonConvergenceError(f"half-line quadrature did not converge: {r}")
     return r
@@ -245,8 +245,8 @@ def parseval_transformed_derivative(amp: Amplitude, n: int, x, t,
         q = 1.0 / (4.0 * s)
         return integrate_decaying(f, (0.0, math.inf), tol=tol / 4.0,
                                   decay=tdec.times_const(kernel),
-                                  osc_freq=lambda w: (2.0 * abs(q.imag) * (abs(x) + w)
-                                                      + math.sqrt(q.real)))
+                                  osc_freq=((2.0 * abs(q.imag) * abs(x) + math.sqrt(q.real),
+                                             2.0 * abs(q.imag)),))
 
     if tau.imag < -1e-12:
         r = outer(1j * tau)
@@ -409,7 +409,7 @@ def hermite_weighted_expansion(amp: Amplitude, n: int, x, t,
     base = packet_decay(amp, tau, tol / 10.0)
     eff = base.times_const((1.0 + abs(rt)) ** n * 4.0**n).times_poly(n)
     r = integrate_decaying(f, (-math.inf, math.inf), tol=tol, decay=eff,
-                           osc_freq=lambda z: abs(x) + 2.0 * abs(tau) * abs(z))
+                           osc_freq=((abs(x), 2.0 * abs(tau)), (abs(x), -2.0 * abs(tau))))
     if not r.converged:
         raise NonConvergenceError(f"expansion quadrature did not converge: {r}")
     val = (1j / x) ** n * r.value

@@ -177,7 +177,7 @@ def glaisher_alternating_gaussian(b: float, tol: float = 1e-11):
 
     integral = integrate_decaying(f, (0.0, math.inf), tol=tol,
                                   decay=DecayBound(rate=1.0, power=2.0, scale=2.0 / SQRT_PI),
-                                  osc_freq=lambda z: 2.0 * abs(b))
+                                  osc_freq=2.0 * abs(b))
     return glaisher_alternating_series(b), integral
 
 
@@ -343,7 +343,7 @@ def poisson_cosine_check(f, K: int, N: int, f0: float, decay: DecayBound,
         wk = 2.0 * math.pi * k
         r = integrate_decaying(lambda z: np.asarray(f(z), dtype=complex) * np.cos(wk * np.asarray(z)),
                                (0.0, math.inf), tol=tol, decay=decay,
-                               osc_freq=lambda z: wk)
+                               osc_freq=wk)
         right += 2.0 * r.value.real
         converged = converged and r.converged
     if not converged:

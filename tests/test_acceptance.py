@@ -55,8 +55,8 @@ def _trig_oracle(n, a, b, x, which, tol=1e-11):
                        scale=4.0 * math.exp(grow * zstar) * max(zstar, 2.0) ** (2 * n),
                        onset=zstar)
     r = integrate_decaying(f, (0.0, math.inf), tol=tol, decay=bound,
-                           osc_freq=lambda z: abs(complex(a).real) + abs(complex(b).real)
-                           + 2 * abs(complex(x).imag) * abs(z))
+                           osc_freq=((abs(complex(a).real) + abs(complex(b).real),
+                                      2 * abs(complex(x).imag)),))
     assert r.converged
     return r.value
 
@@ -112,9 +112,9 @@ def test_criterion_02_hermite_transform_pair():
                 # absolute quadrature tolerance scaled to the value magnitude
                 tol = 1e-11 * max(1.0, abs(vc), abs(vs))
                 rc = integrate_decaying(fc, (0.0, math.inf), tol=tol, decay=bound,
-                                        osc_freq=lambda z: 2 * beta)
+                                        osc_freq=2 * beta)
                 rs = integrate_decaying(fs, (0.0, math.inf), tol=tol, decay=bound,
-                                        osc_freq=lambda z: 2 * beta)
+                                        osc_freq=2 * beta)
                 unconverged += (not rc.converged) + (not rs.converged)
                 worst = max(worst,
                             abs(vc - rc.value) / max(abs(vc), 1.0),
@@ -339,7 +339,7 @@ def test_criterion_16_error_honesty():
         r = integrate_decaying(f, (0.0, math.inf), tol=1e-10,
                                decay=DecayBound(rate=x / 2, power=2.0,
                                                 scale=4.0 * max(1.0, (2 * n / x) ** n)),
-                               osc_freq=lambda z: a)
+                               osc_freq=a)
         exact = f_cosine_moment(n, a, x)
         if abs(r.value - exact) > 3.0 * r.abs_error_estimate:
             bad += 1

@@ -22,7 +22,7 @@ def direct_oscillatory(derivs, a, b, x):
         zz = np.asarray(z, dtype=float)
         return np.asarray(derivs(0, zz), dtype=complex) * np.exp(1j * x * zz)
 
-    return integrate_interval(f, a, b, tol=1e-12, osc_freq=lambda z: abs(x)).value
+    return integrate_interval(f, a, b, tol=1e-12, osc_freq=abs(x)).value
 
 
 class TestIbpExpansion:

@@ -25,8 +25,8 @@ def oracle(n, a, b, x, which, tol=1e-11):
                        scale=4.0 * math.exp(grow * zstar) * max(zstar, 2.0) ** (2 * n),
                        onset=zstar)
     r = integrate_decaying(f, (0.0, math.inf), tol=tol, decay=bound,
-                           osc_freq=lambda z: abs(complex(a).real) + abs(complex(b).real)
-                           + 2 * abs(complex(x).imag) * abs(z))
+                           osc_freq=((abs(complex(a).real) + abs(complex(b).real),
+                                      2 * abs(complex(x).imag)),))
     assert r.converged
     return r.value
 

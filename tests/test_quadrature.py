@@ -37,6 +37,95 @@ class TestDecayBound:
         with pytest.raises(DomainError):
             DecayBound(rate=-1.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([0.5, 1.0, 2.0, 1.5]), st.floats(1e-3, 1e3), st.floats(1e-3, 1e6),
+           st.floats(1e-3, 50.0), st.floats(-16.0, -2.0))
+    def test_truncation_point_is_the_first_rung_within_eps(self, power, rate, scale, onset, lg):
+        d = DecayBound(rate=rate, power=power, scale=scale, onset=onset)
+        assert d.truncation_point(10.0**lg) == _linear_truncation_point(d, 10.0**lg)
+
+    def test_too_weak_a_bound_is_refused_after_400_rungs(self):
+        d = DecayBound(rate=1.0, power=0.01)
+        for search in (d.truncation_point, lambda eps: _linear_truncation_point(d, eps)):
+            with pytest.raises(DomainError):
+                search(1e-10)
+
+
+def _linear_truncation_point(d, eps):
+    """DecayBound.truncation_point as a scan of the ladder T *= 1.25, rung by rung."""
+    T = max(1.0, d.onset, (1.0 / d.rate) ** (1.0 / d.power))
+    for _ in range(400):
+        if d.tail_integral(T) <= eps:
+            return T
+        T *= 1.25
+    raise DomainError("decay bound too weak to truncate the tail")
+
+
+def _reference_presplit(a, b, lines, depth_cap=None):
+    """The presplit as a depth-first walk over integer cells (d, k): from
+    depth 3 on, cell k of depth d is a leaf iff not (w > K/omega(m_k)), with
+    w = (b - a)/2^d, m_k = a + (k + 1/2) w and omega the lines' maximum (at
+    least 0); any cell at depth_cap is a leaf too."""
+    K = (15.0 / 8.0) * 2.0 * math.pi
+
+    def omega(m):
+        return max([0.0] + [c + s * m for c, s in lines])
+
+    def point(d, j):
+        return a if j == 0 else b if j == 2**d else a + j * ((b - a) / 2**d)
+
+    out, stack = [], [(0, 0)]
+    while stack:
+        d, k = stack.pop()
+        w = (b - a) / 2**d
+        om = omega(a + (k + 0.5) * w)
+        if d == depth_cap or (d >= 3 and not (w > (math.inf if om == 0 else K / om))):
+            out.append((point(d, k), point(d, k + 1)))
+        else:
+            stack += [(d + 1, 2 * k + 1), (d + 1, 2 * k)]
+    return out
+
+
+@st.composite
+def _frequency_lines(draw):
+    """1-8 lines with slopes in +-[0, 50] and intercepts in [0, 100] on a random interval."""
+    line = st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 50.0), st.sampled_from([-1.0, 1.0]))
+    lines = draw(st.lists(line.map(lambda t: (t[0], t[1] * t[2])), min_size=1, max_size=8))
+    a = draw(st.floats(-30.0, 30.0))
+    return a, a + draw(st.floats(0.01, 30.0)), lines
+
+
+class TestPresplit:
+    @settings(max_examples=150, deadline=None)
+    @given(_frequency_lines())
+    def test_matches_the_depth_first_walk(self, problem):
+        a, b, lines = problem
+        ref = _reference_presplit(a, b, lines)
+        assert quadrature._presplit(a, b, lines, 10 * len(ref)) == ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(_frequency_lines(), st.floats(0.0, 1.0))
+    def test_a_binding_cap_stops_at_the_deepest_depth_that_fits(self, problem, share):
+        a, b, lines = problem
+        full = len(_reference_presplit(a, b, lines))
+        cap = max(1, int(share * full))
+        got = quadrature._presplit(a, b, lines, cap)
+        assert len(got) <= cap
+        depth = 0
+        while len(_reference_presplit(a, b, lines, depth + 1)) <= cap and depth < 60:
+            depth += 1
+        assert got == _reference_presplit(a, b, lines, depth)
+
+    def test_a_constant_frequency_gives_eight_panels(self):
+        # at this T a depth-3 panel's float width exceeds (b - a)/8 by an ulp,
+        # which a width-based split took for a panel to halve: 10 panels
+        T = 7.9367198736240265
+        assert len(quadrature._presplit(-T, T, 0.7417506162696119, 1000)) == 8
+
+    def test_a_callable_frequency_is_refused(self):
+        with pytest.raises(TypeError, match=r"\(intercept, slope\) lines"):
+            integrate_interval(lambda z: np.cos(np.asarray(z)), 0.0, 1.0, osc_freq=lambda z: 1.0)
+
 
 class TestIntegrateDecaying:
     def test_gaussian_halfline(self):
@@ -120,7 +209,7 @@ class TestErrorHonesty:
             r = integrate_decaying(f, (0.0, math.inf), tol=1e-10,
                                    decay=DecayBound(rate=x / 2, power=2.0,
                                                     scale=4.0 * max(1.0, (2 * n / x) ** n)),
-                                   osc_freq=lambda z: a)
+                                   osc_freq=a)
             exact = f_cosine_moment(n, a, x)
             if abs(r.value - exact) > 3 * r.abs_error_estimate:
                 bad += 1
@@ -159,7 +248,7 @@ class TestRegularized:
         # int_0^inf K(z) cos(z) dz = G(1) = 0.36750921182828...
         amp = Amplitude.glaisher()
         f = lambda z: np.asarray(amp(np.asarray(z, dtype=float)), dtype=complex) * np.cos(np.asarray(z))
-        r = integrate_oscillatory_regularized(f, tol=1e-8, osc_freq=lambda z: 1.0)
+        r = integrate_oscillatory_regularized(f, tol=1e-8, osc_freq=1.0)
         assert r.converged
         assert abs(r.value - 0.3675092118282790) <= 1e-8
 
@@ -305,9 +394,9 @@ def _direct_table_psi(amp, xs, tau, tol):
         head = np.asarray(amp(zz), dtype=complex) * np.exp(-1j * tau * zz * zz)
         return head[:, None] * np.exp(1j * np.multiply.outer(zz, xs))
 
-    def osc(z):
-        drift = 2.0 * tau.real * z
-        return max(abs(xs.min() - drift), abs(xs.max() - drift)) + 2.0 * abs(tau.imag) * abs(z)
+    drift, damp = 2.0 * tau.real, 2.0 * abs(tau.imag)
+    osc = ((xs.max(), damp - drift), (xs.max(), -damp - drift),
+           (-xs.min(), drift + damp), (-xs.min(), drift - damp))
 
     return integrate_decaying(f, domain=(-math.inf, math.inf), tol=tol,
                               decay=packet_decay(amp, tau, tol / 10.0), osc_freq=osc)
@@ -456,7 +545,7 @@ def _integration_problems(draw):
     tol = 10.0 ** draw(st.floats(-12.0, -6.0))
     budget = draw(st.one_of(st.integers(60, 600), st.integers(600, 20_000)))
     osc = draw(st.sampled_from([None, freq]))
-    return f, a, b, tol, budget, (None if osc is None else (lambda z: osc))
+    return f, a, b, tol, budget, osc
 
 
 def _same(x, y):
@@ -506,19 +595,19 @@ class TestCallShapes:
     @pytest.mark.parametrize("m", [None, 3, 40, 401])
     def test_calls_stay_within_the_cell_cap(self, m):
         f, sizes = _spy(m)
-        r = integrate_interval(f, -6.0, 6.0, tol=1e-11, osc_freq=lambda z: 40.0)
+        r = integrate_interval(f, -6.0, 6.0, tol=1e-11, osc_freq=40.0)
         assert r.converged and sum(sizes) == r.evaluations
         assert all(n % 15 == 0 for n in sizes)
         assert all(n == 15 or n * (m or 1) <= quadrature._CELL_CAP for n in sizes)
 
     def test_wide_integrand_gets_one_panel_per_call(self):
         f, sizes = _spy(401)
-        integrate_interval(f, -6.0, 6.0, tol=1e-11, osc_freq=lambda z: 40.0)
+        integrate_interval(f, -6.0, 6.0, tol=1e-11, osc_freq=40.0)
         assert len(sizes) > 1 and set(sizes) == {15}
 
     def test_presplit_panels_take_few_calls(self):
         f, sizes = _spy(None)
-        osc = lambda z: 100.0
+        osc = 100.0
         P = len(quadrature._presplit(-5.0, 5.0, osc, quadrature.DEFAULT_BUDGET // 15 // 2))
         assert P >= 100
         integrate_interval(f, -5.0, 5.0, tol=1e-11, osc_freq=osc)
@@ -532,6 +621,6 @@ class TestCallShapes:
     @pytest.mark.parametrize("m", [None, 40])
     def test_starved_budget(self, m):
         f, sizes = _spy(m)
-        r = integrate_interval(f, -6.0, 6.0, tol=1e-12, budget=450, osc_freq=lambda z: 40.0)
+        r = integrate_interval(f, -6.0, 6.0, tol=1e-12, budget=450, osc_freq=40.0)
         assert r.evaluations == sum(sizes) <= 450
         assert not r.converged

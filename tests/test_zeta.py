@@ -156,7 +156,7 @@ class TestMomentTerms:
 
         r = integrate_decaying(f, (0.0, math.inf), tol=1e-13,
                                decay=DecayBound(rate=0.5, power=2.0, scale=10.0),
-                               osc_freq=lambda z: 2 * b)
+                               osc_freq=2 * b)
         assert abs(r.value.real - fermi_moment_transform(m, b)) <= 1e-13
 
     def test_bose_moment_transform_vs_quadrature(self):
@@ -169,7 +169,7 @@ class TestMomentTerms:
 
         r = integrate_decaying(f, (0.0, math.inf), tol=1e-13,
                                decay=DecayBound(rate=0.5, power=2.0, scale=4.0),
-                               osc_freq=lambda z: 2 * b)
+                               osc_freq=2 * b)
         assert abs(r.value.real - bose_moment_transform(m, b)) <= 1e-13
 
 
