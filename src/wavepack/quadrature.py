@@ -6,11 +6,12 @@ This module is the independent numerical oracle: every closed form in the
 package is validated against it.  Integrands are complex-valued callables that
 accept a 1-D numpy array of nodes whose length is any multiple of 15 (the
 nodes of several 15-node panels at once); an integrand may return one column
-per node (scalar) or m columns per node (m integrals over one shared panel
-set).  One call holds at most _CELL_CAP node x column cells, or a single
-panel.  The engine is deterministic: panels are refined worst first, in
-generations of up to _GENERATION_CAP panels chosen by the rule of
-scipy.integrate.quad_vec, with an insertion-order tiebreak.
+per node (scalar), m columns per node (m integrals over one shared panel set)
+or those m columns as the two factors of a `FactoredTable`.  One call holds
+at most _CELL_CAP stored cells, or a single panel.  The engine is
+deterministic: panels are refined worst first, in generations of up to
+_GENERATION_CAP panels chosen by the rule of scipy.integrate.quad_vec, with an
+insertion-order tiebreak.
 
 The regularized path computes I(delta) = int f(z) exp(-delta z^2) dz over a
 fixed, strictly decreasing set of damping strengths and extrapolates the
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,9 +55,10 @@ DEFAULT_BUDGET = 2_000_000
 # at least 2**_MIN_DEPTH = 8 panels.
 _PANEL_PHASE = (15.0 / 8.0) * 2.0 * math.pi
 _MIN_DEPTH = 3
-# One integrand call holds at most this many node x column cells (136 scalar
-# panels): a wider call saves no more numpy overhead, only adds temporaries,
-# and a wide vector integrand is fastest one panel per call.
+# One integrand call holds at most this many stored cells, nodes x columns or
+# nodes x (G + B) for a FactoredTable (136 scalar panels, 3 panels of a 401-x
+# psi grid's factors): a wider call saves no more numpy overhead, only adds
+# temporaries.
 _CELL_CAP = 2048
 # At most this many panels are split in one refinement generation, as in
 # scipy.integrate.quad_vec (its parallel_count).
@@ -147,6 +149,8 @@ class DecayBound:
     power: float = 2.0
     scale: float = 1.0
     onset: float = 0.0
+    # truncation points already found, by eps
+    _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.rate > 0) or not (self.power > 0) or not (self.scale > 0):
@@ -167,7 +171,10 @@ class DecayBound:
         T is the first rung of the ladder T_0 = max(1, onset, rate^(-1/power)),
         T_{k+1} = 1.25 T_k, k < 400, whose tail is within eps; the tail falls
         along the ladder, so the rung is found by galloping, then bisection.
+        Each eps is searched once per bound.
         """
+        if eps in self._points:
+            return self._points[eps]
         ladder = [max(1.0, self.onset, (1.0 / self.rate) ** (1.0 / self.power))]
 
         def beyond(k):
@@ -179,6 +186,7 @@ class DecayBound:
         k = _first_false(beyond, 0, 400)
         if k == 400:
             raise DomainError("decay bound too weak to truncate the tail")
+        self._points[eps] = ladder[k]
         return ladder[k]
 
     def times_const(self, c: float) -> "DecayBound":
@@ -226,55 +234,94 @@ def packet_decay(amp, tau, eps: float, grow: float = 0.0) -> DecayBound | None:
         bounds.append(DecayBound(rate=-complex(tau).imag, power=2.0,
                                  scale=1.0 if decay is None else decay.scale))
     grown = [b for b in (d.times_exp_growth(grow) for d in bounds) if b is not None]
-    return min(grown, key=lambda d: d.truncation_point(eps), default=None)
+    if len(grown) < 2:
+        return grown[0] if grown else None
+    return min(grown, key=lambda d: d.truncation_point(eps))
 
 
-def _eval_panels(f, spans, cols: int = 0):
+@dataclass(frozen=True, slots=True)
+class FactoredTable:
+    """An integrand value of m columns stored as two factors: with B the width
+    of `right`, column k = a B + b (k < m) at node j is left[j, a] right[j, b].
+
+    An integrand may return one in place of its (nodes, m) array; the rule is
+    then applied to the factors, and the nodes x m table is never built.
+    """
+
+    left: np.ndarray    # (nodes, G), G B >= m
+    right: np.ndarray   # (nodes, B)
+    m: int
+
+    def times_rows(self, w: np.ndarray) -> "FactoredTable":
+        """This table with the row of node j times w[j]."""
+        return replace(self, left=self.left * w[:, None])
+
+    def peak(self) -> float:
+        """max |left| max |right| (nan ignored): a bound on every column's
+        modulus, equal to their maximum where right has unit modulus."""
+        return float(np.nanmax(np.abs(self.left)) * np.nanmax(np.abs(self.right)))
+
+
+def _factored_rule(w, left, right, m: int):
+    """sum_j w_j left[p, j, a] right[p, j, b] of every panel p, as (P, G B)
+    cut to the first m columns: one batched matmul."""
+    return ((w[:, None] * left).transpose(0, 2, 1) @ right).reshape(len(left), -1)[:, :m]
+
+
+def _eval_panels(f, spans, width: int = 0):
     """K15 values, |K15 - G7| errors and heap keys of the panels (lo, hi) in
-    `spans`, plus the integrand's column count m.
+    `spans`, plus the integrand's column count m and its stored width.
 
     Each integrand call gets the nodes of consecutive panels as one 1-D array,
-    15 per panel, and holds as many panels as fit in _CELL_CAP node x column
-    cells; a panel with more cells than that gets a call of its own.  cols=0
-    means m is not known yet, so the first call holds a single panel.  Values
-    and errors of a scalar integrand come back as complex and float, those of
-    a vector integrand as arrays of shape (m,); the key is the worst column.
+    15 per panel, and holds as many panels as fit in _CELL_CAP stored cells:
+    nodes x m for an array value, nodes x (G + B) for a `FactoredTable`, whose
+    factors the rules are applied to.  A panel with more cells than that gets
+    a call of its own; width=0 means the width is not known yet, so the first
+    call holds a single panel.  Values and errors of a scalar integrand come
+    back as complex and float, those of a vector integrand as arrays of shape
+    (m,); the key is the worst column.
     """
     vals, errs, keys = [], [], []
+    cols = width
     start = 0
     while start < len(spans):
-        stop = min(len(spans), start + (max(1, _CELL_CAP // (15 * cols)) if cols else 1))
-        if stop - start == 1:
+        count = min(len(spans) - start, max(1, _CELL_CAP // (15 * width)) if width else 1)
+        if count == 1:
             # a lone panel, often a wide one, skips the array bookkeeping
             lo, hi = spans[start]
             c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            fv = np.asarray(f(c + h * _XGK), dtype=complex)
-            panels = fv.reshape(15, -1)
+            fv = f(c + h * _XGK)
         else:
-            lo, hi = np.array(spans[start:stop]).T[:, :, None]
+            lo, hi = np.array(spans[start:start + count]).T[:, :, None]
             c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            fv = np.asarray(f((c + h * _XGK).ravel()), dtype=complex)
-            panels = fv.reshape(stop - start, 15, -1)
-        cols, start = panels.shape[-1], stop
-        # panels is (P, 15, m), or (15, m) for a lone panel; one matmul per
-        # rule is bitwise what _WGK @ fv gives panel by panel
-        k15 = h * (_WGK @ panels)
-        diff = k15 - h * (_WG @ panels[..., _GAUSS_IDX, :])
-        if fv.ndim == 1:
-            # abs() of a complex scalar is libm hypot, which numpy's vector
-            # abs can miss by an ulp: hypot keeps scalar estimates bitwise
-            vals += k15.ravel().tolist()
-            errs += np.hypot(diff.real, diff.imag).ravel().tolist()
-        elif k15.ndim == 1:
-            vals.append(k15)
-            errs.append(np.abs(diff))
-            keys.append(errs[-1].max())
+            fv = f((c + h * _XGK).ravel())
+        start += count
+        if isinstance(fv, FactoredTable):
+            cols, width = fv.m, fv.left.shape[1] + fv.right.shape[1]
+            left = fv.left.reshape(count, 15, -1)
+            right = fv.right.reshape(count, 15, -1)
+            k15 = h * _factored_rule(_WGK, left, right, cols)
+            diff = k15 - h * _factored_rule(_WG, left[:, _GAUSS_IDX], right[:, _GAUSS_IDX], cols)
         else:
-            err = np.abs(diff)
-            vals += list(k15)
-            errs += list(err)
-            keys += err.max(axis=1).tolist()
-    return vals, errs, keys or errs, cols
+            fv = np.asarray(fv, dtype=complex)
+            panels = fv.reshape(15, -1) if count == 1 else fv.reshape(count, 15, -1)
+            cols = width = panels.shape[-1]
+            # panels is (P, 15, m), or (15, m) for a lone panel; one matmul per
+            # rule is bitwise what _WGK @ fv gives panel by panel
+            k15 = h * (_WGK @ panels)
+            diff = k15 - h * (_WG @ panels[..., _GAUSS_IDX, :])
+            if fv.ndim == 1:
+                # abs() of a complex scalar is libm hypot, which numpy's vector
+                # abs can miss by an ulp: hypot keeps scalar estimates bitwise
+                vals += k15.ravel().tolist()
+                errs += np.hypot(diff.real, diff.imag).ravel().tolist()
+                continue
+            k15, diff = k15.reshape(count, -1), diff.reshape(count, -1)
+        err = np.abs(diff)
+        vals += list(k15)
+        errs += list(err)
+        keys += err.max(axis=1).tolist()
+    return vals, errs, keys or errs, cols, width
 
 
 def _freq_bound(osc_freq):
@@ -422,13 +469,15 @@ def integrate_interval(f, a: float, b: float, tol: float = 1e-10,
     """Adaptive Gauss-Kronrod integration of a complex integrand on [a, b].
 
     f maps a 1-D node array, of any length that is a multiple of 15, to values
-    of the same length (scalar integrand) or of shape (length, m) (m integrands
-    sharing one panel set).  One call covers many panels: the presplit panels
-    go in calls of at most _CELL_CAP node x column cells.  Refinement then
+    of the same length (scalar integrand), of shape (length, m) (m integrands
+    sharing one panel set) or a `FactoredTable` of m columns.  One call covers
+    many panels: the presplit panels go in calls of at most _CELL_CAP stored
+    cells.  Refinement then
     runs in generations: the worst panels are taken until their summed errors
     exceed total_err - tol (the rule of scipy.integrate.quad_vec), at most
-    _GENERATION_CAP panels and _CELL_CAP cells of children per generation, and
-    every child of a generation is evaluated in one call.  Panels are refined
+    _GENERATION_CAP panels and _CELL_CAP node x m cells of children per
+    generation, and the children go in as few calls as their stored cells
+    allow.  Panels are refined
     worst column first until every column's error is <= tol.  `evaluations`
     counts z-nodes, 15 per panel, whatever m is.
 
@@ -445,7 +494,7 @@ def integrate_interval(f, a: float, b: float, tol: float = 1e-10,
         raise DomainError("tolerance below 1e-13 is not attainable in doubles")
     max_panels = max(budget // 15, 4)
     pieces = _presplit(a, b, osc_freq, max_panels // 2)
-    vals, errs, keys, cols = _eval_panels(f, pieces)
+    vals, errs, keys, cols, width = _eval_panels(f, pieces)
     heap = [(-key, i, lo, hi, val, err)
             for i, ((lo, hi), val, err, key) in enumerate(zip(pieces, vals, errs, keys))]
     heapq.heapify(heap)
@@ -473,7 +522,7 @@ def integrate_interval(f, a: float, b: float, tol: float = 1e-10,
         for _, _, lo, hi, _, _ in parents:
             mid = 0.5 * (lo + hi)
             spans += ((lo, mid), (mid, hi))
-        vals, errs, keys, _ = _eval_panels(f, spans, cols)
+        vals, errs, keys, _, _ = _eval_panels(f, spans, width)
         evals += 15 * len(spans)
         for j, (_, _, _, _, val, err) in enumerate(parents):
             total += (vals[2 * j] + vals[2 * j + 1]) - val
@@ -574,7 +623,8 @@ def integrate_oscillatory_regularized(f, tol: float = 1e-8, domain=(0.0, math.in
     budget (at least 30,000 evaluations) and tol/20 (at least 2e-13); its tail
     bound takes 1.5 max |f| on a coarse grid over [0, 40] (mirrored on the
     line) as the scale of the bounded integrand.  A vector-valued f is
-    extrapolated column by column.  `osc_freq` declares a convex majorant of
+    extrapolated column by column; a `FactoredTable` value is damped through
+    its left factor and its max |f| taken from the factors (`peak`).  `osc_freq` declares a convex majorant of
     the local phase frequency of f, in the form `integrate_interval` takes;
     the damping adds no oscillation.
     """
@@ -582,7 +632,11 @@ def integrate_oscillatory_regularized(f, tol: float = 1e-8, domain=(0.0, math.in
     if domain[0] == -math.inf:
         zs = np.concatenate([-zs[::-1], zs])
     with np.errstate(all="ignore"):
-        scale = float(np.nanmax(np.abs(np.asarray(f(zs), dtype=complex)))) * 1.5
+        probe = f(zs)
+        if isinstance(probe, FactoredTable):
+            scale = probe.peak() * 1.5
+        else:
+            scale = float(np.nanmax(np.abs(np.asarray(probe, dtype=complex)))) * 1.5
     if not math.isfinite(scale) or scale == 0.0:
         scale = 1.0
     inner_tol = max(tol / 20.0, 2e-13)
@@ -591,7 +645,10 @@ def integrate_oscillatory_regularized(f, tol: float = 1e-8, domain=(0.0, math.in
     def damped(d):
         def fd(z):
             # the damping factor broadcasts over the output columns of f
-            return (np.asarray(f(z), dtype=complex).T * np.exp(-d * np.asarray(z) ** 2)).T
+            v, damping = f(z), np.exp(-d * np.asarray(z) ** 2)
+            if isinstance(v, FactoredTable):
+                return v.times_rows(damping)
+            return (np.asarray(v, dtype=complex).T * damping).T
 
         return integrate_decaying(fd, domain=domain, tol=inner_tol,
                                   decay=DecayBound(rate=d, power=2.0, scale=scale),
@@ -636,7 +693,10 @@ def psi_oracle(amp, x, tau, tol: float = 1e-10,
     every point converged.  The integrand's table exp(i z x_k) is factored
     on an evenly spaced x (see `_phase_block`): with k = a B + b it is
     exp(i z x_{aB}) exp(i z b h), about 2 sqrt(n) exponentials per node
-    instead of n.  Column k then holds psi at x_{aB} + b h, which differs
+    instead of n.  The integrand returns the two factors as a `FactoredTable`
+    and the panel rules are applied to them, so the nodes x n table is never
+    built and a call holds as many panels as fit their nodes x (G + B)
+    stored cells.  Column k then holds psi at x_{aB} + b h, which differs
     from the stored x_k by at most the spacing test's few ulps of max |x|,
     the same order as the rounding of the direct product z x_k.  Any other
     x (B = 1) gets the direct table, bitwise as before.
@@ -663,10 +723,9 @@ def psi_oracle(amp, x, tau, tol: float = 1e-10,
             zz = np.asarray(z, dtype=complex)
             head = np.asarray(amp(zz), dtype=complex) * np.exp(-1j * tau * zz * zz)
             table = head[:, None] * np.exp(1j * np.multiply.outer(zz, giant))
-            if block > 1:
-                steps = np.exp(1j * np.multiply.outer(zz, baby))
-                table = (table[:, :, None] * steps[:, None, :]).reshape(len(zz), -1)[:, :xs.size]
-            return table
+            if block == 1:
+                return table
+            return FactoredTable(table, np.exp(1j * np.multiply.outer(zz, baby)), xs.size)
     else:
         x = complex(x)
         x_lo = x_hi = x.real

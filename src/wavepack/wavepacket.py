@@ -452,8 +452,9 @@ def position_norm_squared(amp: Amplitude, t: complex, cfg: PhysicalConfig = NATU
     quadrature over the whole grid (each node within tol), and the series
     methods evaluate psi node by node.  The grid is evenly spaced, so the
     batched oracle factors its exp(i z x) table in blocks of about sqrt(npts)
-    columns (`quadrature.psi_oracle`): each node's psi is taken at a point
-    within a few ulps of max |x| of the grid point.
+    columns and applies the quadrature rule to the two factors, never building
+    the nodes x npts table (`quadrature.psi_oracle`): each node's psi is taken
+    at a point within a few ulps of max |x| of the grid point.
     """
     npts = 2 * int(half_width / step) + 1
     xs = np.linspace(-half_width, half_width, npts)

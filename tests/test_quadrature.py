@@ -50,6 +50,30 @@ class TestDecayBound:
             with pytest.raises(DomainError):
                 search(1e-10)
 
+    def test_truncation_point_is_searched_once_per_eps(self, monkeypatch):
+        d = DecayBound(rate=1.3, power=1.0, scale=2.0)
+        T = d.truncation_point(1e-11)
+        monkeypatch.setattr(DecayBound, "tail_integral", lambda self, T: pytest.fail("searched again"))
+        assert d.truncation_point(1e-11) == T
+
+    @pytest.mark.parametrize("tau", [0.55, 0.55 - 0.15j], ids=["one-bound", "two-bounds"])
+    def test_psi_oracle_searches_each_candidate_bound_once(self, monkeypatch, tau):
+        amp, tol = Amplitude.sech(1.5), 1e-10
+        candidates = [amp.decay]
+        if complex(tau).imag < 0:
+            candidates.append(DecayBound(rate=-complex(tau).imag, power=2.0, scale=amp.decay.scale))
+        calls = []
+        tail = DecayBound.tail_integral
+        monkeypatch.setattr(DecayBound, "tail_integral",
+                            lambda self, T: calls.append(T) or tail(self, T))
+        for d in candidates:
+            d.truncation_point(tol / 10.0)
+        searches = len(calls)
+        calls.clear()
+        assert psi_oracle(amp, 0.3, tau, tol=tol).converged
+        # one search per candidate, then the winner's tail at its point
+        assert len(calls) == searches + 1
+
 
 def _linear_truncation_point(d, eps):
     """DecayBound.truncation_point as a scan of the ladder T *= 1.25, rung by rung."""
@@ -386,7 +410,8 @@ _GRID_CASES = [
 
 def _direct_table_psi(amp, xs, tau, tol):
     """psi_oracle over an x-array with the unfactored table exp(i z x_k):
-    one complex exponential per node and x."""
+    one complex exponential per node and x, on the decaying path or, with no
+    tail bound, the regularized one."""
     tau = complex(tau)
 
     def f(z):
@@ -398,8 +423,12 @@ def _direct_table_psi(amp, xs, tau, tol):
     osc = ((xs.max(), damp - drift), (xs.max(), -damp - drift),
            (-xs.min(), drift + damp), (-xs.min(), drift - damp))
 
+    decay = packet_decay(amp, tau, tol / 10.0)
+    if decay is None:
+        return integrate_oscillatory_regularized(f, tol=max(tol, 1e-9),
+                                                 domain=(-math.inf, math.inf), osc_freq=osc)
     return integrate_decaying(f, domain=(-math.inf, math.inf), tol=tol,
-                              decay=packet_decay(amp, tau, tol / 10.0), osc_freq=osc)
+                              decay=decay, osc_freq=osc)
 
 
 class TestBatchedPsi:
@@ -462,6 +491,43 @@ class TestBatchedPsi:
             s = psi_oracle(amp, float(x), 0.5, tol=1e-8)
             assert s.converged
             assert abs(v - s.value) <= e + s.abs_error_estimate
+
+    def test_regularized_path_takes_factored_values(self):
+        # a slow decay, so the damping of the factors decides the limit
+        amp = Amplitude.custom(lambda z: 1.0 / (1.0 + np.asarray(z) ** 2), parity="even")
+        xs = np.linspace(-2.0, 2.0, 9)
+        assert quadrature._phase_block(xs)[0] == 3
+        r = psi_oracle(amp, xs, 0.5, tol=1e-8)
+        ref = _direct_table_psi(amp, xs, 0.5, tol=1e-8)
+        assert r.converged and ref.converged
+        assert np.all(np.abs(r.value - ref.value) <= r.abs_error_estimate + ref.abs_error_estimate)
+
+    def test_grid_calls_store_factors_within_the_cell_cap(self, monkeypatch):
+        # every integrand value is the two factors, never the nodes x 401 table
+        xs = np.linspace(-20.0, 20.0, 401)
+        calls = []   # per _eval_panels call: its panel count and integrand values
+        eval_panels = quadrature._eval_panels
+
+        def spy(f, spans, width=0):
+            seen = []
+
+            def g(z):
+                seen.append(f(z))
+                return seen[-1]
+
+            calls.append((len(spans), seen))
+            return eval_panels(g, spans, width)
+
+        monkeypatch.setattr(quadrature, "_eval_panels", spy)
+        assert psi_oracle(Amplitude.sech(1.5), xs, 0.55, tol=1e-8).converged
+        for _, seen in calls:
+            for v in seen:
+                assert isinstance(v, quadrature.FactoredTable) and v.m == 401
+                assert v.left.shape[1] == 21 and v.right.shape[1] == 20
+                nodes = len(v.left)
+                assert nodes == 15 or v.left.size + v.right.size <= quadrature._CELL_CAP
+        presplit_panels, presplit_values = calls[0]
+        assert len(presplit_values) < presplit_panels
 
     def test_scalar_call_types_unchanged(self):
         r = psi_oracle(Amplitude.sech(1.0), 0.5, 0.3 - 0.1j, tol=1e-10)
@@ -589,6 +655,43 @@ def _spy(m):
         return head if m is None else head[:, None] * np.linspace(1.0, 2.0, m)
 
     return f, sizes
+
+
+def _random_factors(G, B, m, seed):
+    """A counting integrand of m < G B columns returned as random smooth
+    factors exp(z A) and exp(z C), and the same one as its materialized table."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=G) + 3j * rng.normal(size=G)
+    C = rng.normal(size=B) + 3j * rng.normal(size=B)
+    calls = []
+
+    def factored(z):
+        calls.append(z.size)
+        return quadrature.FactoredTable(np.exp(np.multiply.outer(z, A)),
+                                        np.exp(np.multiply.outer(z, C)), m)
+
+    def direct(z):
+        v = factored(z)
+        return (v.left[:, :, None] * v.right[:, None, :]).reshape(z.size, -1)[:, :m]
+
+    return factored, direct, calls
+
+
+class TestFactoredRule:
+    @pytest.mark.parametrize("spans", [[(-0.4, 0.9)], [(-1.0, -0.3), (-0.3, 0.2), (0.2, 1.1)]],
+                             ids=["lone-panel", "three-panels"])
+    def test_rule_on_factors_matches_the_table(self, spans):
+        G, B, m = 7, 5, 32
+        factored, direct, calls = _random_factors(G, B, m, seed=len(spans))
+        got = quadrature._eval_panels(factored, spans, 0 if len(spans) == 1 else G + B)
+        assert calls == [15 * len(spans)] and got[3:] == (m, G + B)
+        ref = quadrature._eval_panels(direct, spans, m)
+        for val, err, key, rval, rerr, rkey in zip(*got[:3], *ref[:3]):
+            assert val.shape == err.shape == (m,)
+            scale = np.max(np.abs(rval))
+            assert np.max(np.abs(val - rval)) <= 1e-15 * scale
+            assert np.max(np.abs(err - rerr)) <= 1e-15 * scale
+            assert abs(key - rkey) <= 1e-15 * scale and key == np.max(err)
 
 
 class TestCallShapes:
