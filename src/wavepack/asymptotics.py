@@ -34,7 +34,7 @@ import numpy as np
 
 from .amplitudes import GLAISHER_POLES, Amplitude
 from .errors import DomainError
-from .foundation import SeriesEval, sum_to_smallest_term
+from .foundation import SeriesEval, golden_section_min, sum_to_smallest_term
 from .quadrature import integrate_decaying, integrate_interval, psi_oracle
 
 
@@ -123,35 +123,22 @@ def glaisher_large_t_series(x: float, tau: complex, N: int = 80) -> SeriesEval:
     return GLAISHER_POLES.theta_series(x, tau, N)
 
 
-def _bisect_increasing(fn, target: float, lo: float, hi: float, iters: int = 200) -> float:
-    """Midpoint of the final bracket of a bisection for fn(v) = target, fn increasing."""
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def calibrate_sech_theta_constants(beta: float, x1: float = 2.0, x2: float = 3.0):
     """Pin (C_s, c) of the sech theta series from oracle data at tau = 0.
 
     At tau = 0 the half-line packet is exactly C_s * Sigma(c, x) with
-    Sigma(c, x) = sum (-1)^n e^{-(2n+1) c x}; the decay scale c solves
-    ln(Sigma(c,x1)/Sigma(c,x2)) = ln(I1/I2) (monotone in c, bisection), and
-    C_s follows by division.  Lands on (pi/beta, pi/(2 beta)).
+    Sigma(c, x) = sum (-1)^n e^{-(2n+1) c x} = 1/(2 cosh(c x)); the decay
+    scale c solves ln(Sigma(c,x1)/Sigma(c,x2)) = ln(I1/I2) (monotone in c;
+    golden-section search on the absolute defect), and C_s follows by
+    division.  Lands on (pi/beta, pi/(2 beta)).
     """
     amp = Amplitude.sech(beta)
     i1 = psi_oracle(amp, x1, 0.0, tol=1e-12).value.real / 2.0
     i2 = psi_oracle(amp, x2, 0.0, tol=1e-12).value.real / 2.0
-
-    def sigma(c: float, x: float) -> float:
-        return sum((-1.0) ** n * math.exp(-(2 * n + 1) * c * x) for n in range(60))
-
-    c = _bisect_increasing(lambda c: math.log(sigma(c, x1) / sigma(c, x2)),
-                           math.log(i1 / i2), 0.05, 8.0)
-    return i1 / sigma(c, x1), c
+    target = math.log(i1 / i2)
+    c = golden_section_min(lambda c: abs(math.log(math.cosh(c * x2) / math.cosh(c * x1)) - target),
+                           0.05, 8.0, 80)
+    return 2.0 * i1 * math.cosh(c * x1), c
 
 
 def calibrate_glaisher_quartic_phase(x: float = 1.0, sigma: float = 0.01) -> float:
@@ -159,8 +146,8 @@ def calibrate_glaisher_quartic_phase(x: float = 1.0, sigma: float = 0.01) -> flo
 
     At tau = -i sigma the half-line packet is real and the model
     M(q) = sum (-1)^n (2n+1) e^{-(2n+1)^2 x + q (2n+1)^4 sigma} is monotone
-    increasing in q, so a bisection against the oracle value pins q.  Lands
-    on q = 1 (the printed coefficient is 1/4).
+    increasing in q, so a golden-section search on |M(q) - oracle value|
+    pins q.  Lands on q = 1 (the printed coefficient is 1/4).
     """
     ref = psi_oracle(Amplitude.glaisher(), x, -1j * sigma, tol=1e-12).value.real / 2.0
 
@@ -168,7 +155,7 @@ def calibrate_glaisher_quartic_phase(x: float = 1.0, sigma: float = 0.01) -> flo
         # exp(i nu^4 tau) at tau = -i q sigma is exp(q nu^4 sigma)
         return GLAISHER_POLES.theta_series(x, -1j * q * sigma, 39).value.real
 
-    return _bisect_increasing(model, ref, 0.0, 2.0)
+    return golden_section_min(lambda q: abs(model(q) - ref), 0.0, 2.0, 80)
 
 
 # The Glaisher kernel's frequency allowance 0.3/sqrt(max(z, 0.01)) on z >= 0,

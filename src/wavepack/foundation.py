@@ -1,5 +1,6 @@
 """Complex arithmetic conventions, the scalar-or-array return convention, unit
-reduction, combinatorial helpers and the series result record.
+reduction, combinatorial helpers, the series result record and the package's
+one series accelerator, one series truncation and one line search.
 
 Everything downstream works in the reduced time tau = t*hbar/(2m); physical
 (t, hbar, m) appear only at the API boundary.  Fractional powers of complex
@@ -8,6 +9,7 @@ numbers always use the principal branch, implemented once here.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,7 +66,7 @@ def sum_to_smallest_term(prefactor: float, terms, N: int, grow_from: int = 1) ->
 
     Use it for divergent asymptotic series, where the error is smallest at
     the smallest term and summing on makes it worse.  Convergent alternating
-    series belong to `zeta.alternating_series_cvz`, which accelerates them
+    series belong to `alternating_series_cvz`, which accelerates them
     instead of truncating.
     """
     acc = 0j
@@ -86,6 +88,57 @@ def sum_to_smallest_term(prefactor: float, terms, N: int, grow_from: int = 1) ->
         tail = mag
     return SeriesEval(value=prefactor * acc, terms_used=used,
                       tail_estimate=abs(prefactor) * tail, diverging=diverging)
+
+
+@functools.cache
+def _cvz_weights(n: int) -> np.ndarray:
+    """Weights c_k/d of Cohen, Rodriguez Villegas and Zagier (Exp. Math. 9, 2000)."""
+    d = (3.0 + math.sqrt(8.0)) ** n
+    d = (d + 1.0 / d) / 2.0
+    b, c, weights = -1.0, -d, []
+    for k in range(n):
+        c = b - c
+        weights.append(c / d)
+        b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
+    weights = np.array(weights)
+    weights.flags.writeable = False      # shared by every caller through the cache
+    return weights
+
+
+def alternating_series_cvz(terms) -> np.ndarray:
+    """sum_{k>=0} (-1)^k a_k from terms[..., k] = a_k, k < n, one sum per row;
+    n is the length of the last axis, and the weights are built once per n.
+    Added in order (a BLAS dot product of these sign-alternating products
+    lost up to 8.7e-15 relative, against 3.0e-15 in order).
+
+    Use it for convergent alternating series whose terms are totally monotone
+    (moments of a positive measure on [0, 1]); there the error is about
+    5.83^-n.  Terms that rise before they fall need more: the zeta tails use
+    n = 32 (n = 24 is 5.0e-12 off on the Glaisher terms at x = 0.05, n = 32
+    within 1.4e-16), and the exact packet of `amplitudes.PoleExpansion` 40
+    (n = 32 misses the Glaisher transform at x = 0.01, tau = 0, by 1.7e-14).
+    Divergent asymptotic series belong to `sum_to_smallest_term` instead.
+    """
+    terms = np.asarray(terms)
+    return np.cumsum(terms * _cvz_weights(terms.shape[-1]), axis=-1)[..., -1]
+
+
+def golden_section_min(fn, lo: float, hi: float, iters: int) -> float:
+    """Midpoint of the final bracket of a golden-section search for min fn on [lo, hi]."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fdv = fn(c), fn(d)
+    for _ in range(iters):
+        if fc < fdv:
+            b, d, fdv = d, c, fc
+            c = b - g * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fdv
+            d = a + g * (b - a)
+            fdv = fn(d)
+    return 0.5 * (a + b)
 
 
 def reduced_time(t: complex, cfg: PhysicalConfig = NATURAL_UNITS) -> complex:

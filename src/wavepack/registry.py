@@ -18,7 +18,7 @@ import numpy as np
 
 from . import asymptotics, closedform, fd, wavepacket, zeta
 from .amplitudes import AMPLITUDE_FAMILIES, Amplitude
-from .errors import DomainError, NonConvergenceError, WavepackError
+from .errors import DomainError, NonConvergenceError, UnsupportedMethodError, WavepackError
 from .hermite import hermite_eval, shifted_argument_identity, shifted_identity_ratio_constant
 from .quadrature import (DecayBound, integrate_decaying, integrate_oscillatory_regularized,
                          psi_oracle)
@@ -249,23 +249,26 @@ def _ev_heat(p):
     return se.value, _converged(psi_oracle(amp, x, tau, tol=1e-11))
 
 
-def _half_packet_oracle(amp, x, tau, tol):
-    """int_0^inf cos(xz) phi(z) e^{-i tau z^2} dz = psi/2 (even phi), by the oracle."""
-    return _converged(psi_oracle(amp, x, tau, tol=tol)) / 2.0
+def _pole_case(p):
+    """(poles, x, tau, half packet by the oracle) of a pole-expansion case; the
+    half-line packet int_0^inf cos(xz) phi(z) e^{-i tau z^2} dz is psi/2."""
+    amp = _amp_from_params(p)
+    if amp.poles is None:
+        raise UnsupportedMethodError(f"amplitude {p['amplitude']!r} has no pole expansion")
+    x, tau = float(p["x"]), _cplx(p["tau"])
+    return amp.poles, x, tau, _converged(psi_oracle(amp, x, tau, tol=1e-11)) / 2.0
 
 
-@evaluator("sech_theta_vs_integral")
-def _ev_sech_theta(p):
-    beta, x, tau = float(p["beta"]), float(p["x"]), _cplx(p["tau"])
-    return (asymptotics.sech_theta_series(beta, x, tau, N=p.get("N", 80)).value,
-            _half_packet_oracle(Amplitude.sech(beta), x, tau, 1e-11))
+@evaluator("theta_vs_integral")
+def _ev_theta(p):
+    poles, x, tau, half_packet = _pole_case(p)
+    return poles.theta_series(x, tau, p.get("N", 80)).value, half_packet
 
 
-@evaluator("sech_exact_vs_oracle")
-def _ev_sech_exact(p):
-    beta, x, tau = float(p["beta"]), float(p["x"]), _cplx(p["tau"])
-    return (asymptotics.sech_packet_exact(beta, x, tau),
-            _half_packet_oracle(Amplitude.sech(beta), x, tau, 1e-12))
+@evaluator("exact_vs_oracle")
+def _ev_exact(p):
+    poles, x, tau, half_packet = _pole_case(p)
+    return poles.packet_exact(x, tau), half_packet
 
 
 @evaluator("glaisher_pair")
@@ -285,20 +288,6 @@ def _ev_glaisher_reg(p):
 
     r = integrate_oscillatory_regularized(f, tol=1e-7, osc_freq=x)
     return _converged(r), asymptotics.glaisher_series_g(x).value
-
-
-@evaluator("glaisher_theta_vs_integral")
-def _ev_glaisher_theta(p):
-    x, tau = float(p["x"]), _cplx(p["tau"])
-    return (asymptotics.glaisher_large_t_series(x, tau, N=p.get("N", 80)).value,
-            _half_packet_oracle(Amplitude.glaisher(), x, tau, 1e-11))
-
-
-@evaluator("glaisher_exact_vs_oracle")
-def _ev_glaisher_exact(p):
-    x, tau = float(p["x"]), _cplx(p["tau"])
-    return (asymptotics.glaisher_packet_exact(x, tau),
-            _half_packet_oracle(Amplitude.glaisher(), x, tau, 1e-11))
 
 
 @evaluator("alternating_gaussian_pair")
@@ -378,7 +367,9 @@ def load_catalogue() -> list:
 
 
 def run_case(case: IdentityCase, tol_override: float | None = None) -> IdentityReport:
-    fn = _EVALUATORS[case.evaluator]
+    fn = _EVALUATORS.get(case.evaluator)
+    if fn is None:
+        raise DomainError(f"case {case.id}: no evaluator named {case.evaluator!r}")
     t0 = time.perf_counter()
     lhs, rhs = fn(case.parameters)
     dt = (time.perf_counter() - t0) * 1000.0

@@ -19,8 +19,8 @@ from . import asymptotics, fd
 from .amplitudes import Amplitude, glaisher_kernel  # noqa: F401  (glaisher_kernel re-exported)
 from .closedform import f_cosine_moment
 from .errors import DomainError, NonConvergenceError, UnsupportedMethodError
-from .foundation import (NATURAL_UNITS, PhysicalConfig, binomial, reduced_time,
-                         scalar_or_array, sqrt_principal)
+from .foundation import (NATURAL_UNITS, PhysicalConfig, binomial, golden_section_min,
+                         reduced_time, scalar_or_array, sqrt_principal)
 from .hermite import hermite_all
 from .quadrature import (QuadratureResult, integrate_decaying, packet_decay, psi_oracle,
                          regularized_limit)
@@ -273,24 +273,6 @@ def calibrate_parseval_constant(amp: Amplitude | None = None, n: int = 0,
     return PARSEVAL_CONSTANT * (direct / rep).real
 
 
-def _golden_section_min(fn, lo: float, hi: float, iters: int) -> float:
-    """Midpoint of the final bracket of a golden-section search for min fn on [lo, hi]."""
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fdv = fn(c), fn(d)
-    for _ in range(iters):
-        if fc < fdv:
-            b, d, fdv = d, c, fc
-            c = b - g * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fdv
-            d = a + g * (b - a)
-            fdv = fn(d)
-    return 0.5 * (a + b)
-
-
 def calibrate_self_reciprocal_phase(t: complex = 1.0 - 0.4j,
                                     xs=(0.4, 0.9, 1.4, 1.9),
                                     lo: float = 0.05, hi: float = 0.6,
@@ -320,7 +302,7 @@ def calibrate_self_reciprocal_phase(t: complex = 1.0 - 0.4j,
         mean = sum(ratios) / len(ratios)
         return max(abs(r - mean) for r in ratios)
 
-    return _golden_section_min(spread, lo, hi, iters)
+    return golden_section_min(spread, lo, hi, iters)
 
 
 def calibrate_self_reciprocal_scale(lo: float = 1.0, hi: float = 1.6,
@@ -338,7 +320,7 @@ def calibrate_self_reciprocal_scale(lo: float = 1.0, hi: float = 1.6,
         tr = math.sqrt(2.0 / math.pi) * (math.pi / (2.0 * s)) / np.cosh(math.pi * ws / (2.0 * s))
         return float(np.max(np.abs(tr - 1.0 / np.cosh(s * ws))))
 
-    return _golden_section_min(defect, lo, hi, iters)
+    return golden_section_min(defect, lo, hi, iters)
 
 
 @functools.cache

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError, NonConvergenceError
-from .foundation import SeriesEval
+from .foundation import SeriesEval, alternating_series_cvz
 from .hermite import hermite_eval
 from .quadrature import DecayBound, integrate_decaying
 
@@ -61,35 +61,7 @@ class LatticeSumSpec:
             raise DomainError("statistic must be fermi or bose")
 
 
-def _cvz_weights(n: int) -> np.ndarray:
-    """Weights c_k/d of Cohen, Rodriguez Villegas and Zagier (Exp. Math. 9, 2000)."""
-    d = (3.0 + math.sqrt(8.0)) ** n
-    d = (d + 1.0 / d) / 2.0
-    b, c, weights = -1.0, -d, []
-    for k in range(n):
-        c = b - c
-        weights.append(c / d)
-        b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
-    return np.array(weights)
-
-
-_CVZ_WEIGHTS = _cvz_weights(32)     # error ~ 5.83^-32 for totally monotone terms
-_CVZ_K = np.arange(32.0)
-
-
-def alternating_series_cvz(terms) -> np.ndarray:
-    """sum_{k>=0} (-1)^k a_k from terms[..., k] = a_k, k < 32, one sum per row;
-    added in order (a BLAS dot product of these sign-alternating products lost
-    up to 8.7e-15 relative, against 3.0e-15 in order).
-
-    Use it for convergent alternating series whose terms are totally monotone
-    (moments of a positive measure on [0, 1]); that is where the weights'
-    error bound holds.  Terms that rise before they fall need the full
-    n = 32: the ROADMAP item 3 table has n = 24 off by 5.0e-12 on the
-    Glaisher terms at x = 0.05 and n = 32 within 1.4e-16.  Divergent
-    asymptotic series belong to `foundation.sum_to_smallest_term` instead.
-    """
-    return np.cumsum(np.asarray(terms) * _CVZ_WEIGHTS, axis=-1)[..., -1]
+_CVZ_K = np.arange(32.0)     # the zeta tails sum 32 terms: error ~ 5.83^-32
 
 
 def dirichlet_eta(s: float) -> float:

@@ -12,7 +12,9 @@ limit and the finite-difference derivative call the Neville table.  The run
 time needs numpy only: no module imports scipy or mpmath, which stay test
 dependencies.  Every private top-level function has a caller in the package
 (helpers nothing calls get deleted), and one place builds the CVZ constant
-3 + sqrt(8), so the package keeps one alternating-series accelerator.
+3 + sqrt(8), so the package keeps one alternating-series accelerator: it
+lives in `foundation`, and both the pole sums and the zeta tails call it.
+The package's one line search lives there too.
 """
 import ast
 import os
@@ -189,3 +191,17 @@ def test_one_place_builds_the_cvz_constant():
     sites = [f"{path.name}:{node.lineno}" for path in MODULES
              for node in ast.walk(ast.parse(path.read_text())) if _is_cvz_constant(node)]
     assert len(sites) == 1, sites
+
+
+@pytest.mark.parametrize("name,callers", [
+    ("alternating_series_cvz", {"amplitudes", "zeta"}),
+    ("golden_section_min", {"asymptotics", "wavepacket"}),
+])
+def test_one_accelerator_and_one_line_search_in_foundation(name, callers):
+    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    defined = {module for module, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == name}
+    calling = {module for module, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == name}
+    assert (defined, calling & callers) == ({"foundation"}, callers)

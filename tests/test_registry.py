@@ -37,6 +37,11 @@ class TestCatalogue:
         for key in ("c_P", "kappa0", "kappa1", "C_s", "C_g", "q", "kappa(n)"):
             assert len(locations[key]) == 1, key
 
+    def test_every_registered_evaluator_has_a_case(self, catalogue):
+        # evaluators are exempt from the package's uncalled-helper check, so an
+        # orphaned one shows here
+        assert {c.evaluator for c in catalogue} == set(registry._EVALUATORS)
+
     def test_tolerance_validation(self):
         with pytest.raises(DomainError):
             IdentityCase(id="x", paper_eq="e", evaluator="f", parameters={},
@@ -58,6 +63,20 @@ class TestRunSuite:
     def test_unknown_filter_is_usage_error(self, catalogue):
         with pytest.raises(DomainError):
             run_suite("nonexistent-*", catalogue=catalogue)
+
+    def test_unregistered_evaluator_fails_its_case(self):
+        case = IdentityCase(id="X-nosuch", paper_eq="e", evaluator="nosuch", parameters={},
+                            lhs_descriptor="", rhs_descriptor="", tolerance=1e-8)
+        [report] = run_suite(catalogue=[case])
+        assert not report.passed
+        assert report.error.startswith("DomainError") and "X-nosuch" in report.error
+
+    def test_pole_evaluator_refuses_an_amplitude_without_poles(self):
+        case = IdentityCase(id="X-gauss", paper_eq="e", evaluator="exact_vs_oracle",
+                            parameters={"amplitude": "gaussian", "x": 1.0, "tau": 0.1},
+                            lhs_descriptor="", rhs_descriptor="", tolerance=1e-8)
+        [report] = run_suite(catalogue=[case])
+        assert not report.passed and report.error.startswith("UnsupportedMethodError")
 
     def test_determinism(self, catalogue):
         case = next(c for c in catalogue if c.id == "E4.2-ratio-n2")

@@ -3,7 +3,8 @@
 `amplitudes._faddeeva` (Weideman's rational approximation of w(z)),
 `quadrature._upper_gamma` (through `DecayBound.tail_integral`) and
 `zeta._hurwitz_zeta` replace scipy.special at run time; mpmath and scipy stay
-test dependencies and serve as the references here.
+test dependencies and serve as the references here, as they do for the exact
+packet that sums the Faddeeva values over the poles.
 """
 import cmath
 import math
@@ -15,7 +16,8 @@ import pytest
 from scipy.special import gamma, gammaincc
 
 from wavepack import amplitudes
-from wavepack.amplitudes import GLAISHER_POLES, _faddeeva, sech_poles
+from wavepack.amplitudes import GLAISHER_POLES, PACKET_POLES, _faddeeva, sech_poles
+from wavepack.asymptotics import glaisher_packet_exact, sech_packet_exact
 from wavepack.quadrature import DecayBound
 from wavepack.zeta import _hurwitz_zeta, _power_tails
 
@@ -82,7 +84,7 @@ class TestFaddeeva:
                 sech_poles(beta).packet_exact(x, tau)
                 GLAISHER_POLES.packet_exact(x, tau)
         z = np.concatenate(seen)
-        assert z.size == 8 * 192 + 4 * 256 + 8 * (192 + 256)
+        assert z.size == 8 * 80 + 4 * 80 + 8 * 160
         assert np.all(z.imag >= 0.0)       # real x: no reflection inside w
         assert _max_rel_error_vs_mpmath(z) <= 1e-14
 
@@ -102,7 +104,7 @@ class TestFaddeeva:
         # at x = 3 the first poles take the reflection branch and the rest do
         # not; e^{s mu^2 - mu x} on the rest would overflow at the damped tau
         x, s = 3.0, 1j * tau
-        mu = poles.c * np.arange(1.0, 4.0 * poles.window, 2.0) ** poles.q
+        mu = poles.c * np.arange(1.0, 2.0 * PACKET_POLES, 2.0) ** poles.q
         reflected = np.count_nonzero((mu * cmath.sqrt(s) - x / (2.0 * cmath.sqrt(s))).real < 0.0)
         assert 0 < reflected < mu.size
         with np.errstate(all="raise"):
@@ -116,6 +118,61 @@ class TestFaddeeva:
         with np.errstate(all="raise"):
             value = poles.packet_exact(3.0, 0.0)
         assert abs(value - poles.transform_series(0, 3.0).value) <= 1e-15
+
+
+def _mp_packet_exact(poles, x: float, tau: complex) -> complex:
+    """C sum_k (-1)^k nu^p Jc(mu_k) at 30 digits, each Jc in its erfc closed form
+    (pi/(4 mu)) e^{s mu^2} [e^{-mu x} erfc(mu sqrt(s) - x/(2 sqrt(s)))
+    + e^{mu x} erfc(mu sqrt(s) + x/(2 sqrt(s)))], s = i tau, summed by mpmath's
+    alternating-series extrapolation."""
+    with mpmath.workdps(30):
+        x, s = mpmath.mpf(abs(x)), mpmath.mpc(1j * tau)
+        rs = mpmath.sqrt(s)
+
+        def lorentz_gauss(mu):
+            if s == 0:
+                return mpmath.pi / (2 * mu) * mpmath.exp(-mu * x)
+            shift = x / (2 * rs)
+            return (mpmath.pi / (4 * mu) * mpmath.exp(s * mu * mu)
+                    * (mpmath.exp(-mu * x) * mpmath.erfc(mu * rs - shift)
+                       + mpmath.exp(mu * x) * mpmath.erfc(mu * rs + shift)))
+
+        def term(k):
+            nu = 2 * mpmath.mpf(k) + 1
+            return (-1) ** int(k) * nu**poles.p * lorentz_gauss(mpmath.mpf(poles.c) * nu**poles.q)
+
+        return complex(mpmath.mpf(poles.C) * mpmath.nsum(term, [0, mpmath.inf],
+                                                         method="alternating"))
+
+
+def _packet_points():
+    """8 seeded (family, beta, x, tau) over the psi-scatter ranges, the
+    families alternating; the first at tau = 0, the second at real tau."""
+    rng = random.Random(16)
+    points = []
+    for i in range(8):
+        beta, x = rng.uniform(0.6, 2.0), rng.uniform(-4.0, 4.0)
+        im = 0.0 if i < 2 else -rng.uniform(0.0, 0.5)
+        tau = complex(0.0 if i == 0 else rng.uniform(0.0, 2.0), im)
+        points.append(("sech" if i % 2 == 0 else "glaisher", beta, x, tau))
+    return points
+
+
+_PACKET_POINTS = _packet_points()
+
+
+class TestPacketExact:
+    # the CVZ sum over PACKET_POLES poles against a 30-digit sum of the same
+    # closed forms over all poles
+    @pytest.mark.parametrize("family,beta,x,tau", _PACKET_POINTS,
+                             ids=[f"{p[0]}-{i}" for i, p in enumerate(_PACKET_POINTS)])
+    def test_against_mpmath(self, family, beta, x, tau):
+        if family == "sech":
+            value, poles = sech_packet_exact(beta, x, tau), sech_poles(beta)
+        else:
+            value, poles = glaisher_packet_exact(x, tau), GLAISHER_POLES
+        ref = _mp_packet_exact(poles, x, tau)
+        assert abs(value - ref) <= 2e-15 * max(1.0, abs(ref))
 
 
 class TestTailIntegral:
