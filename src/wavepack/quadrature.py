@@ -55,11 +55,12 @@ DEFAULT_BUDGET = 2_000_000
 # at least 2**_MIN_DEPTH = 8 panels.
 _PANEL_PHASE = (15.0 / 8.0) * 2.0 * math.pi
 _MIN_DEPTH = 3
-# One integrand call holds at most this many stored cells, nodes x columns or
-# nodes x (G + B) for a FactoredTable (136 scalar panels, 3 panels of a 401-x
-# psi grid's factors): a wider call saves no more numpy overhead, only adds
-# temporaries.
-_CELL_CAP = 2048
+# One integrand call, and one refinement generation's children, hold at most
+# this many stored cells: nodes x columns, or nodes x (G + B) for a
+# FactoredTable.  Scalar calls gain nothing past 2,048 cells (136 panels); a
+# 401-x psi grid's factors, 615 cells a panel, run fastest near 8,192 (13
+# panels a call, 6 parents a generation), and slower again beyond it.
+_CELL_CAP = 8192
 # At most this many panels are split in one refinement generation, as in
 # scipy.integrate.quad_vec (its parallel_count).
 _GENERATION_CAP = 64
@@ -270,7 +271,7 @@ def _factored_rule(w, left, right, m: int):
 
 def _eval_panels(f, spans, width: int = 0):
     """K15 values, |K15 - G7| errors and heap keys of the panels (lo, hi) in
-    `spans`, plus the integrand's column count m and its stored width.
+    `spans`, plus the integrand's stored width.
 
     Each integrand call gets the nodes of consecutive panels as one 1-D array,
     15 per panel, and holds as many panels as fit in _CELL_CAP stored cells:
@@ -282,7 +283,6 @@ def _eval_panels(f, spans, width: int = 0):
     (m,); the key is the worst column.
     """
     vals, errs, keys = [], [], []
-    cols = width
     start = 0
     while start < len(spans):
         count = min(len(spans) - start, max(1, _CELL_CAP // (15 * width)) if width else 1)
@@ -297,15 +297,15 @@ def _eval_panels(f, spans, width: int = 0):
             fv = f((c + h * _XGK).ravel())
         start += count
         if isinstance(fv, FactoredTable):
-            cols, width = fv.m, fv.left.shape[1] + fv.right.shape[1]
+            width = fv.left.shape[1] + fv.right.shape[1]
             left = fv.left.reshape(count, 15, -1)
             right = fv.right.reshape(count, 15, -1)
-            k15 = h * _factored_rule(_WGK, left, right, cols)
-            diff = k15 - h * _factored_rule(_WG, left[:, _GAUSS_IDX], right[:, _GAUSS_IDX], cols)
+            k15 = h * _factored_rule(_WGK, left, right, fv.m)
+            diff = k15 - h * _factored_rule(_WG, left[:, _GAUSS_IDX], right[:, _GAUSS_IDX], fv.m)
         else:
             fv = np.asarray(fv, dtype=complex)
             panels = fv.reshape(15, -1) if count == 1 else fv.reshape(count, 15, -1)
-            cols = width = panels.shape[-1]
+            width = panels.shape[-1]
             # panels is (P, 15, m), or (15, m) for a lone panel; one matmul per
             # rule is bitwise what _WGK @ fv gives panel by panel
             k15 = h * (_WGK @ panels)
@@ -321,7 +321,7 @@ def _eval_panels(f, spans, width: int = 0):
         vals += list(k15)
         errs += list(err)
         keys += err.max(axis=1).tolist()
-    return vals, errs, keys or errs, cols, width
+    return vals, errs, keys or errs, width
 
 
 def _freq_bound(osc_freq):
@@ -472,14 +472,13 @@ def integrate_interval(f, a: float, b: float, tol: float = 1e-10,
     of the same length (scalar integrand), of shape (length, m) (m integrands
     sharing one panel set) or a `FactoredTable` of m columns.  One call covers
     many panels: the presplit panels go in calls of at most _CELL_CAP stored
-    cells.  Refinement then
-    runs in generations: the worst panels are taken until their summed errors
-    exceed total_err - tol (the rule of scipy.integrate.quad_vec), at most
-    _GENERATION_CAP panels and _CELL_CAP node x m cells of children per
-    generation, and the children go in as few calls as their stored cells
-    allow.  Panels are refined
-    worst column first until every column's error is <= tol.  `evaluations`
-    counts z-nodes, 15 per panel, whatever m is.
+    cells (nodes x m, or nodes x (G + B) for a `FactoredTable`).  Refinement
+    then runs in generations: the worst panels are taken until their summed
+    errors exceed total_err - tol (the rule of scipy.integrate.quad_vec), at
+    most _GENERATION_CAP panels and _CELL_CAP stored cells of children per
+    generation, and the children go in as few calls as those cells allow.
+    Panels are refined worst column first until every column's error is
+    <= tol.  `evaluations` counts z-nodes, 15 per panel, whatever m is.
 
     `osc_freq` declares a convex majorant omega(z) of the local phase
     frequency of f: None (no oscillation), a constant, or a sequence of
@@ -494,7 +493,7 @@ def integrate_interval(f, a: float, b: float, tol: float = 1e-10,
         raise DomainError("tolerance below 1e-13 is not attainable in doubles")
     max_panels = max(budget // 15, 4)
     pieces = _presplit(a, b, osc_freq, max_panels // 2)
-    vals, errs, keys, cols, width = _eval_panels(f, pieces)
+    vals, errs, keys, width = _eval_panels(f, pieces)
     heap = [(-key, i, lo, hi, val, err)
             for i, ((lo, hi), val, err, key) in enumerate(zip(pieces, vals, errs, keys))]
     heapq.heapify(heap)
@@ -506,7 +505,7 @@ def integrate_interval(f, a: float, b: float, tol: float = 1e-10,
         total += val
         total_err += err
     scalar = np.ndim(total_err) == 0
-    per_gen = min(_GENERATION_CAP, max(1, _CELL_CAP // (30 * cols)))
+    per_gen = min(_GENERATION_CAP, max(1, _CELL_CAP // (30 * width)))
     worst = total_err if scalar else total_err.max()
     while worst > tol and evals + 30 <= budget:
         parents = []
@@ -522,7 +521,7 @@ def integrate_interval(f, a: float, b: float, tol: float = 1e-10,
         for _, _, lo, hi, _, _ in parents:
             mid = 0.5 * (lo + hi)
             spans += ((lo, mid), (mid, hi))
-        vals, errs, keys, _, _ = _eval_panels(f, spans, width)
+        vals, errs, keys, _ = _eval_panels(f, spans, width)
         evals += 15 * len(spans)
         for j, (_, _, _, _, val, err) in enumerate(parents):
             total += (vals[2 * j] + vals[2 * j + 1]) - val
@@ -674,6 +673,15 @@ def _phase_block(xs: np.ndarray) -> tuple[int, float]:
     return round(math.sqrt(n)), float(h)
 
 
+def _powers(first, ratio: np.ndarray, k: int) -> np.ndarray:
+    """(nodes, k) array whose column a is first ratio^a, by cumulative product:
+    its rounding grows like a eps."""
+    out = np.empty((ratio.size, k), dtype=complex)
+    out[:, 0] = first
+    out[:, 1:] = ratio[:, None]
+    return np.multiply.accumulate(out, axis=1, out=out)
+
+
 def psi_oracle(amp, x, tau, tol: float = 1e-10,
                budget: int = DEFAULT_BUDGET) -> QuadratureResult:
     """Direct quadrature of psi = int phi(z) exp(i z x - i tau z^2) dz.
@@ -692,13 +700,15 @@ def psi_oracle(amp, x, tau, tol: float = 1e-10,
     `abs_error_estimate` are arrays over x, and `converged` holds only if
     every point converged.  The integrand's table exp(i z x_k) is factored
     on an evenly spaced x (see `_phase_block`): with k = a B + b it is
-    exp(i z x_{aB}) exp(i z b h), about 2 sqrt(n) exponentials per node
-    instead of n.  The integrand returns the two factors as a `FactoredTable`
-    and the panel rules are applied to them, so the nodes x n table is never
-    built and a call holds as many panels as fit their nodes x (G + B)
-    stored cells.  Column k then holds psi at x_{aB} + b h, which differs
-    from the stored x_k by at most the spacing test's few ulps of max |x|,
-    the same order as the rounding of the direct product z x_k.  Any other
+    exp(i z (x_0 + a B h)) exp(i z b h), and both factors are built as
+    powers of exp(i z B h) and exp(i z h) by cumulative product, so a node
+    costs 3 complex exponentials instead of n.  Their rounding grows like
+    k eps, the order of the rounding |z x_k| eps of the direct exponential.
+    The integrand returns the two factors as a `FactoredTable` and the panel
+    rules are applied to them, so the nodes x n table is never built, and
+    calls and generations hold as many panels as fit their nodes x (G + B)
+    stored cells.  Column k holds psi at x_0 + k h, which differs from the
+    stored x_k by at most the spacing test's few ulps of max |x|.  Any other
     x (B = 1) gets the direct table, bitwise as before.
 
     The panels are sized by the local phase frequency of the chirp,
@@ -716,16 +726,17 @@ def psi_oracle(amp, x, tau, tol: float = 1e-10,
         xs = np.real(xs).astype(float)
         x_lo, x_hi, grow = float(xs.min()), float(xs.max()), 0.0
         block, h = _phase_block(xs)
-        giant = xs[::block]
-        baby = h * np.arange(block)
+        giants = math.ceil(xs.size / block)
 
         def f(z):
             zz = np.asarray(z, dtype=complex)
-            head = np.asarray(amp(zz), dtype=complex) * np.exp(-1j * tau * zz * zz)
-            table = head[:, None] * np.exp(1j * np.multiply.outer(zz, giant))
+            phi = np.asarray(amp(zz), dtype=complex)
             if block == 1:
-                return table
-            return FactoredTable(table, np.exp(1j * np.multiply.outer(zz, baby)), xs.size)
+                head = phi * np.exp(-1j * tau * zz * zz)
+                return head[:, None] * np.exp(1j * np.multiply.outer(zz, xs))
+            lead = phi * np.exp(1j * xs[0] * zz - 1j * tau * zz * zz)
+            return FactoredTable(_powers(lead, np.exp(1j * (block * h) * zz), giants),
+                                 _powers(1.0, np.exp(1j * h * zz), block), xs.size)
     else:
         x = complex(x)
         x_lo = x_hi = x.real

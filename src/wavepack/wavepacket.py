@@ -427,18 +427,25 @@ def position_norm_squared(amp: Amplitude, t: complex, cfg: PhysicalConfig = NATU
                           method: str = "auto", tol: float = 1e-8) -> float:
     """int |psi(x,t)|^2 dx over [-L, L] by composite Simpson on a uniform grid.
 
-    The truncation L must be chosen by the caller so the packet mass outside
-    is below the comparison tolerance.  `method` resolves as in `psi`:
-    "closed" (the "auto" choice for the Gaussian) evaluates the closed form
-    node by node, "quadrature" (the "auto" choice otherwise) takes one batched
+    The truncation L = half_width must be chosen by the caller so the packet
+    mass outside is below the comparison tolerance, and must be a multiple of
+    `step` (within a few ulps of the quotient, so 1.2 and 0.1 give 25 nodes);
+    anything else is a DomainError.  `method` resolves as in `psi`: "closed"
+    (the "auto" choice for the Gaussian) evaluates the closed form node by
+    node, "quadrature" (the "auto" choice otherwise) takes one batched
     quadrature over the whole grid (each node within tol), and the series
     methods evaluate psi node by node.  The grid is evenly spaced, so the
-    batched oracle factors its exp(i z x) table in blocks of about sqrt(npts)
-    columns and applies the quadrature rule to the two factors, never building
-    the nodes x npts table (`quadrature.psi_oracle`): each node's psi is taken
-    at a point within a few ulps of max |x| of the grid point.
+    batched oracle builds its exp(i z x) table as two factors of about
+    sqrt(npts) columns, 3 complex exponentials per quadrature node, and never
+    builds the nodes x npts table (`quadrature.psi_oracle`): each node's psi
+    is taken at a point within a few ulps of max |x| of the grid point.
     """
-    npts = 2 * int(half_width / step) + 1
+    if not 0 < step <= half_width < math.inf:
+        raise DomainError("the grid needs 0 < step <= half_width < inf")
+    ratio = half_width / step
+    if abs(ratio - round(ratio)) > 4 * math.ulp(ratio):
+        raise DomainError(f"half_width {half_width} is not a multiple of step {step}")
+    npts = 2 * round(ratio) + 1
     xs = np.linspace(-half_width, half_width, npts)
     tau = _check_tau(reduced_time(t, cfg))
     method = _resolve_method(amp, method)

@@ -407,6 +407,10 @@ _GRID_CASES = [
     ("glaisher/damped", Amplitude.glaisher(), 0.55 - 0.2j, 1170),
 ]
 
+# integrand calls per grid of the cases above: 60, 44 and 29 with one parent
+# per generation and 3 panels per call
+_GRID_CALLS = {"sech/real": 17, "sech-shift/damped": 13, "glaisher/damped": 9}
+
 
 def _direct_table_psi(amp, xs, tau, tol):
     """psi_oracle over an x-array with the unfactored table exp(i z x_k):
@@ -469,6 +473,28 @@ class TestBatchedPsi:
         assert r.converged and r.evaluations == ref.evaluations
         assert np.max(np.abs(r.value - ref.value)) <= 1e-13 * np.max(np.abs(ref.value))
 
+    @pytest.mark.parametrize("label,amp,tau", [c[:3] for c in _GRID_CASES],
+                             ids=[c[0] for c in _GRID_CASES])
+    def test_recurrence_on_a_fine_grid(self, label, amp, tau):
+        # 2,001 columns: powers up to (e^{izBh})^44 and (e^{izh})^44
+        xs = np.linspace(-20.0, 20.0, 2001)
+        assert quadrature._phase_block(xs)[0] == 45
+        r = psi_oracle(amp, xs, tau, tol=1e-8)
+        ref = _direct_table_psi(amp, xs, tau, tol=1e-8)
+        assert r.converged and r.evaluations == ref.evaluations
+        assert np.max(np.abs(r.value - ref.value)) <= 1e-13 * np.max(np.abs(ref.value))
+
+    @pytest.mark.parametrize("label,amp,tau", [c[:3] for c in _GRID_CASES],
+                             ids=[c[0] for c in _GRID_CASES])
+    def test_recurrence_where_psi_is_at_round_off(self, label, amp, tau):
+        # far from the origin |z x| is large and psi is a cancellation of
+        # order 1e-15: both tables round like |z x| eps there
+        xs = np.linspace(100.0, 140.0, 401)
+        r = psi_oracle(amp, xs, tau, tol=1e-8)
+        ref = _direct_table_psi(amp, xs, tau, tol=1e-8)
+        assert r.converged and r.evaluations == ref.evaluations
+        assert np.max(np.abs(r.value - ref.value)) <= 1e-14
+
     def test_uneven_grid_keeps_the_direct_table_bitwise(self):
         xs = np.linspace(-20.0, 20.0, 401)
         xs[137] += 1e-9
@@ -528,6 +554,28 @@ class TestBatchedPsi:
                 assert nodes == 15 or v.left.size + v.right.size <= quadrature._CELL_CAP
         presplit_panels, presplit_values = calls[0]
         assert len(presplit_values) < presplit_panels
+
+    @pytest.mark.parametrize("label,amp,tau", [c[:3] for c in _GRID_CASES],
+                             ids=[c[0] for c in _GRID_CASES])
+    def test_grid_calls_and_generations_follow_the_stored_cells(self, label, amp, tau,
+                                                                monkeypatch):
+        xs = np.linspace(-20.0, 20.0, 401)
+        calls, generations = [], []
+        eval_panels = quadrature._eval_panels
+
+        def spy(f, spans, width=0):
+            def g(z):
+                calls.append(z.size)
+                return f(z)
+
+            generations.append(len(spans) // 2)
+            return eval_panels(g, spans, width)
+
+        monkeypatch.setattr(quadrature, "_eval_panels", spy)
+        assert psi_oracle(amp, xs, tau, tol=1e-8).converged
+        assert len(calls) <= _GRID_CALLS[label]
+        # generations[0] is the presplit; a factored panel stores 615 cells
+        assert max(generations[1:]) > 1
 
     def test_scalar_call_types_unchanged(self):
         r = psi_oracle(Amplitude.sech(1.0), 0.5, 0.3 - 0.1j, tol=1e-10)
@@ -684,7 +732,7 @@ class TestFactoredRule:
         G, B, m = 7, 5, 32
         factored, direct, calls = _random_factors(G, B, m, seed=len(spans))
         got = quadrature._eval_panels(factored, spans, 0 if len(spans) == 1 else G + B)
-        assert calls == [15 * len(spans)] and got[3:] == (m, G + B)
+        assert calls == [15 * len(spans)] and got[3] == G + B
         ref = quadrature._eval_panels(direct, spans, m)
         for val, err, key, rval, rerr, rkey in zip(*got[:3], *ref[:3]):
             assert val.shape == err.shape == (m,)

@@ -490,3 +490,24 @@ class TestPlancherelMethods:
     def test_unknown_method_raises(self, amp):
         with pytest.raises(UnsupportedMethodError):
             position_norm_squared(amp, 0.5, method="nosuch")
+
+    def test_grid_keeps_its_step_when_the_quotient_rounds_down(self, monkeypatch):
+        # 1.2 / 0.1 is 11.999999999999998, and truncating it gave 23 nodes
+        grids = []
+        real_oracle = wavepacket.psi_oracle
+
+        def recording_oracle(amp, x, *args, **kwargs):
+            grids.append(np.array(x))
+            return real_oracle(amp, x, *args, **kwargs)
+
+        monkeypatch.setattr(wavepacket, "psi_oracle", recording_oracle)
+        position_norm_squared(Amplitude.sech(1.5), 0.5 - 0.2j, half_width=1.2, step=0.1)
+        (xs,) = grids
+        assert xs.size == 25 and xs[0] == -1.2 and xs[-1] == 1.2
+        assert np.allclose(np.diff(xs), 0.1, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("half_width,step", [(1.25, 0.1), (20.0, 0.3), (0.05, 0.1),
+                                                 (1.0, 0.0), (1.0, -0.1), (math.inf, 0.1)])
+    def test_grid_refuses_a_half_width_off_the_step(self, half_width, step):
+        with pytest.raises(DomainError):
+            position_norm_squared(Amplitude.sech(1.5), 0.5, half_width=half_width, step=step)
