@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
-from .foundation import (SeriesEval, alternating_series_cvz, scalar_or_array, sqrt_principal,
-                         sum_to_smallest_term)
+from .foundation import (SeriesEval, alternating_series_cvz, check_tau, scalar_or_array,
+                         sqrt_principal, sum_to_smallest_term)
 from .hermite import gaussian_derivative, hermite_eval
 from .quadrature import DecayBound
 
@@ -223,9 +223,7 @@ class PoleExpansion:
         zeta tails' 32: at tau = 0 the Glaisher terms rise before they fall,
         and n = 32 misses the transform G(x) at x = 0.01 by 1.7e-14.
         """
-        s = 1j * complex(tau)
-        if s.real < -1e-14:
-            raise DomainError("needs Im(tau) <= 0")
+        s = 1j * check_tau(tau)
         nu = np.arange(1.0, 2.0 * PACKET_POLES, 2.0)
         terms = nu**self.p * _lorentz_gauss_cosine(self.c * nu**self.q, x, s)
         return self.C * complex(alternating_series_cvz(terms))

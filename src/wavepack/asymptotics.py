@@ -57,7 +57,7 @@ def ibp_expansion(derivs, a: float, b: float, x: float, n: int,
     (i/x)^{k+1} (e^{iax} f^{(k)}(a) - e^{ibx} f^{(k)}(b)) for k < n; the
     remainder is (i/x)^n int_a^b e^{ixz} f^{(n)}(z) dz by quadrature, so the
     reconstruction identity sum + remainder = I(x) holds to quadrature
-    tolerance.
+    tolerance; an unconverged remainder raises NonConvergenceError.
     """
     if not (x > 0):
         raise DomainError("x must be positive")
@@ -74,7 +74,7 @@ def ibp_expansion(derivs, a: float, b: float, x: float, n: int,
         zz = np.asarray(z, dtype=float)
         return np.asarray(derivs(n, zz), dtype=complex) * np.exp(1j * x * zz)
 
-    r = integrate_interval(f, a, b, tol=tol, osc_freq=abs(x))
+    r = integrate_interval(f, a, b, tol=tol, osc_freq=abs(x)).checked("ibp remainder quadrature")
     remainder = (1j / x) ** n * r.value
     return IbpExpansion(boundary_terms=tuple(terms), remainder=remainder, order=n)
 
@@ -133,8 +133,8 @@ def calibrate_sech_theta_constants(beta: float, x1: float = 2.0, x2: float = 3.0
     division.  Lands on (pi/beta, pi/(2 beta)).
     """
     amp = Amplitude.sech(beta)
-    i1 = psi_oracle(amp, x1, 0.0, tol=1e-12).value.real / 2.0
-    i2 = psi_oracle(amp, x2, 0.0, tol=1e-12).value.real / 2.0
+    i1 = psi_oracle(amp, x1, 0.0, tol=1e-12).checked("sech calibration oracle").value.real / 2.0
+    i2 = psi_oracle(amp, x2, 0.0, tol=1e-12).checked("sech calibration oracle").value.real / 2.0
     target = math.log(i1 / i2)
     c = golden_section_min(lambda c: abs(math.log(math.cosh(c * x2) / math.cosh(c * x1)) - target),
                            0.05, 8.0, 80)
@@ -149,7 +149,8 @@ def calibrate_glaisher_quartic_phase(x: float = 1.0, sigma: float = 0.01) -> flo
     increasing in q, so a golden-section search on |M(q) - oracle value|
     pins q.  Lands on q = 1 (the printed coefficient is 1/4).
     """
-    ref = psi_oracle(Amplitude.glaisher(), x, -1j * sigma, tol=1e-12).value.real / 2.0
+    ref = psi_oracle(Amplitude.glaisher(), x, -1j * sigma,
+                     tol=1e-12).checked("Glaisher calibration oracle").value.real / 2.0
 
     def model(q: float) -> float:
         # exp(i nu^4 tau) at tau = -i q sigma is exp(q nu^4 sigma)

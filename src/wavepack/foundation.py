@@ -146,6 +146,17 @@ def reduced_time(t: complex, cfg: PhysicalConfig = NATURAL_UNITS) -> complex:
     return require_finite(complex(t) * cfg.hbar / (2.0 * cfg.mass), "reduced time")
 
 
+def check_tau(tau: complex) -> complex:
+    """tau as a complex; DomainError where Im(tau) > 1e-12.  The packet
+    integral converges on the closed lower half-plane, and this one rule,
+    with its allowance for rounding, holds at every entry point (`psi`, the
+    oracle and the exact pole resummation)."""
+    tau = complex(tau)
+    if tau.imag > 1e-12:
+        raise DomainError(f"Im(tau) must be <= 0, got {tau.imag:.3g}")
+    return tau
+
+
 def scalar_or_array(val, *inputs):
     """val as a Python complex when every input is a scalar (Python or numpy),
     else val unchanged: scalar arguments give a complex, arrays an array."""

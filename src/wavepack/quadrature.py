@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
+from .foundation import check_tau
 
 # 15-point Kronrod extension of 7-point Gauss: the QUADPACK dqk15 constants
 # (Piessens et al., QUADPACK, 1983) to full double precision.  Truncated
@@ -83,12 +84,25 @@ class QuadratureResult:
     over its output columns and `converged` holds only if every column is
     within tol.  `evaluations` counts integration nodes (15 per panel), not
     nodes times columns, so a budget means the same for both shapes.
+
+    `checked` is the one gate from a result to a number: every reader outside
+    this module takes its value through it, so an unconverged result is
+    always an error, never a silent value.
     """
 
     value: complex
     abs_error_estimate: float
     evaluations: int
     converged: bool
+
+    def checked(self, what: str) -> QuadratureResult:
+        """This result if it converged, else NonConvergenceError naming `what`,
+        the worst error estimate and the evaluation count."""
+        if not self.converged:
+            raise NonConvergenceError(
+                f"{what} did not converge: worst error estimate "
+                f"{_worst(self.abs_error_estimate):.3e} after {self.evaluations} evaluations")
+        return self
 
 
 def _upper_gamma(a: float, u: float) -> float:
@@ -716,9 +730,7 @@ def psi_oracle(amp, x, tau, tol: float = 1e-10,
     range of x.  That is convex and piecewise linear in z, exactly the
     maximum of four lines, which the oracle declares as its `osc_freq`.
     """
-    tau = complex(tau)
-    if tau.imag > 1e-12:
-        raise DomainError("Im(tau) must be <= 0 for a convergent evaluation")
+    tau = check_tau(tau)
     if np.ndim(x):
         xs = np.asarray(x)
         if xs.ndim != 1 or xs.size == 0 or (np.iscomplexobj(xs) and np.any(xs.imag != 0)):

@@ -18,8 +18,8 @@ import numpy as np
 from . import asymptotics, fd
 from .amplitudes import Amplitude, glaisher_kernel  # noqa: F401  (glaisher_kernel re-exported)
 from .closedform import f_cosine_moment
-from .errors import DomainError, NonConvergenceError, UnsupportedMethodError
-from .foundation import (NATURAL_UNITS, PhysicalConfig, binomial, golden_section_min,
+from .errors import DomainError, UnsupportedMethodError
+from .foundation import (NATURAL_UNITS, PhysicalConfig, binomial, check_tau, golden_section_min,
                          reduced_time, scalar_or_array, sqrt_principal)
 from .hermite import hermite_all
 from .quadrature import (QuadratureResult, integrate_decaying, packet_decay, psi_oracle,
@@ -59,18 +59,11 @@ def amplitude_derivative(amp: Amplitude, k: int, z):
                                          h0=0.05 * (k + 1), levels=4), z)
 
 
-def _check_tau(tau: complex) -> complex:
-    tau = complex(tau)
-    if tau.imag > 1e-12:
-        raise DomainError("Im(reduced time) must be <= 0")
-    return tau
-
-
 def gaussian_closed_psi(amp: Amplitude, x, tau) -> complex:
     """Closed form of the packet, for amplitudes that have one (the Gaussian)."""
     if amp.closed_psi is None:
         raise UnsupportedMethodError("closed form available for gaussian amplitudes only")
-    return amp.closed_psi(complex(x), _check_tau(tau))
+    return amp.closed_psi(complex(x), check_tau(tau))
 
 
 _METHODS = ("closed", "quadrature", "heat", "theta")
@@ -93,15 +86,13 @@ def psi(amp: Amplitude, x, t, cfg: PhysicalConfig = NATURAL_UNITS,
     series over transform derivatives), theta (large-x exponential series for
     amplitudes with a pole expansion: sech at z0 = 0 and Glaisher).
     """
-    tau = _check_tau(reduced_time(t, cfg))
+    tau = check_tau(reduced_time(t, cfg))
     method = _resolve_method(amp, method)
     if method == "closed":
         val = gaussian_closed_psi(amp, x, tau)
         return WaveValue(psi=val, method="closed", error_estimate=1e-13 * max(1.0, abs(val)))
     if method == "quadrature":
-        r = psi_oracle(amp, x, tau, tol=tol)
-        if not r.converged:
-            raise NonConvergenceError(f"psi quadrature did not converge: {r}")
+        r = psi_oracle(amp, x, tau, tol=tol).checked("psi quadrature")
         return WaveValue(psi=r.value, method="quadrature", error_estimate=r.abs_error_estimate)
     if method == "heat":
         if amp.parity != "even":
@@ -135,11 +126,8 @@ def _halfline_moment_quadrature(amp: Amplitude, n: int, x, tau: complex,
     base = packet_decay(amp, tau, tol / 10.0)
     if base is None:
         raise DomainError("half-line moments need decay or Im(tau) < 0")
-    r = integrate_decaying(f, (0.0, math.inf), tol=tol, decay=base.times_poly(n),
-                           osc_freq=((x_max, 2.0 * abs(tau)),))
-    if not r.converged:
-        raise NonConvergenceError(f"half-line quadrature did not converge: {r}")
-    return r
+    return integrate_decaying(f, (0.0, math.inf), tol=tol, decay=base.times_poly(n),
+                              osc_freq=((x_max, 2.0 * abs(tau)),)).checked("half-line quadrature")
 
 
 def _derivative_form(amp: Amplitude, n: int):
@@ -163,7 +151,7 @@ def psi_x_derivative(amp: Amplitude, n: int, x, t, cfg: PhysicalConfig = NATURAL
     even, pref = _derivative_form(amp, n)
     if n > 8:
         raise DomainError("derivative order capped at 8")
-    tau = _check_tau(reduced_time(t, cfg))
+    tau = check_tau(reduced_time(t, cfg))
     r = _halfline_moment_quadrature(amp, n, float(x), tau, np.cos if even else np.sin, tol)
     return WaveValue(psi=pref * r.value, method="quadrature",
                      error_estimate=2.0 * r.abs_error_estimate)
@@ -230,7 +218,7 @@ def parseval_transformed_derivative(amp: Amplitude, n: int, x, t,
     tdec = amp.transform_decay
     if tdec is None:
         raise UnsupportedMethodError("no declared transform decay for this amplitude")
-    tau = _check_tau(reduced_time(t, cfg))
+    tau = check_tau(reduced_time(t, cfg))
     m = n // 2
     x = float(x)
     sign = 1.0 if even else -1.0
@@ -252,8 +240,7 @@ def parseval_transformed_derivative(amp: Amplitude, n: int, x, t,
         r = outer(1j * tau)
     else:
         r = regularized_limit(lambda d: outer(1j * tau + d), tol)
-    if not r.converged:
-        raise NonConvergenceError(f"Parseval transform-side quadrature: {r}")
+    r = r.checked("Parseval transform-side quadrature")
     return WaveValue(psi=pref * PARSEVAL_CONSTANT * r.value, method="quadrature",
                      error_estimate=2.0 * PARSEVAL_CONSTANT * r.abs_error_estimate)
 
@@ -282,25 +269,19 @@ def calibrate_self_reciprocal_phase(t: complex = 1.0 - 0.4j,
 
     With rhs(p) = lambda (pi i tau)^{-1/2} e^{i p x^2 / tau} psi(x/(2 tau),
     -1/(4 tau)), the spread of psi(x,tau)/rhs(p) over an x-grid vanishes only
-    at the true coefficient; golden-section search lands on p = 1/4.  All
-    quadratures are hoisted out of the search (p enters through the phase
-    only), so the calibration costs one sweep.
+    at the true coefficient; golden-section search lands on p = 1/4.  The
+    ratios of `self_reciprocal_check`, which carries p = 1/4, are taken once,
+    and the sweep divides each by e^{i (p - 1/4) x^2 / tau}, so the
+    calibration costs one check per x.
     """
     amp = self_reciprocal_scaled_sech()
-    tau = _check_tau(reduced_time(t))
-    lam = complex(fourier_cosine_transform(amp, 1e-9)) / complex(amp(1e-9))
-    lhs = []
-    dual = []
-    for x in xs:
-        lhs.append(psi_oracle(amp, x, tau, tol=1e-10).value)
-        dual.append(psi_oracle(amp, x / (2.0 * tau), -1.0 / (4.0 * tau), tol=1e-10).value)
-    pref = lam / sqrt_principal(math.pi * 1j * tau)
+    tau = check_tau(reduced_time(t))
+    ratios = [self_reciprocal_check(amp, x, t)[2] for x in xs]
 
     def spread(p: float) -> float:
-        ratios = [lv / (pref * cmath.exp(1j * p * x * x / tau) * dv)
-                  for x, lv, dv in zip(xs, lhs, dual)]
-        mean = sum(ratios) / len(ratios)
-        return max(abs(r - mean) for r in ratios)
+        swept = [r * cmath.exp(-1j * (p - 0.25) * x * x / tau) for x, r in zip(xs, ratios)]
+        mean = sum(swept) / len(swept)
+        return max(abs(r - mean) for r in swept)
 
     return golden_section_min(spread, lo, hi, iters)
 
@@ -343,20 +324,17 @@ def self_reciprocal_check(amp: Amplitude, x, t, cfg: PhysicalConfig = NATURAL_UN
     (lhs, rhs, lhs/rhs); the ratio is 1 for a calibrated amplitude and is
     constant in x for any scaled version.
     """
-    tau = _check_tau(reduced_time(t, cfg))
+    tau = check_tau(reduced_time(t, cfg))
     if tau.imag >= 0:
         raise DomainError("self-reciprocal check needs Im(tau) < 0")
     x = complex(x)
     lam = complex(fourier_cosine_transform(amp, 1e-9)) / complex(amp(1e-9))
-    lhs_r = psi_oracle(amp, x, tau, tol=tol)
-    dual_tau = -1.0 / (4.0 * tau)
-    dual_x = x / (2.0 * tau)
-    rhs_r = psi_oracle(amp, dual_x, dual_tau, tol=tol)
-    if not (lhs_r.converged and rhs_r.converged):
-        raise NonConvergenceError("self-reciprocal quadrature did not converge")
+    lhs = psi_oracle(amp, x, tau, tol=tol).checked("self-reciprocal lhs quadrature").value
+    dual = psi_oracle(amp, x / (2.0 * tau), -1.0 / (4.0 * tau),
+                      tol=tol).checked("self-reciprocal rhs quadrature").value
     pref = lam / sqrt_principal(math.pi * 1j * tau) * cmath.exp(1j * x * x / (4.0 * tau))
-    rhs = pref * rhs_r.value
-    return lhs_r.value, rhs, lhs_r.value / rhs
+    rhs = pref * dual
+    return lhs, rhs, lhs / rhs
 
 
 def hermite_weighted_expansion(amp: Amplitude, n: int, x, t,
@@ -373,7 +351,7 @@ def hermite_weighted_expansion(amp: Amplitude, n: int, x, t,
         raise DomainError("the x^{-n} prefactor needs x != 0")
     if n < 0 or n > 8:
         raise DomainError("expansion order capped at 8")
-    tau = _check_tau(reduced_time(t, cfg))
+    tau = check_tau(reduced_time(t, cfg))
     x = float(x)
     rt = sqrt_principal(1j * tau)
 
@@ -391,9 +369,8 @@ def hermite_weighted_expansion(amp: Amplitude, n: int, x, t,
     base = packet_decay(amp, tau, tol / 10.0)
     eff = base.times_const((1.0 + abs(rt)) ** n * 4.0**n).times_poly(n)
     r = integrate_decaying(f, (-math.inf, math.inf), tol=tol, decay=eff,
-                           osc_freq=((abs(x), 2.0 * abs(tau)), (abs(x), -2.0 * abs(tau))))
-    if not r.converged:
-        raise NonConvergenceError(f"expansion quadrature did not converge: {r}")
+                           osc_freq=((abs(x), 2.0 * abs(tau)), (abs(x), -2.0 * abs(tau)))
+                           ).checked("expansion quadrature")
     val = (1j / x) ** n * r.value
     return WaveValue(psi=val, method="quadrature", error_estimate=r.abs_error_estimate)
 
@@ -447,18 +424,12 @@ def position_norm_squared(amp: Amplitude, t: complex, cfg: PhysicalConfig = NATU
         raise DomainError(f"half_width {half_width} is not a multiple of step {step}")
     npts = 2 * round(ratio) + 1
     xs = np.linspace(-half_width, half_width, npts)
-    tau = _check_tau(reduced_time(t, cfg))
+    tau = check_tau(reduced_time(t, cfg))
     method = _resolve_method(amp, method)
     if method == "closed":
         vals = np.array([abs(gaussian_closed_psi(amp, xx, tau)) ** 2 for xx in xs])
     elif method == "quadrature":
-        r = psi_oracle(amp, xs, tau, tol=tol)
-        if not r.converged:
-            raise NonConvergenceError(
-                f"batched psi quadrature did not converge: worst error "
-                f"{float(np.max(r.abs_error_estimate)):.3e} > tol {tol:.1e} "
-                f"after {r.evaluations} evaluations")
-        vals = np.abs(r.value) ** 2
+        vals = np.abs(psi_oracle(amp, xs, tau, tol=tol).checked("batched psi quadrature").value) ** 2
     else:
         vals = np.array([abs(psi(amp, float(xx), t, cfg, method=method, tol=tol).psi) ** 2
                          for xx in xs])

@@ -309,15 +309,11 @@ def poisson_cosine_check(f, K: int, N: int, f0: float, decay: DecayBound,
     """
     left = sum(float(np.real(np.asarray(f(np.array([float(n)]))).item())) for n in range(1, N + 1))
     base = integrate_decaying(f, (0.0, math.inf), tol=tol, decay=decay)
-    right = -f0 / 2.0 + base.value.real
-    converged = base.converged
+    right = -f0 / 2.0 + base.checked("Poisson-check integral").value.real
     for k in range(1, K + 1):
         wk = 2.0 * math.pi * k
         r = integrate_decaying(lambda z: np.asarray(f(z), dtype=complex) * np.cos(wk * np.asarray(z)),
                                (0.0, math.inf), tol=tol, decay=decay,
                                osc_freq=wk)
-        right += 2.0 * r.value.real
-        converged = converged and r.converged
-    if not converged:
-        raise NonConvergenceError("a Poisson-check integral did not converge")
+        right += 2.0 * r.checked(f"Poisson-check cosine integral k={k}").value.real
     return abs(left - right)

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from wavepack.asymptotics import (glaisher_large_t_series,
+from wavepack import asymptotics
+from wavepack.asymptotics import (calibrate_glaisher_quartic_phase,
+                                  calibrate_sech_theta_constants, glaisher_large_t_series,
                                   glaisher_packet_exact, glaisher_series_g,
                                   glaisher_theta_integral, heat_series,
                                   ibp_expansion, sech_packet_exact,
@@ -55,6 +57,13 @@ class TestIbpExpansion:
             e = ibp_expansion(derivs, 0.0, 2.0, x, n)
             scaled.append(abs(e.remainder) * x**n)
         assert all(b <= a * (1 + 1e-9) for a, b in zip(scaled, scaled[1:]))
+
+    def test_unconverged_remainder_raises(self):
+        # f^(k) = 1/sqrt|z - 1/3| is singular inside [0, 2]: the remainder
+        # quadrature ends unconverged (estimate 1.2e-8 against tol 1e-11)
+        derivs = lambda k, z: 1.0 / np.sqrt(np.abs(np.asarray(z, dtype=float) - 1.0 / 3.0))
+        with pytest.raises(NonConvergenceError, match="ibp remainder"):
+            ibp_expansion(derivs, 0.0, 2.0, 3.0, 1)
 
     def test_domain(self):
         derivs = lambda k, z: np.zeros_like(np.asarray(z, dtype=float))
@@ -202,17 +211,23 @@ class TestGlaisherTheta:
 
 class TestConstantCalibration:
     def test_sech_theta_constants_pinned_by_oracle(self):
-        from wavepack.asymptotics import calibrate_sech_theta_constants
         for beta in (1.0, math.pi / 2):
             cs, c = calibrate_sech_theta_constants(beta)
             assert abs(cs - math.pi / beta) <= 1e-10
             assert abs(c - math.pi / (2 * beta)) <= 1e-10
 
     def test_quartic_phase_pinned_by_oracle(self):
-        from wavepack.asymptotics import calibrate_glaisher_quartic_phase
         q = calibrate_glaisher_quartic_phase()
         assert abs(q - 1.0) <= 1e-6
         assert abs(q - 0.25) > 0.5  # the printed coefficient is excluded
+
+    @pytest.mark.parametrize("calibrate", [lambda: calibrate_sech_theta_constants(1.0),
+                                           calibrate_glaisher_quartic_phase],
+                             ids=["sech", "glaisher"])
+    def test_an_unconverged_oracle_raises(self, unconverged, calibrate):
+        unconverged(asymptotics, "psi_oracle")
+        with pytest.raises(NonConvergenceError, match="calibration oracle"):
+            calibrate()
 
 
 class TestExactResummations:

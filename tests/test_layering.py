@@ -14,7 +14,9 @@ dependencies.  Every private top-level function has a caller in the package
 (helpers nothing calls get deleted), and one place builds the CVZ constant
 3 + sqrt(8), so the package keeps one alternating-series accelerator: it
 lives in `foundation`, and both the pole sums and the zeta tails call it.
-The package's one line search lives there too.
+The package's one line search lives there too.  `QuadratureResult.checked`
+is the one gate from an oracle result to a number: no module but
+`quadrature` reads the `converged` flag.
 """
 import ast
 import os
@@ -205,3 +207,12 @@ def test_one_accelerator_and_one_line_search_in_foundation(name, callers):
                if isinstance(node, ast.Call)
                and getattr(node.func, "id", getattr(node.func, "attr", None)) == name}
     assert (defined, calling & callers) == ({"foundation"}, callers)
+
+
+def test_only_quadrature_reads_the_converged_flag():
+    # every other module takes an oracle value through QuadratureResult.checked,
+    # so no caller can use an unconverged value without the error
+    readers = {f"{path.name}:{node.lineno}" for path in MODULES if path.name != "quadrature.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "converged"}
+    assert readers == set()

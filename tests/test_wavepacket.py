@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from wavepack import fd, wavepacket
+from wavepack.asymptotics import sech_packet_exact
 from wavepack.errors import DomainError, NonConvergenceError, UnsupportedMethodError
 from wavepack.foundation import PhysicalConfig
-from wavepack.quadrature import DecayBound
+from wavepack.quadrature import DecayBound, psi_oracle
 from wavepack.wavepacket import (Amplitude, amplitude_derivative, amplitude_eval,
+                                 calibrate_self_reciprocal_phase,
                                  calibrate_self_reciprocal_scale,
                                  fourier_cosine_transform, fourier_sine_transform,
                                  gaussian_closed_psi, glaisher_kernel,
@@ -384,9 +386,13 @@ class TestConstantCalibration:
         assert abs(cp2 - 2.0 / math.pi) <= 1e-8  # same constant, all amps and n
 
     def test_self_reciprocal_phase_pinned_by_sweep(self):
-        from wavepack.wavepacket import calibrate_self_reciprocal_phase
         p = calibrate_self_reciprocal_phase()
         assert abs(p - 0.25) <= 1e-6
+
+    def test_self_reciprocal_phase_raises_on_an_unconverged_oracle(self, unconverged):
+        unconverged(wavepacket, "psi_oracle")
+        with pytest.raises(NonConvergenceError, match="self-reciprocal"):
+            calibrate_self_reciprocal_phase()
 
 
 class TestSelfReciprocal:
@@ -511,3 +517,24 @@ class TestPlancherelMethods:
     def test_grid_refuses_a_half_width_off_the_step(self, half_width, step):
         with pytest.raises(DomainError):
             position_norm_squared(Amplitude.sech(1.5), 0.5, half_width=half_width, step=step)
+
+
+class TestOneTauDomain:
+    # psi, the oracle and the exact pole resummation keep one rule: Im(tau)
+    # up to 1e-12 is rounding and accepted, anything above it is refused
+    @pytest.mark.parametrize("x", [0.3, 1.0, 3.0])
+    def test_a_rounding_im_tau_is_accepted_by_all_three(self, x):
+        tau = 0.5 + 1e-13j
+        amp = Amplitude.sech(1.0)
+        r = psi_oracle(amp, x, tau)
+        assert abs(psi(amp, x, tau).psi - r.value) <= r.abs_error_estimate
+        assert abs(2.0 * sech_packet_exact(1.0, x, tau) - r.value) <= r.abs_error_estimate
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda tau: psi(Amplitude.sech(1.0), 1.0, tau),
+        lambda tau: psi_oracle(Amplitude.sech(1.0), 1.0, tau),
+        lambda tau: sech_packet_exact(1.0, 1.0, tau),
+    ], ids=["psi", "psi_oracle", "packet_exact"])
+    def test_a_positive_im_tau_is_refused_by_all_three(self, evaluate):
+        with pytest.raises(DomainError):
+            evaluate(0.5 + 1e-11j)
