@@ -10,13 +10,13 @@ from .foundation import (NATURAL_UNITS, PhysicalConfig, binomial, reduced_time,
                          sqrt_principal)
 from .hermite import (gaussian_derivative, hermite_eval,
                       shifted_argument_identity, shifted_identity_ratio_constant)
-from .quadrature import (DecayBound, QuadratureResult, integrate_decaying,
-                         integrate_interval, integrate_oscillatory_regularized,
-                         psi_oracle)
+from .quadrature import (DecayBound, QuadratureResult, chirp_integral,
+                         integrate_decaying, integrate_interval,
+                         integrate_oscillatory_regularized, psi_oracle)
 from .closedform import (base_coscos, base_sinsin, coscos, f_cosine_moment,
                          g_n, gr_hermite_cos, gr_hermite_sin, sinsin)
 from .wavepacket import (Amplitude, WaveValue, amplitude_derivative,
-                         amplitude_eval, calibrate_parseval_constant,
+                         calibrate_parseval_constant,
                          calibrate_self_reciprocal_phase,
                          calibrate_self_reciprocal_scale,
                          fourier_cosine_transform, fourier_sine_transform,
@@ -44,10 +44,11 @@ __all__ = [
     "LatticeSumSpec", "NATURAL_UNITS", "NonConvergenceError", "PhysicalConfig",
     "QuadratureResult", "SeriesEval",
     "UnsupportedMethodError", "WavepackError", "WaveValue",
-    "amplitude_derivative", "amplitude_eval", "base_coscos", "base_sinsin",
+    "amplitude_derivative", "base_coscos", "base_sinsin",
     "binomial", "calibrate_glaisher_quartic_phase", "calibrate_parseval_constant",
     "calibrate_sech_theta_constants", "calibrate_self_reciprocal_phase",
-    "calibrate_self_reciprocal_scale", "coscos", "dirichlet_eta", "emit_report",
+    "calibrate_self_reciprocal_scale", "chirp_integral", "coscos", "dirichlet_eta",
+    "emit_report",
     "f_cosine_moment",
     "fourier_cosine_transform", "fourier_sine_transform", "g_n", "gamma_half",
     "gaussian_derivative", "glaisher_alternating_gaussian",

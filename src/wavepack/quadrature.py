@@ -18,6 +18,10 @@ fixed, strictly decreasing set of damping strengths and extrapolates the
 values polynomially to delta = 0 (Neville); `regularized_limit` owns that
 limit.  Gaussian damping is used rather than exponential damping because it
 preserves the parity of the integrand.
+
+Every packet integral of the oracle, w(z) exp(i x z - i tau z^2) on the line
+or w(z) trig(x z) exp(-i tau z^2) on the half line, is `chirp_integral`: the
+one builder of that integrand, its tail bound and its frequency lines.
 """
 from __future__ import annotations
 
@@ -671,7 +675,8 @@ def integrate_oscillatory_regularized(f, tol: float = 1e-8, domain=(0.0, math.in
 
 
 def _phase_block(xs: np.ndarray) -> tuple[int, float]:
-    """Block size B and spacing h of the factored exp(i z x) table of `psi_oracle`.
+    """Block size B and spacing h of the factored exp(i z x) table of `chirp_integral`:
+    with k = a B + b, exp(i z x_k) is exp(i z (x_0 + a B h)) exp(i z b h).
 
     With h = (x_{n-1} - x_0)/(n - 1), an x whose every point is within
     4 ulps of max |x| of x_0 + k h (ascending or descending) is evenly
@@ -689,46 +694,44 @@ def _phase_block(xs: np.ndarray) -> tuple[int, float]:
 
 def _powers(first, ratio: np.ndarray, k: int) -> np.ndarray:
     """(nodes, k) array whose column a is first ratio^a, by cumulative product:
-    its rounding grows like a eps."""
+    its rounding grows like a eps, the order of a direct exp(i z x)'s |z x| eps."""
     out = np.empty((ratio.size, k), dtype=complex)
     out[:, 0] = first
     out[:, 1:] = ratio[:, None]
     return np.multiply.accumulate(out, axis=1, out=out)
 
 
-def psi_oracle(amp, x, tau, tol: float = 1e-10,
-               budget: int = DEFAULT_BUDGET) -> QuadratureResult:
-    """Direct quadrature of psi = int phi(z) exp(i z x - i tau z^2) dz.
+def chirp_integral(amp, x, tau, tol: float = 1e-10, budget: int = DEFAULT_BUDGET, n: int = 0,
+                   trig=None, weight=None, scale: float = 1.0) -> QuadratureResult:
+    """int w(z) exp(i x z - i tau z^2) dz on the line, or with trig (np.cos or
+    np.sin) int_0^inf w(z) trig(x z) exp(-i tau z^2) dz on the half line: the
+    one integral behind the packet, its x-derivatives, the bare transforms
+    and the Hermite rearrangement.
 
-    `amp` duck-types the amplitude protocol: callable on node arrays, with a
-    `decay` DecayBound attribute (None for merely bounded amplitudes).  Where
-    the declared decay (or Im(tau) < 0) bounds the integrand, one panel set
-    covers [-T, T] (`integrate_decaying`); otherwise the Gaussian-regularized
-    path takes the zero-damping limit of such integrals
-    (`integrate_oscillatory_regularized`, tol at least 1e-9).  A scalar x may
-    be complex (needed by the self-reciprocal transformation check); the
-    exp(|Im x| |z|) growth is folded into the effective decay bound.
+    w is phi(z) z^n, or weight(z) where given; `amp` is callable on node
+    arrays, with a `decay` DecayBound (None for merely bounded amplitudes).
+    The tail bound is `packet_decay(amp, tau, tol/10, |Im x|)` times `scale`
+    and |z|^n, so it must bound a weight too, and a weight needs the declared
+    decay.  With that bound one panel set covers [-T, T] or [0, T]
+    (`integrate_decaying`); without it phi alone on the line (n = 0, real x)
+    takes the zero-damping limit (`integrate_oscillatory_regularized`, tol at
+    least 1e-9), and anything else is a DomainError.
 
-    x may also be a 1-D real array.  Then all of its points share one panel
-    set, refined until every point is within tol; `value` and
-    `abs_error_estimate` are arrays over x, and `converged` holds only if
-    every point converged.  The integrand's table exp(i z x_k) is factored
-    on an evenly spaced x (see `_phase_block`): with k = a B + b it is
-    exp(i z (x_0 + a B h)) exp(i z b h), and both factors are built as
-    powers of exp(i z B h) and exp(i z h) by cumulative product, so a node
-    costs 3 complex exponentials instead of n.  Their rounding grows like
-    k eps, the order of the rounding |z x_k| eps of the direct exponential.
-    The integrand returns the two factors as a `FactoredTable` and the panel
-    rules are applied to them, so the nodes x n table is never built, and
-    calls and generations hold as many panels as fit their nodes x (G + B)
-    stored cells.  Column k holds psi at x_0 + k h, which differs from the
-    stored x_k by at most the spacing test's few ulps of max |x|.  Any other
-    x (B = 1) gets the direct table, bitwise as before.
+    x is a scalar, complex allowed on the line (the bound absorbs its
+    exp(|Im x| |z|)), or a 1-D real array whose points share one panel set;
+    `value` and `abs_error_estimate` are then arrays over x, and `converged`
+    holds only if every point is within tol.  On the line an evenly spaced x
+    gets the factored exp(i z x) table of `_phase_block` and `_powers` (3
+    complex exponentials a node, column k at x_0 + k h, within a few ulps of
+    x_k), any other x the direct table.  The half line keeps real nodes.
 
-    The panels are sized by the local phase frequency of the chirp,
-    |x - 2 Re(tau) z| + 2 |Im tau| |z|, at its worst over [x_lo, x_hi], the
-    range of x.  That is convex and piecewise linear in z, exactly the
-    maximum of four lines, which the oracle declares as its `osc_freq`.
+    The one frequency declaration is the chirp's local phase frequency
+    |x - 2 Re(tau) z| + 2 |Im tau| |z| at its worst over [x_lo, x_hi], the
+    range of x ([-max |x|, max |x|] on the half line, where trig(x z) holds
+    both signs of x): convex, and exactly the maximum of four lines.  The
+    envelope term 2 |Im tau| |z| adds no oscillation, but it keeps the psi
+    paths bitwise what they were; dropping it is a change of its own, to be
+    measured.
     """
     tau = check_tau(tau)
     if np.ndim(x):
@@ -737,35 +740,51 @@ def psi_oracle(amp, x, tau, tol: float = 1e-10,
             raise DomainError("array x must be a non-empty 1-D real array")
         xs = np.real(xs).astype(float)
         x_lo, x_hi, grow = float(xs.min()), float(xs.max()), 0.0
-        block, h = _phase_block(xs)
-        giants = math.ceil(xs.size / block)
+    else:
+        xs = complex(x)
+        x_lo = x_hi = xs.real
+        grow = abs(xs.imag)
+    if trig is not None:
+        if grow > 0:
+            raise DomainError("the half line needs a real x")
+        xs, x_lo, x_hi = np.real(xs), -max(-x_lo, x_hi), max(-x_lo, x_hi)
+    block, h = _phase_block(xs) if np.ndim(xs) and trig is None else (1, 0.0)
 
-        def f(z):
-            zz = np.asarray(z, dtype=complex)
-            phi = np.asarray(amp(zz), dtype=complex)
-            if block == 1:
-                head = phi * np.exp(-1j * tau * zz * zz)
-                return head[:, None] * np.exp(1j * np.multiply.outer(zz, xs))
-            lead = phi * np.exp(1j * xs[0] * zz - 1j * tau * zz * zz)
+    def f(z):
+        zz = np.asarray(z, dtype=complex if trig is None else float)
+        w = np.asarray(amp(zz) if weight is None else weight(zz), dtype=complex)
+        if n and weight is None:
+            w = w * zz**n
+        if block > 1:
+            lead = w * np.exp(1j * xs[0] * zz - 1j * tau * zz * zz)
+            giants = math.ceil(xs.size / block)
             return FactoredTable(_powers(lead, np.exp(1j * (block * h) * zz), giants),
                                  _powers(1.0, np.exp(1j * h * zz), block), xs.size)
-    else:
-        x = complex(x)
-        x_lo = x_hi = x.real
-        grow = abs(x.imag)
-
-        def f(z):
-            zz = np.asarray(z, dtype=complex)
-            return np.asarray(amp(zz), dtype=complex) * np.exp(1j * zz * x - 1j * tau * zz * zz)
+        if trig is not None:
+            return (w * np.exp(-1j * tau * zz * zz) * trig(np.multiply.outer(zz, xs)).T).T
+        if np.ndim(xs) == 0:
+            return w * np.exp(1j * zz * xs - 1j * tau * zz * zz)
+        return (w * np.exp(-1j * tau * zz * zz))[:, None] * np.exp(1j * np.multiply.outer(zz, xs))
 
     # max(x_hi - 2 Re(tau) z, 2 Re(tau) z - x_lo) + 2 |Im tau| |z|, as lines
     drift, damp = 2.0 * tau.real, 2.0 * abs(tau.imag)
     osc = ((x_hi, damp - drift), (x_hi, -damp - drift), (-x_lo, drift + damp), (-x_lo, drift - damp))
-    eff = packet_decay(amp, tau, tol / 10.0, grow)
-    if eff is not None:
-        return integrate_decaying(f, domain=(-math.inf, math.inf), tol=tol,
-                                  decay=eff, budget=budget, osc_freq=osc)
-    if grow > 0:
-        raise DomainError("complex x needs a decaying amplitude or Im(tau) < 0")
+    if weight is not None and amp.decay is None:
+        raise DomainError("a weight is bounded through the amplitude's declared decay")
+    bound = packet_decay(amp, tau, tol / 10.0, grow)
+    if bound is not None:
+        bound = bound if scale == 1.0 else bound.times_const(scale)
+        return integrate_decaying(f, domain=(-math.inf if trig is None else 0.0, math.inf),
+                                  tol=tol, decay=bound.times_poly(n), budget=budget, osc_freq=osc)
+    if grow > 0 or n or trig is not None:
+        raise DomainError("complex x, moments and the half line need decay or Im(tau) < 0")
     return integrate_oscillatory_regularized(f, tol=max(tol, 1e-9), domain=(-math.inf, math.inf),
                                              budget=budget, osc_freq=osc)
+
+
+def psi_oracle(amp, x, tau, tol: float = 1e-10,
+               budget: int = DEFAULT_BUDGET) -> QuadratureResult:
+    """Direct quadrature of psi = int phi(z) exp(i z x - i tau z^2) dz, the
+    n = 0 line case of `chirp_integral`: x is a scalar, complex allowed (the
+    self-reciprocal check needs it), or a 1-D real array, one panel set."""
+    return chirp_integral(amp, x, tau, tol, budget)

@@ -4,7 +4,9 @@ psi(x, t) = int phi(z) exp(i z x - i tau z^2) dz with tau = t hbar/(2m).
 
 Every entry point dispatches on the amplitude's capabilities (closed form,
 analytic derivative, transform and its decay, pole expansion) and falls back
-to the quadrature oracle where a capability is missing.
+to the quadrature oracle where a capability is missing.  The oracle side of
+the packet, its x-derivatives, the bare transforms and the Hermite expansion
+is `quadrature.chirp_integral`; this module supplies only their weights.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from .errors import DomainError, UnsupportedMethodError
 from .foundation import (NATURAL_UNITS, PhysicalConfig, binomial, check_tau, golden_section_min,
                          reduced_time, scalar_or_array, sqrt_principal)
 from .hermite import hermite_all
-from .quadrature import (QuadratureResult, integrate_decaying, packet_decay, psi_oracle,
+from .quadrature import (QuadratureResult, chirp_integral, integrate_decaying, psi_oracle,
                          regularized_limit)
 
 # Parseval constant for bare half-line transforms: int_0^inf f g = c_P int_0^inf fc gc.
@@ -37,11 +39,6 @@ class WaveValue:
     psi: complex
     method: str       # closed | quadrature | heat_series | theta_series
     error_estimate: float
-
-
-def amplitude_eval(amp: Amplitude, z):
-    """phi(z); thin functional wrapper over Amplitude.__call__."""
-    return amp(z)
 
 
 def amplitude_derivative(amp: Amplitude, k: int, z):
@@ -109,27 +106,6 @@ def psi(amp: Amplitude, x, t, cfg: PhysicalConfig = NATURAL_UNITS,
                      error_estimate=2.0 * se.tail_estimate)
 
 
-def _halfline_moment_quadrature(amp: Amplitude, n: int, x, tau: complex,
-                                trig, tol: float) -> QuadratureResult:
-    """int_0^inf phi(z) z^n trig(zx) exp(-i tau z^2) dz by the oracle (trig: np.cos, np.sin),
-    converged or NonConvergenceError; the points of a 1-D x share one panel set."""
-    xs = np.asarray(x, dtype=float)
-    x_max = float(np.max(np.abs(xs)))
-
-    def f(z):
-        zz = np.asarray(z, dtype=float)
-        if xs.ndim:
-            zz = zz[:, None]
-        return (np.asarray(amp(zz), dtype=complex) * zz**n * trig(zz * xs)
-                * np.exp(-1j * tau * zz * zz))
-
-    base = packet_decay(amp, tau, tol / 10.0)
-    if base is None:
-        raise DomainError("half-line moments need decay or Im(tau) < 0")
-    return integrate_decaying(f, (0.0, math.inf), tol=tol, decay=base.times_poly(n),
-                              osc_freq=((x_max, 2.0 * abs(tau)),)).checked("half-line quadrature")
-
-
 def _derivative_form(amp: Amplitude, n: int):
     """(even, 2 (-1)^{n/2} or 2i (-1)^{n/2}): the half-line form of d^n psi/dx^n,
     which needs a parity-definite amplitude and an even n."""
@@ -152,7 +128,8 @@ def psi_x_derivative(amp: Amplitude, n: int, x, t, cfg: PhysicalConfig = NATURAL
     if n > 8:
         raise DomainError("derivative order capped at 8")
     tau = check_tau(reduced_time(t, cfg))
-    r = _halfline_moment_quadrature(amp, n, float(x), tau, np.cos if even else np.sin, tol)
+    r = chirp_integral(amp, float(x), tau, tol, n=n,
+                       trig=np.cos if even else np.sin).checked("half-line quadrature")
     return WaveValue(psi=pref * r.value, method="quadrature",
                      error_estimate=2.0 * r.abs_error_estimate)
 
@@ -168,7 +145,8 @@ def fourier_cosine_transform(amp: Amplitude, w, tol: float = 1e-11):
     if amp.parity != "even":
         raise DomainError("cosine transform defined for even amplitudes")
     if amp.cosine_transform is None:
-        return scalar_or_array(_halfline_moment_quadrature(amp, 0, w, 0j, np.cos, tol).value, w)
+        r = chirp_integral(amp, w, 0j, tol, trig=np.cos).checked("half-line quadrature")
+        return scalar_or_array(r.value, w)
     val = amp.cosine_transform(np.asarray(w, dtype=float))
     return scalar_or_array(np.asarray(val, dtype=complex), w)
 
@@ -178,7 +156,8 @@ def fourier_sine_transform(amp: Amplitude, w, tol: float = 1e-11):
     by quadrature, one panel set for all of w."""
     if amp.parity != "odd":
         raise DomainError("sine transform defined for odd amplitudes")
-    return scalar_or_array(_halfline_moment_quadrature(amp, 0, w, 0j, np.sin, tol).value, w)
+    r = chirp_integral(amp, w, 0j, tol, trig=np.sin).checked("half-line quadrature")
+    return scalar_or_array(r.value, w)
 
 
 def parseval_transformed_derivative(amp: Amplitude, n: int, x, t,
@@ -355,24 +334,20 @@ def hermite_weighted_expansion(amp: Amplitude, n: int, x, t,
     x = float(x)
     rt = sqrt_principal(1j * tau)
 
-    def f(z):
-        zz = np.asarray(z, dtype=complex)
+    def hermite_sum(zz):
         hs = hermite_all(n, rt * zz)
         acc = np.zeros_like(zz)
         for k in range(n + 1):
             acc = acc + (binomial(n, k) * (rt**k) * ((-1) ** k) * hs[k]
                          * np.asarray(amplitude_derivative(amp, n - k, zz), dtype=complex))
-        return acc * np.exp(1j * x * zz - 1j * tau * zz * zz)
+        return acc
 
-    if amp.decay is None:
-        raise DomainError("expansion quadrature needs a decaying amplitude")
-    base = packet_decay(amp, tau, tol / 10.0)
-    eff = base.times_const((1.0 + abs(rt)) ** n * 4.0**n).times_poly(n)
-    r = integrate_decaying(f, (-math.inf, math.inf), tol=tol, decay=eff,
-                           osc_freq=((abs(x), 2.0 * abs(tau)), (abs(x), -2.0 * abs(tau)))
-                           ).checked("expansion quadrature")
-    val = (1j / x) ** n * r.value
-    return WaveValue(psi=val, method="quadrature", error_estimate=r.abs_error_estimate)
+    # the sum is bounded by (1 + |sqrt(i tau)|)^n 4^n |z|^n times the decay of phi
+    r = chirp_integral(amp, x, tau, tol, n=n, weight=hermite_sum,
+                       scale=(1.0 + abs(rt)) ** n * 4.0**n).checked("expansion quadrature")
+    pref = (1j / x) ** n
+    return WaveValue(psi=pref * r.value, method="quadrature",
+                     error_estimate=abs(pref) * r.abs_error_estimate)
 
 
 def schrodinger_residual_of(psi_fn, x: float, t: complex,

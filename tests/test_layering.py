@@ -16,7 +16,10 @@ dependencies.  Every private top-level function has a caller in the package
 lives in `foundation`, and both the pole sums and the zeta tails call it.
 The package's one line search lives there too.  `QuadratureResult.checked`
 is the one gate from an oracle result to a number: no module but
-`quadrature` reads the `converged` flag.
+`quadrature` reads the `converged` flag.  `quadrature.chirp_integral` is the
+one builder of an oracle integrand's chirp factor exp(-i tau z^2), with its
+tail bound, so no other module puts tau in an `np.exp` and `wavepacket` takes
+no `packet_decay` bound.
 """
 import ast
 import os
@@ -216,3 +219,17 @@ def test_only_quadrature_reads_the_converged_flag():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute) and node.attr == "converged"}
     assert readers == set()
+
+
+def test_only_quadrature_builds_the_chirp_factor():
+    # the chirp, its tail bound and its frequency lines live in
+    # quadrature.chirp_integral; cmath phases of closed forms are not integrands
+    chirps = {f"{path.name}:{node.lineno}" for path in MODULES if path.name != "quadrature.py"
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "exp" and getattr(node.func.value, "id", None) == "np"
+              and any(isinstance(name, ast.Name) and name.id == "tau"
+                      for arg in node.args for name in ast.walk(arg))}
+    imported = {alias.name for node in ast.walk(ast.parse((SRC / "wavepacket.py").read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert (chirps, "packet_decay" in imported) == (set(), False)

@@ -10,8 +10,8 @@ from wavepack import quadrature, wavepacket
 from wavepack.asymptotics import glaisher_packet_exact
 from wavepack.closedform import f_cosine_moment
 from wavepack.errors import DomainError, NonConvergenceError
-from wavepack.quadrature import (DecayBound, integrate_decaying, integrate_interval,
-                                 integrate_oscillatory_regularized,
+from wavepack.quadrature import (DecayBound, chirp_integral, integrate_decaying,
+                                 integrate_interval, integrate_oscillatory_regularized,
                                  neville_extrapolate, packet_decay, psi_oracle)
 from wavepack.wavepacket import Amplitude, position_norm_squared, psi
 
@@ -328,6 +328,33 @@ class TestPsiOracle:
         amp = Amplitude.gaussian(1.0)
         with pytest.raises(DomainError):
             psi_oracle(amp, 0.0, 1j)
+
+
+class TestChirpIntegral:
+    def test_half_line_over_an_x_array(self):
+        # int_0^inf e^{-z^2} cos(xz) dz = (sqrt(pi)/2) e^{-x^2/4}, one panel set
+        xs = np.array([-1.5, 0.0, 0.4, 2.5])
+        r = chirp_integral(Amplitude.gaussian(1.0), xs, 0.0, tol=1e-11, trig=np.cos)
+        assert r.converged
+        assert np.all(np.abs(r.value - SQRT_PI / 2 * np.exp(-xs * xs / 4)) <= r.abs_error_estimate)
+        with pytest.raises(DomainError):
+            chirp_integral(Amplitude.gaussian(1.0), 1.2 + 0.5j, 0.0, trig=np.cos)
+
+    def test_moment_is_the_weight_with_its_scale(self):
+        # phi z^2 as n = 2, and as a weight bounded by the declared decay times |z|^2
+        amp = Amplitude.gaussian(1.0)
+        moment = chirp_integral(amp, 0.8, 0.5 - 0.2j, tol=1e-11, n=2)
+        weighted = chirp_integral(amp, 0.8, 0.5 - 0.2j, tol=1e-11, n=2,
+                                  weight=lambda z: z * z * amp(z))
+        assert abs(moment.value - weighted.value) <= 1e-11
+
+    def test_a_missing_bound_is_refused(self):
+        bounded = Amplitude.custom(lambda z: np.cos(np.asarray(z)), parity="even")
+        for kwargs in ({"n": 2}, {"trig": np.cos}, {"weight": bounded}):
+            with pytest.raises(DomainError):
+                chirp_integral(bounded, 0.5, 0.3, **kwargs)
+        with pytest.raises(DomainError):
+            chirp_integral(bounded, 0.5, 0.3 - 0.1j, weight=bounded)
 
 
 class TestKronrodConstants:

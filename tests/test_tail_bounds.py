@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from wavepack import registry, wavepacket
+from wavepack import quadrature, registry, wavepacket
 from wavepack.amplitudes import Amplitude
 from wavepack.quadrature import DecayBound, QuadratureResult, packet_decay
 
@@ -184,11 +184,11 @@ def test_hermite_expansion_bound_dominates_its_integrand(monkeypatch, amp, x, ta
     # the catalogue's expansion points and up to the order cap
     seen = {}
 
-    def capture(f, domain, tol, decay, osc_freq):
+    def capture(f, domain, tol, decay, budget, osc_freq):
         seen.update(f=f, decay=decay)
         return QuadratureResult(0j, 0.0, 0, True)
 
-    monkeypatch.setattr(wavepacket, "integrate_decaying", capture)
+    monkeypatch.setattr(quadrature, "integrate_decaying", capture)
     wavepacket.hermite_weighted_expansion(amp, n, x, tau)
     f, d = seen["f"], seen["decay"]
     z = _grid_past(d.onset, 2.0 * d.truncation_point(1e-12))

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from wavepack import fd, wavepacket
+from wavepack import fd, quadrature, wavepacket
 from wavepack.asymptotics import sech_packet_exact
 from wavepack.errors import DomainError, NonConvergenceError, UnsupportedMethodError
 from wavepack.foundation import PhysicalConfig
+from wavepack.hermite import hermite_eval
 from wavepack.quadrature import DecayBound, psi_oracle
-from wavepack.wavepacket import (Amplitude, amplitude_derivative, amplitude_eval,
+from wavepack.wavepacket import (Amplitude, amplitude_derivative,
                                  calibrate_self_reciprocal_phase,
                                  calibrate_self_reciprocal_scale,
                                  fourier_cosine_transform, fourier_sine_transform,
@@ -26,9 +27,9 @@ SQRT_PI = math.sqrt(math.pi)
 
 class TestAmplitudes:
     def test_values(self):
-        assert amplitude_eval(Amplitude.gaussian(1.0), 0.0) == 1.0
-        assert amplitude_eval(Amplitude.sech(math.pi), 0.0) == 1.0
-        assert abs(amplitude_eval(Amplitude.glaisher(), 0.0) - 0.5) < 1e-12
+        assert Amplitude.gaussian(1.0)(0.0) == 1.0
+        assert Amplitude.sech(math.pi)(0.0) == 1.0
+        assert abs(Amplitude.glaisher()(0.0) - 0.5) < 1e-12
 
     def test_glaisher_kernel_shape(self):
         # even extension, decaying like exp(-c sqrt(z))
@@ -203,8 +204,8 @@ class TestTransforms:
     def test_quadrature_fallback_honours_converged(self, monkeypatch, transform, parity, fn):
         amp = Amplitude.custom(fn, parity=parity,
                                decay=DecayBound(rate=0.5, power=2.0, scale=2.0))
-        real = wavepacket.integrate_decaying
-        monkeypatch.setattr(wavepacket, "integrate_decaying", lambda *a, **k: dataclasses.replace(
+        real = quadrature.integrate_decaying
+        monkeypatch.setattr(quadrature, "integrate_decaying", lambda *a, **k: dataclasses.replace(
             real(*a, **k), converged=False))
         with pytest.raises(NonConvergenceError):
             transform(amp, 1.0)
@@ -219,9 +220,9 @@ class TestTransforms:
                                decay=DecayBound(rate=0.5, power=2.0, scale=2.0))
         ws = np.linspace(0.0, 6.0, 13)
         scalar = [transform(amp, float(w)) for w in ws]
-        real = wavepacket.integrate_decaying
+        real = quadrature.integrate_decaying
         calls = []
-        monkeypatch.setattr(wavepacket, "integrate_decaying",
+        monkeypatch.setattr(quadrature, "integrate_decaying",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
         got = transform(amp, ws)
         assert len(calls) == 1
@@ -273,6 +274,20 @@ class TestPsiXDerivative:
         d0 = psi_x_derivative(amp, 0, 0.8, 0.3 - 0.1j)
         p = psi(amp, 0.8, 0.3 - 0.1j, method="quadrature", tol=1e-11)
         assert abs(d0.psi - p.psi) <= 1e-9
+
+    @pytest.mark.parametrize("t", [0.5 - 0.1j, 1.0 - 0.5j, 0.3])
+    @pytest.mark.parametrize("n", [0, 2, 4, 6, 8])
+    def test_gaussian_within_estimate(self, n, t):
+        # d^n/dx^n sqrt(pi/s) e^{-x^2/(4s)} = sqrt(pi/s) (-1/sqrt(4s))^n H_n(x/sqrt(4s))
+        # e^{-x^2/(4s)}, s = 1 + i tau: the times_poly(n) bound up to the order cap
+        amp = Amplitude.gaussian(1.0)
+        s = 1.0 + 1j * t
+        r4s = cmath.sqrt(4.0 * s)
+        for x in (0.0, 0.7, 2.0, 4.0):
+            exact = (cmath.sqrt(math.pi / s) * (-1.0 / r4s) ** n * hermite_eval(n, x / r4s)
+                     * cmath.exp(-x * x / (4.0 * s)))
+            d = psi_x_derivative(amp, n, x, t)
+            assert abs(d.psi - exact) <= d.error_estimate
 
     def test_restrictions(self):
         amp = Amplitude.gaussian(1.0)
@@ -454,6 +469,14 @@ class TestHermiteExpansion:
         e = hermite_weighted_expansion(amp, 2, 3.0, 1.0 - 0.2j)
         p = psi(amp, 3.0, 1.0 - 0.2j, method="quadrature", tol=1e-11)
         assert abs(e.psi - p.psi) <= 1e-6 * max(1.0, abs(p.psi))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_estimate_carries_the_prefactor(self, n):
+        # the (i/x)^n prefactor scales the quadrature's estimate by |x|^-n too
+        amp = Amplitude.gaussian(1.0)
+        for x in (0.2, 0.5, 1.0, 2.0):
+            e = hermite_weighted_expansion(amp, n, x, 0.5 - 0.1j, tol=1e-11)
+            assert abs(e.psi - gaussian_closed_psi(amp, x, 0.5 - 0.1j)) <= e.error_estimate
 
     def test_x_zero_rejected(self):
         with pytest.raises(DomainError):
