@@ -11,15 +11,16 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
+import wavepack
 
-from . import registry, wavepacket, zeta
-from .amplitudes import AMPLITUDE_FAMILIES, Amplitude
 from .errors import DomainError, NonConvergenceError, WavepackError
-from .foundation import NATURAL_UNITS, PhysicalConfig
 
 USAGE_EXIT = 2
 NUMERICAL_EXIT = 1
+
+# the keys of amplitudes.AMPLITUDE_FAMILIES, listed here so that parsing the
+# command line loads no numerical layer; a test keeps the two equal
+AMPLITUDE_NAMES = ("gaussian", "sech", "glaisher")
 
 
 def parse_complex(text: str) -> complex:
@@ -32,17 +33,30 @@ def parse_complex(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"cannot parse complex value {text!r}")
 
 
-def _physical_config(args) -> PhysicalConfig:
+def _physical_config(args):
     if (args.hbar is None) != (args.mass is None):
         # both or neither, to avoid mixed conventions
         raise DomainError("--hbar and --mass must be given together")
     if args.hbar is None:
-        return NATURAL_UNITS
-    return PhysicalConfig(hbar=args.hbar, mass=args.mass)
+        return wavepack.foundation.NATURAL_UNITS
+    return wavepack.foundation.PhysicalConfig(hbar=args.hbar, mass=args.mass)
 
 
-def _amplitude_from_args(args) -> Amplitude:
-    return AMPLITUDE_FAMILIES[args.amplitude](vars(args))
+def _amplitude_from_args(args):
+    return wavepack.amplitudes.AMPLITUDE_FAMILIES[args.amplitude](vars(args))
+
+
+def _linspace(lo: float, hi: float, steps: int) -> list:
+    """np.linspace(lo, hi, steps) point for point, by numpy's formula:
+    k·step + lo with step = (hi − lo)/(steps − 1), then hi as the last point
+    ((k/(steps − 1))·(hi − lo) + lo where step underflows to 0)."""
+    delta = hi - lo
+    div = max(steps - 1, 1)
+    step = delta / div
+    grid = [(k * step if step != 0 else k / div * delta) + lo for k in range(steps)]
+    if steps > 1:
+        grid[-1] = hi
+    return grid
 
 
 def _print_json(doc: dict) -> int:
@@ -59,7 +73,7 @@ def _print_json(doc: dict) -> int:
 def cmd_psi(args) -> int:
     cfg = _physical_config(args)
     amp = _amplitude_from_args(args)
-    wv = wavepacket.psi(amp, args.x, args.t, cfg, method=args.method)
+    wv = wavepack.wavepacket.psi(amp, args.x, args.t, cfg, method=args.method)
     if args.json:
         doc = {"psi": {"re": wv.psi.real, "im": wv.psi.imag},
                "method": wv.method, "error_estimate": wv.error_estimate}
@@ -76,11 +90,11 @@ def cmd_zeta(args) -> int:
         print("error: --m must be in 1..6", file=sys.stderr)
         return USAGE_EXIT
     if args.method == "reference":
-        value = zeta.zeta_half_reference(args.m)
+        value = wavepack.zeta.zeta_half_reference(args.m)
         corr = None
         err = 1e-12
     else:
-        value, corr = zeta.zeta_from_lattice(args.m, args.statistic)
+        value, corr = wavepack.zeta.zeta_from_lattice(args.m, args.statistic)
         err = 1e-10
     if args.json:
         doc = {"m": args.m, "s": args.m + 0.5, "zeta": value,
@@ -99,11 +113,11 @@ def cmd_zeta(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        reports = registry.run_suite(args.suite, tol_override=args.tol)
+        reports = wavepack.registry.run_suite(args.suite, tol_override=args.tol)
     except WavepackError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    print(registry.emit_report(reports, fmt=args.format), end="")
+    print(wavepack.registry.emit_report(reports, fmt=args.format), end="")
     for r in reports:
         if r.error is not None:
             print(f"numerical error: {r.case_id}: {r.error}", file=sys.stderr)
@@ -120,20 +134,20 @@ def cmd_table(args) -> int:
     if steps <= 0 or (steps > 1 and hi <= lo):
         print("error: empty grid", file=sys.stderr)
         return USAGE_EXIT
+    registry = wavepack.registry
     cases = {c.id: c for c in registry.load_catalogue()}
     case = cases.get(args.identity)
     if case is None or case.grid_var is None:
         print(f"error: unknown or non-sweepable identity {args.identity!r}",
               file=sys.stderr)
         return USAGE_EXIT
-    grid = np.linspace(lo, hi, steps)
     lines = [f"{case.grid_var},lhs_re,lhs_im,rhs_re,rhs_im,abs_err"]
-    for g in grid:
+    for g in _linspace(lo, hi, steps):
         params = dict(case.parameters)
-        params[case.grid_var] = float(g)
+        params[case.grid_var] = g
         sub = dataclasses.replace(case, parameters=params)
         r = registry.run_case(sub)
-        lines.append(f"{float(g)!r},{r.lhs.real!r},{r.lhs.imag!r},{r.rhs.real!r},"
+        lines.append(f"{g!r},{r.lhs.real!r},{r.lhs.imag!r},{r.rhs.real!r},"
                      f"{r.rhs.imag!r},{r.abs_err!r}")
     out = "\n".join(lines) + "\n"
     if args.out:
@@ -146,9 +160,9 @@ def cmd_table(args) -> int:
 
 def cmd_ledger(args) -> int:
     if args.json:
-        print(registry.ledger_json())
+        print(wavepack.ledger.ledger_json())
     else:
-        print(registry.ledger_markdown(), end="")
+        print(wavepack.ledger.ledger_markdown(), end="")
     return 0
 
 
@@ -159,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("psi", help="evaluate the wave packet")
-    p.add_argument("--amplitude", choices=list(AMPLITUDE_FAMILIES), required=True)
+    p.add_argument("--amplitude", choices=AMPLITUDE_NAMES, required=True)
     p.add_argument("--alpha", type=parse_complex, default=1.0 + 0j,
                    help="gaussian width (complex 're,im')")
     p.add_argument("--beta", type=float, default=1.0, help="sech scale")

@@ -1,9 +1,9 @@
-"""Identity catalogue, verification runner, and correction ledger.
+"""Identity catalogue, verification runner, and report emitters.
 
 The catalogue ships as a JSON data file (data/cases.json); each case names an
 evaluator registered here, carries its parameters and tolerance, and runs to
-an IdentityReport.  The ledger records every printed formula whose constants
-were reconciled numerically, with the catalogue cases serving as evidence.
+an IdentityReport.  Every report embeds the correction ledger, which lives in
+`ledger` and is re-exported here.
 """
 from __future__ import annotations
 
@@ -20,6 +20,8 @@ from . import asymptotics, closedform, fd, wavepacket, zeta
 from .amplitudes import AMPLITUDE_FAMILIES, Amplitude
 from .errors import DomainError, UnsupportedMethodError, WavepackError
 from .hermite import hermite_eval, shifted_argument_identity, shifted_identity_ratio_constant
+from .ledger import (CORRECTION_LEDGER, CorrectionLedgerEntry,  # noqa: F401  (re-exported)
+                     ledger_json, ledger_markdown)
 from .quadrature import (DecayBound, integrate_decaying, integrate_oscillatory_regularized,
                          psi_oracle)
 
@@ -51,15 +53,6 @@ class IdentityReport:
     passed: bool
     runtime_ms: float
     error: str | None = None      # why the evaluator raised, for a case that could not run
-
-
-@dataclass(frozen=True)
-class CorrectionLedgerEntry:
-    paper_eq: str
-    printed_form: str
-    implemented_form: str
-    reconciled_constants: dict
-    evidence: tuple
 
 
 def _cplx(v) -> complex:
@@ -340,7 +333,7 @@ def _ev_quad_ref(p):
 
 
 # ---------------------------------------------------------------------------
-# catalogue and ledger
+# catalogue and reports
 
 
 def load_catalogue() -> list:
@@ -395,94 +388,6 @@ def _run_or_fail(case: IdentityCase, tol_override: float | None) -> IdentityRepo
         return IdentityReport(case_id=case.id, paper_eq=case.paper_eq, lhs=complex(nan, nan),
                               rhs=complex(nan, nan), abs_err=nan, rel_err=nan, passed=False,
                               runtime_ms=nan, error=f"{type(exc).__name__}: {exc}")
-
-
-CORRECTION_LEDGER: tuple = (
-    CorrectionLedgerEntry(
-        paper_eq="(4.1)",
-        printed_form="F(a) = ((-1)^n/2) sqrt(pi) x^{-(n+1/2)} e^{-a^2/4x} H_{2n}(a/sqrt(4x))",
-        implemented_form="F(a) = ((-1)^n/2) sqrt(pi) 4^{-n} x^{-(n+1/2)} e^{-a^2/4x} H_{2n}(a/sqrt(4x))",
-        reconciled_constants={"missing_factor": "4**(-n)"},
-        evidence=("E4.1-oracle-n1", "E4.1-oracle-n2", "ANGLE-n1-plus"),
-    ),
-    CorrectionLedgerEntry(
-        paper_eq="(4.2)",
-        printed_form="lhs = (b^2/(2x))^n sum_k C(2n,k) H_k(a/sqrt(4x)) (sqrt(x)/b)^k [(-1)^k e^{ab/x}+1]",
-        implemented_form="lhs = (b^2/x)^n sum_k ... ; ratio lhs/rhs_printed = kappa(n) = 2^n",
-        reconciled_constants={"kappa(n)": "2**n", "kappa(1)": 2.0, "kappa(2)": 4.0},
-        evidence=("E4.2-ratio-n1", "E4.2-ratio-n2", "E4.2-ratio-n3"),
-    ),
-    CorrectionLedgerEntry(
-        paper_eq="(1.10)/(1.11)",
-        printed_form="int phibar(z) (g_n(z, i*tau, x) +- g_n(z, -i*tau, x)) dz, no constant",
-        implemented_form="2(-1)^{n} c_P int phibar(w) T_n(x, w; i*tau) dw, Gaussian slot = i*tau, "
-                         "trig slots = (x, w), c_P = 2/pi",
-        reconciled_constants={"c_P": 2.0 / math.pi, "gaussian_slot": "i*tau",
-                              "trig_slots": "(x, w)"},
-        evidence=("P1.2-n0-gauss", "P1.2-n2-gauss", "P1.2-n0-sech", "P1.2-n2-sech"),
-    ),
-    CorrectionLedgerEntry(
-        paper_eq="Cor 1.2.1",
-        printed_form="psi(x,t) = sqrt(2m/(hbar t i)) e^{i pi x^2 m hbar/(2 t hbar)} "
-                     "psi(2mx/(hbar t), 2m/(i t hbar))",
-        implemented_form="psi(x,tau) = lambda (pi i tau)^{-1/2} e^{i x^2/(4 tau)} "
-                         "psi(x/(2 tau), -1/(4 tau)), lambda = phibar_c/phi",
-        reconciled_constants={"phase": "x**2/(4*tau)", "argument_scale": 0.5,
-                              "dual_time": "-1/(4*tau)", "prefactor": "lambda/sqrt(pi*i*tau)"},
-        evidence=("C1.2.1-sech-t1", "C1.2.1-sech-t2"),
-    ),
-    CorrectionLedgerEntry(
-        paper_eq="(2.1)",
-        printed_form="psi = series (the printed series equals the half-line integral)",
-        implemented_form="psi = 2 * sum_n (i tau)^n/n! d^{2n} phibar_c(x); factor 2 restores "
-                         "the full-line packet",
-        reconciled_constants={"full_packet_factor": 2.0},
-        evidence=("HEAT-gauss-smalltau", "HEAT-sech-smalltau"),
-    ),
-    CorrectionLedgerEntry(
-        paper_eq="(2.3)",
-        printed_form="(pi/(2 beta)) sum (-1)^n e^{-(2n+1)x + i c^2 (2n+1)^2 tau}",
-        implemented_form="(pi/beta) sum (-1)^n e^{-(2n+1) c x + i c^2 (2n+1)^2 tau}, "
-                         "c = pi/(2 beta); valid as tau/x -> 0, not t -> inf",
-        reconciled_constants={"C_s": "pi/beta", "x_scale_c": "pi/(2*beta)"},
-        evidence=("T2.1-sech-b157-x2", "T2.1-sech-b1-x4", "T2.1-exact-b157"),
-    ),
-    CorrectionLedgerEntry(
-        paper_eq="(2.4)",
-        printed_form="(1/2) int_0^inf [cosh(c)cos(c)/(cosh(c)+cos(c))] cos(xz) dz = G(x)",
-        implemented_form="int_0^inf [cosh(c)cos(c)/(cosh(2c)+cos(2c))] cos(xz) dz = G(x); "
-                         "no 1/2, denominator argument doubled",
-        reconciled_constants={"half_factor": 1.0, "kernel_denominator": "cosh(2c)+cos(2c)"},
-        evidence=("G2.4-x05", "G2.4-x1", "G2.4-x2", "G2.4-regularized-x1"),
-    ),
-    CorrectionLedgerEntry(
-        paper_eq="(2.5)",
-        printed_form="sum (-1)^n (2n+1) e^{-(2n+1)^2 x + (1/4) i (2n+1)^4 tau}",
-        implemented_form="sum (-1)^n (2n+1) e^{-(2n+1)^2 x + i (2n+1)^4 tau}; C_g = 1 "
-                         "(with the corrected (2.4)), q = 1; valid as tau -> 0 on the "
-                         "damped axis, not t -> inf",
-        reconciled_constants={"C_g": 1.0, "q": 1.0},
-        evidence=("T2.2-damped-x1", "T2.2-damped-x2", "T2.2-exact-x1"),
-    ),
-    CorrectionLedgerEntry(
-        paper_eq="(3.4)/(3.6)",
-        printed_form="H_m(b/sqrt(n)) / n^{m/2} with a spurious (-1)^m on the series side",
-        implemented_form="H_{2m}(b/sqrt(k)) k^{-m}; the 2m-th b-derivative of the "
-                         "alternating-Gaussian series",
-        reconciled_constants={"hermite_order": "2m", "power": "k**(-m)"},
-        evidence=("E3.4-deriv-m1-b05", "E3.4-deriv-m1-b1"),
-    ),
-    CorrectionLedgerEntry(
-        paper_eq="Thm 3.1",
-        printed_form="lattice = Gamma(m+1/2) (eta-factor) zeta(m+1/2) + 2 sum sum h",
-        implemented_form="lattice = (1/2) Gamma(m+1/2) (eta-factor) zeta(m+1/2) "
-                         "+ 2 (-1)^m sum sum h (+ bose m=1 boundary -1/2)",
-        reconciled_constants={"kappa0": 0.5, "kappa1": 2.0, "transform_sign": "(-1)**m",
-                              "bose_m1_boundary": -0.5},
-        evidence=("T3.1-m1-fermi", "T3.1-m2-fermi", "T3.1-m3-fermi",
-                  "T3.1-m1-bose", "T3.1-m2-bose"),
-    ),
-)
 
 
 def _json_number(v: float):
@@ -547,28 +452,3 @@ def emit_report(reports: list, fmt: str = "json",
             lines.append(f"| {e.paper_eq} | {e.printed_form} | {e.implemented_form} | {consts} |")
         return "\n".join(lines) + "\n"
     raise DomainError(f"unknown format {fmt!r}")
-
-
-def ledger_markdown(ledger: tuple = CORRECTION_LEDGER) -> str:
-    if not ledger:
-        return "no corrections recorded\n"
-    lines = ["# Correction ledger", ""]
-    for e in ledger:
-        lines.append(f"## {e.paper_eq}")
-        lines.append("")
-        lines.append(f"- printed:     {e.printed_form}")
-        lines.append(f"- implemented: {e.implemented_form}")
-        for k, v in e.reconciled_constants.items():
-            lines.append(f"- {k} = {v}")
-        lines.append(f"- evidence: {', '.join(e.evidence)}")
-        lines.append("")
-    return "\n".join(lines)
-
-
-def ledger_json(ledger: tuple = CORRECTION_LEDGER) -> str:
-    return json.dumps([
-        {"paper_eq": e.paper_eq, "printed_form": e.printed_form,
-         "implemented_form": e.implemented_form, "constants": e.reconciled_constants,
-         "evidence": list(e.evidence)}
-        for e in ledger
-    ], indent=2)

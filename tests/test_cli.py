@@ -2,12 +2,18 @@ import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wavepack.cli import main, parse_complex
+from wavepack.amplitudes import AMPLITUDE_FAMILIES
+from wavepack.cli import AMPLITUDE_NAMES, _linspace, build_parser, main, parse_complex
 from wavepack.foundation import PhysicalConfig
 from wavepack.wavepacket import Amplitude, psi
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(argv):
@@ -88,6 +94,12 @@ class TestPsiCommand:
         lib = psi(Amplitude.gaussian(1.0), 1.0, 0.5,
                   PhysicalConfig(hbar=2.0, mass=0.5), method="closed").psi
         assert doc["psi"]["re"] == lib.real
+
+    def test_amplitude_choices_are_the_families(self):
+        # the parser lists the names without importing amplitudes
+        psi_parser = build_parser()._subparsers._group_actions[0].choices["psi"]
+        choices = next(a.choices for a in psi_parser._actions if a.dest == "amplitude")
+        assert list(choices) == list(AMPLITUDE_NAMES) == list(AMPLITUDE_FAMILIES)
 
     def test_usage_error_exit_2(self):
         code, _, _ = run_cli(["psi", "--amplitude", "nosuch", "--x", "0", "--t", "0,0"])
@@ -268,3 +280,40 @@ class TestVerifySurvivesAFailingCase:
     def test_no_errors_key_when_every_case_runs(self):
         code, out, _ = run_cli(["verify", "--suite", "QUAD-*", "--format", "json"])
         assert code == 0 and "errors" not in json.loads(out)
+
+
+class TestOutputsUnchanged:
+    """The CLI's text, byte for byte, against recorded outputs in tests/golden:
+    the ledger in both formats, the reports that embed it, and table sweeps."""
+
+    @pytest.mark.parametrize("name,argv", [
+        ("ledger.json", ["ledger", "--json"]),
+        ("ledger.md", ["ledger"]),
+        ("verify-E4.2.json", ["verify", "--suite", "E4.2-*", "--format", "json"]),
+        ("verify-E4.2.csv", ["verify", "--suite", "E4.2-*", "--format", "csv"]),
+        ("verify-E4.2.md", ["verify", "--suite", "E4.2-*", "--format", "markdown"]),
+        ("table-ANGLE-n1-plus-1.csv", ["table", "--identity", "ANGLE-n1-plus", "--grid", "0.9:1.7:1"]),
+        ("table-ANGLE-n1-plus-2.csv", ["table", "--identity", "ANGLE-n1-plus", "--grid", "0.5:1.7:2"]),
+        ("table-ANGLE-n1-plus-11.csv", ["table", "--identity", "ANGLE-n1-plus",
+                                        "--grid", "0.3:1.9:11"]),
+    ])
+    def test_output_is_the_recorded_text(self, name, argv):
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / name).read_text()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e6, 1e6), st.floats(0.0, 1e6), st.integers(1, 60))
+    def test_table_grid_is_numpy_linspace(self, lo, width, steps):
+        hi = lo + width
+        self._assert_linspace(lo, hi, steps)
+
+    @pytest.mark.parametrize("lo,hi,steps", [(0.0, 1.5e-323, 9), (-0.0, 1.0, 1), (2.0, 2.0, 1)],
+                             ids=["step-underflows", "negative-zero", "one-point"])
+    def test_table_grid_edge_cases(self, lo, hi, steps):
+        self._assert_linspace(lo, hi, steps)
+
+    @staticmethod
+    def _assert_linspace(lo, hi, steps):
+        grid = _linspace(lo, hi, steps)
+        assert [x.hex() for x in grid] == [x.hex() for x in np.linspace(lo, hi, steps).tolist()]

@@ -20,14 +20,25 @@ is the one gate from an oracle result to a number: no module but
 one builder of an oracle integrand's chirp factor exp(-i tau z^2), with its
 tail bound, so no other module puts tau in an `np.exp` and `wavepacket` takes
 no `packet_decay` bound.
+
+The package namespace resolves lazily in one place: `wavepack.__getattr__`
+maps each exported name to its defining module, and each submodule name to
+the submodule, when it is read, and keeps no copy.  So `import wavepack`
+loads no numpy, and each CLI subcommand loads only its own layers (checked
+through `sys.modules` in a fresh interpreter): `ledger` needs no numpy, `psi`
+skips `registry` and `zeta`, and `zeta` skips `registry`, `wavepacket` and
+`amplitudes`.
 """
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import wavepack
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wavepack"
 MODULES = sorted(SRC.glob("*.py"))
@@ -233,3 +244,82 @@ def test_only_quadrature_builds_the_chirp_factor():
     imported = {alias.name for node in ast.walk(ast.parse((SRC / "wavepacket.py").read_text()))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert (chirps, "packet_decay" in imported) == (set(), False)
+
+
+def _modules_loaded(code):
+    """The sys.modules names of a fresh interpreter after it ran `code`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code += "\nprint(__import__('json').dumps(sorted(__import__('sys').modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def _cli_run(*argv):
+    """Code that runs `python -m wavepack.cli ARGV` in place and checks it exits 0."""
+    return ("import runpy, sys\n"
+            f"sys.argv = ['wavepack', *{list(argv)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('wavepack.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n")
+
+
+@pytest.mark.parametrize("code,loaded,absent", [
+    ("import wavepack", {"wavepack"}, {"numpy"}),
+    (_cli_run("ledger", "--json"), {"wavepack.ledger"}, {"numpy"}),
+    (_cli_run("psi", "--amplitude", "sech", "--beta", "1.3", "--x", "0.7", "--t", "0.5,-0.2"),
+     {"wavepack.wavepacket"}, {"wavepack.registry", "wavepack.zeta"}),
+    (_cli_run("zeta", "--m=2", "--method=lattice", "--json"), {"wavepack.zeta"},
+     {"wavepack.registry", "wavepack.wavepacket", "wavepack.amplitudes"}),
+], ids=["import", "ledger", "psi", "zeta-lattice"])
+def test_each_command_loads_only_its_layers(code, loaded, absent):
+    modules = _modules_loaded(code)
+    assert (loaded - modules, absent & modules) == (set(), set())
+
+
+def _defined_names(top):
+    """Names a top-level statement defines (def, class or assignment)."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return {top.name}
+    targets = top.targets if isinstance(top, ast.Assign) else [getattr(top, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+@pytest.mark.parametrize("name", wavepack.__all__)
+def test_every_export_is_its_defining_modules_object(name):
+    # the home is read from the sources, not from the package's own table
+    homes = {path.stem for path in MODULES for top in ast.parse(path.read_text()).body
+             if name in _defined_names(top)}
+    assert len(homes) == 1, homes
+    namespace = {}
+    exec(f"from wavepack import {name}", namespace)
+    assert namespace[name] is getattr(getattr(wavepack, homes.pop()), name)
+
+
+def test_the_namespace_keeps_no_copy(monkeypatch):
+    # a rebinding in the defining module (as the benchmark's tracer makes) is
+    # what the next `wavepack.<name>` read returns
+    def marker():
+        pass
+
+    assert wavepack.psi is wavepack.wavepacket.psi
+    monkeypatch.setattr(wavepack.wavepacket, "psi", marker)
+    assert wavepack.psi is marker and "psi" not in vars(wavepack)
+
+
+def test_dir_lists_all_and_unknown_names_raise():
+    assert set(wavepack.__all__) <= set(dir(wavepack))
+    assert not hasattr(wavepack, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wavepack.no_such_name
+
+
+def test_only_the_package_getattr_imports_by_name():
+    callers = {f"{path.stem}.{getattr(top, 'name', '<module>')}"
+               for path in MODULES for top in ast.parse(path.read_text()).body
+               for call in ast.walk(top) if isinstance(call, ast.Call)
+               and getattr(call.func, "id", getattr(call.func, "attr", None))
+               in ("import_module", "__import__")}
+    assert callers == {"__init__.__getattr__"}

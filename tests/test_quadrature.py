@@ -665,14 +665,9 @@ def _reference_integrate_interval(f, a, b, tol, budget, osc_freq):
     return quadrature._result(total, total_err, evals, np.max(total_err) <= tol)
 
 
-@st.composite
-def _integration_problems(draw):
-    """A Gaussian-damped oscillatory integrand, scalar or with m columns of
-    different frequencies, on a random interval with tol and budget."""
-    m = draw(st.sampled_from([None, 1, 3, 40]))
-    rate = draw(st.floats(0.05, 5.0))
-    shift = draw(st.floats(-2.0, 2.0))
-    freq = draw(st.floats(0.0, 30.0))
+def _damped_waves(m, rate, shift, freq):
+    """e^{-rate (z - shift)^2} e^{i w z}: w = freq (scalar, m None), or m
+    columns with w from freq/2 to freq."""
     ws = freq * np.linspace(0.5, 1.0, m or 1)
 
     def f(z):
@@ -681,6 +676,18 @@ def _integration_problems(draw):
             return head * np.exp(1j * freq * z)
         return head[:, None] * np.exp(1j * np.multiply.outer(z, ws))
 
+    return f
+
+
+@st.composite
+def _integration_problems(draw):
+    """A Gaussian-damped oscillatory integrand, scalar or with m columns of
+    different frequencies, on a random interval with tol and budget."""
+    m = draw(st.sampled_from([None, 1, 3, 40]))
+    rate = draw(st.floats(0.05, 5.0))
+    shift = draw(st.floats(-2.0, 2.0))
+    freq = draw(st.floats(0.0, 30.0))
+    f = _damped_waves(m, rate, shift, freq)
     a = draw(st.floats(-6.0, 0.0))
     b = a + draw(st.floats(0.1, 10.0))
     tol = 10.0 ** draw(st.floats(-12.0, -6.0))
@@ -713,10 +720,23 @@ class TestBatchedPanels:
         ref = _reference_integrate_interval(f, a, b, tol, budget, osc)
         got = integrate_interval(f, a, b, tol=tol, budget=budget, osc_freq=osc)
         assert got.evaluations <= budget
-        assert np.all(np.abs(got.value - ref.value)
-                      <= got.abs_error_estimate + ref.abs_error_estimate)
         # a generation only takes panels the sequential loop would split too
         assert got.evaluations == ref.evaluations and got.converged == ref.converged
+        if got.converged:
+            # an unconverged estimate bounds nothing (see the aliased problem below)
+            assert np.all(np.abs(got.value - ref.value)
+                          <= got.abs_error_estimate + ref.abs_error_estimate)
+
+    @pytest.mark.parametrize("m", [None, 3, 40], ids=["scalar", "m3", "m40"])
+    def test_a_starved_aliased_problem_is_unconverged_on_both_sides(self, m):
+        # e^{-5(z-2)^2} e^{30iz} on [-1, 7] at tol 1e-6 and budget 90, without
+        # osc_freq: 15-node panels over 60 rad alias, |K15 - G7| misses it, and
+        # the two loops' values differ by more than their summed estimates
+        f = _damped_waves(m, 5.0, 2.0, 30.0)
+        ref = _reference_integrate_interval(f, -1.0, 7.0, 1e-6, 90, None)
+        got = integrate_interval(f, -1.0, 7.0, tol=1e-6, budget=90)
+        assert got.evaluations == ref.evaluations == 90
+        assert (got.converged, ref.converged) == (False, False)
 
 
 def _spy(m):
