@@ -410,11 +410,17 @@ class Glaisher(_PoleFamily):
 class Custom(Amplitude):
     """A user-supplied callable with declared parity and tail bound; decay=None
     sends it down the oracle's regularized path.  The decay of phi does not
-    bound its transform's, so it declares no `transform_decay`."""
+    bound its transform's, so it declares no `transform_decay`.  The parity is
+    trusted (the heat series and the folded norm grid rely on it), so only
+    "even", "odd" and "none" are accepted."""
 
     fn: object
     parity: str = "none"
     decay: DecayBound | None = None
+
+    def __post_init__(self) -> None:
+        if self.parity not in ("even", "odd", "none"):
+            raise DomainError(f"parity must be even, odd or none, not {self.parity!r}")
 
     def __call__(self, z):
         return scalar_or_array(np.asarray(self.fn(np.asarray(z, dtype=complex)), dtype=complex), z)

@@ -7,6 +7,9 @@ analytic derivative, transform and its decay, pole expansion) and falls back
 to the quadrature oracle where a capability is missing.  The oracle side of
 the packet, its x-derivatives, the bare transforms and the Hermite expansion
 is `quadrature.chirp_integral`; this module supplies only their weights.
+The layers only some entry points need (`asymptotics`, `closedform`, `fd`)
+are read as `wavepack.<module>` attributes when called, so evaluating a
+packet loads none of them.
 """
 from __future__ import annotations
 
@@ -17,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import asymptotics, fd
+import wavepack
+
 from .amplitudes import Amplitude, glaisher_kernel  # noqa: F401  (glaisher_kernel re-exported)
-from .closedform import f_cosine_moment
 from .errors import DomainError, UnsupportedMethodError
 from .foundation import (NATURAL_UNITS, PhysicalConfig, binomial, check_tau, golden_section_min,
                          reduced_time, scalar_or_array, sqrt_principal)
@@ -52,8 +55,8 @@ def amplitude_derivative(amp: Amplitude, k: int, z):
         return amp.derivative(k, z)
     if k > _FD_MAX_ORDER:
         raise DomainError(f"derivative order {k} beyond this amplitude's capability")
-    return scalar_or_array(fd.derivative(lambda u: amp(u + 0j), np.real(z), k,
-                                         h0=0.05 * (k + 1), levels=4), z)
+    return scalar_or_array(wavepack.fd.derivative(lambda u: amp(u + 0j), np.real(z), k,
+                                                  h0=0.05 * (k + 1), levels=4), z)
 
 
 def gaussian_closed_psi(amp: Amplitude, x, tau) -> complex:
@@ -94,7 +97,7 @@ def psi(amp: Amplitude, x, t, cfg: PhysicalConfig = NATURAL_UNITS,
     if method == "heat":
         if amp.parity != "even":
             raise UnsupportedMethodError("heat series requires an even amplitude")
-        se = asymptotics.heat_series(amp, float(np.real(x)), tau, N=40)
+        se = wavepack.asymptotics.heat_series(amp, float(np.real(x)), tau, N=40)
         return WaveValue(psi=se.value, method="heat_series", error_estimate=se.tail_estimate)
     xr = float(np.real(x))
     if xr <= 0:
@@ -202,10 +205,11 @@ def parseval_transformed_derivative(amp: Amplitude, n: int, x, t,
     x = float(x)
     sign = 1.0 if even else -1.0
     transform = fourier_cosine_transform if even else fourier_sine_transform
+    moment = wavepack.closedform.f_cosine_moment
 
     def outer(s) -> QuadratureResult:
         def f(w):
-            t_m = 0.5 * (f_cosine_moment(m, x - w, s) + sign * f_cosine_moment(m, x + w, s))
+            t_m = 0.5 * (moment(m, x - w, s) + sign * moment(m, x + w, s))
             return transform(amp, w) * t_m
 
         kernel = math.gamma(m + 0.5) / (2.0 * s.real ** (m + 0.5))
@@ -382,23 +386,33 @@ def position_norm_squared(amp: Amplitude, t: complex, cfg: PhysicalConfig = NATU
     The truncation L = half_width must be chosen by the caller so the packet
     mass outside is below the comparison tolerance, and must be a multiple of
     `step` (within a few ulps of the quotient, so 1.2 and 0.1 give 25 nodes);
-    anything else is a DomainError.  `method` resolves as in `psi`: "closed"
-    (the "auto" choice for the Gaussian) evaluates the closed form node by
-    node, "quadrature" (the "auto" choice otherwise) takes one batched
-    quadrature over the whole grid (each node within tol), and the series
-    methods evaluate psi node by node.  The grid is evenly spaced, so the
-    batched oracle builds its exp(i z x) table as two factors of about
-    sqrt(npts) columns, 3 complex exponentials per quadrature node, and never
-    builds the nodes x npts table (`quadrature.psi_oracle`): each node's psi
-    is taken at a point within a few ulps of max |x| of the grid point.
+    anything else is a DomainError.
+
+    Fold by parity: if phi(-z) = +-phi(z), the substitution z -> -z gives
+    psi(-x) = +-psi(x), so |psi|^2 is even in x.  An even or odd amplitude
+    (its declared `parity`) is therefore evaluated on the half grid
+    x = 0, step, ..., L only, and the values are reflected onto x < 0 before
+    the Simpson weights of the whole grid apply; a shifted amplitude (z0 != 0)
+    or one of parity "none" is evaluated on all 2 L/step + 1 nodes.
+
+    `method` resolves as in `psi`: "closed" (the "auto" choice for the
+    Gaussian) evaluates the closed form node by node, "quadrature" (the
+    "auto" choice otherwise) takes one batched quadrature over the evaluated
+    grid (each node within tol), and the series methods evaluate psi node by
+    node.  The grid is evenly spaced, so the batched oracle builds its
+    exp(i z x) table as two factors of about sqrt(npts) columns, 3 complex
+    exponentials per quadrature node, and never builds the nodes x npts table
+    (`quadrature.psi_oracle`): each node's psi is taken at a point within a
+    few ulps of max |x| of the grid point.
     """
     if not 0 < step <= half_width < math.inf:
         raise DomainError("the grid needs 0 < step <= half_width < inf")
     ratio = half_width / step
     if abs(ratio - round(ratio)) > 4 * math.ulp(ratio):
         raise DomainError(f"half_width {half_width} is not a multiple of step {step}")
-    npts = 2 * round(ratio) + 1
-    xs = np.linspace(-half_width, half_width, npts)
+    n = round(ratio)
+    folded = amp.parity in ("even", "odd")
+    xs = np.linspace(0.0 if folded else -half_width, half_width, n + 1 if folded else 2 * n + 1)
     tau = check_tau(reduced_time(t, cfg))
     method = _resolve_method(amp, method)
     if method == "closed":
@@ -408,8 +422,10 @@ def position_norm_squared(amp: Amplitude, t: complex, cfg: PhysicalConfig = NATU
     else:
         vals = np.array([abs(psi(amp, float(xx), t, cfg, method=method, tol=tol).psi) ** 2
                          for xx in xs])
+    if folded:
+        vals = np.concatenate((vals[:0:-1], vals))
     h = xs[1] - xs[0]
-    w = np.ones(npts)
+    w = np.ones(2 * n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return float(h / 3.0 * np.dot(w, vals))

@@ -55,6 +55,12 @@ class TestFamilies:
             assert arr.shape == (3,) and arr.dtype == complex
             assert abs(arr[1] - amp(0.5)) == 0.0
 
+    @pytest.mark.parametrize("parity", ["Even", "symmetric", "", None])
+    def test_custom_parity_is_one_of_three(self, parity):
+        # the heat series and the folded norm grid trust the declared parity
+        with pytest.raises(DomainError):
+            Amplitude.custom(lambda z: np.exp(-np.asarray(z) ** 2), parity=parity)
+
     def test_custom_without_transform_capabilities(self):
         amp = _custom()
         with pytest.raises(DomainError):

@@ -26,8 +26,9 @@ maps each exported name to its defining module, and each submodule name to
 the submodule, when it is read, and keeps no copy.  So `import wavepack`
 loads no numpy, and each CLI subcommand loads only its own layers (checked
 through `sys.modules` in a fresh interpreter): `ledger` needs no numpy, `psi`
-skips `registry` and `zeta`, and `zeta` skips `registry`, `wavepacket` and
-`amplitudes`.
+skips `registry`, `zeta` and the layers `wavepacket` reads only when called
+(`asymptotics`, `closedform`, `fd`), and `zeta` skips `registry`,
+`wavepacket` and `amplitudes`.
 """
 import ast
 import json
@@ -270,7 +271,8 @@ def _cli_run(*argv):
     ("import wavepack", {"wavepack"}, {"numpy"}),
     (_cli_run("ledger", "--json"), {"wavepack.ledger"}, {"numpy"}),
     (_cli_run("psi", "--amplitude", "sech", "--beta", "1.3", "--x", "0.7", "--t", "0.5,-0.2"),
-     {"wavepack.wavepacket"}, {"wavepack.registry", "wavepack.zeta"}),
+     {"wavepack.wavepacket"}, {"wavepack.registry", "wavepack.zeta", "wavepack.asymptotics",
+                               "wavepack.closedform", "wavepack.fd"}),
     (_cli_run("zeta", "--m=2", "--method=lattice", "--json"), {"wavepack.zeta"},
      {"wavepack.registry", "wavepack.wavepacket", "wavepack.amplitudes"}),
 ], ids=["import", "ledger", "psi", "zeta-lattice"])

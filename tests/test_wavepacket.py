@@ -23,6 +23,9 @@ from wavepack.wavepacket import (Amplitude, amplitude_derivative,
                                  self_reciprocal_scaled_sech)
 
 SQRT_PI = math.sqrt(math.pi)
+# z e^{-z^2}, odd, with a declared tail bound: |z| e^{-z^2} <= 2 e^{-z^2/2}
+_ODD_CUSTOM = Amplitude.custom(lambda z: z * np.exp(-np.asarray(z) ** 2), parity="odd",
+                               decay=DecayBound(rate=0.5, power=2.0, scale=2.0))
 
 
 class TestAmplitudes:
@@ -520,8 +523,8 @@ class TestPlancherelMethods:
         with pytest.raises(UnsupportedMethodError):
             position_norm_squared(amp, 0.5, method="nosuch")
 
-    def test_grid_keeps_its_step_when_the_quotient_rounds_down(self, monkeypatch):
-        # 1.2 / 0.1 is 11.999999999999998, and truncating it gave 23 nodes
+    @staticmethod
+    def _recorded_grids(monkeypatch):
         grids = []
         real_oracle = wavepacket.psi_oracle
 
@@ -530,10 +533,63 @@ class TestPlancherelMethods:
             return real_oracle(amp, x, *args, **kwargs)
 
         monkeypatch.setattr(wavepacket, "psi_oracle", recording_oracle)
+        return grids
+
+    def test_grid_keeps_its_step_when_the_quotient_rounds_down(self, monkeypatch):
+        # 1.2 / 0.1 is 11.999999999999998, and truncating it gave 23 nodes on
+        # the full grid of a shifted sech and would give 12 on the half grid
+        # of an even one
+        grids = self._recorded_grids(monkeypatch)
+        position_norm_squared(Amplitude.sech(1.5, 0.3), 0.5 - 0.2j, half_width=1.2, step=0.1)
         position_norm_squared(Amplitude.sech(1.5), 0.5 - 0.2j, half_width=1.2, step=0.1)
+        full, half = grids
+        assert full.size == 25 and full[0] == -1.2 and full[-1] == 1.2
+        assert half.size == 13 and half[0] == 0.0 and half[-1] == 1.2
+        for xs in grids:
+            assert np.allclose(np.diff(xs), 0.1, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("amp,tau", [
+        (Amplitude.sech(1.5), 0.55),
+        (Amplitude.glaisher(), 0.55 - 0.2j),
+        (_ODD_CUSTOM, 0.55),
+        (Amplitude.gaussian(1.0), 0.55),
+    ], ids=["sech", "glaisher", "odd-custom", "gaussian-closed"])
+    def test_folded_norm_equals_the_full_grid_sum(self, amp, tau):
+        # |psi|^2 is even for an even or odd phi, so the half grid reflected
+        # gives the Simpson sum of the whole grid
+        xs = np.linspace(-20.0, 20.0, 401)
+        if amp.closed_psi is not None:
+            psis = np.array([gaussian_closed_psi(amp, x, tau) for x in xs])
+        else:
+            psis = psi_oracle(amp, xs, tau, tol=1e-8).checked("full grid").value
+        w = np.ones(401)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        full = (xs[1] - xs[0]) / 3.0 * np.dot(w, np.abs(psis) ** 2)
+        folded = position_norm_squared(amp, tau, half_width=20.0, step=0.1)
+        assert abs(folded - full) <= 1e-12 * full
+
+    @pytest.mark.parametrize("amp,size,lo", [
+        (Amplitude.sech(1.5), 201, 0.0),
+        (Amplitude.glaisher(), 201, 0.0),
+        (_ODD_CUSTOM, 201, 0.0),
+        (Amplitude.sech(1.5, 0.3), 401, -20.0),
+    ], ids=["even-sech", "even-glaisher", "odd-custom", "shifted-sech"])
+    def test_only_a_parity_definite_amplitude_is_folded(self, monkeypatch, amp, size, lo):
+        grids = self._recorded_grids(monkeypatch)
+        position_norm_squared(amp, 0.55 - 0.2j, half_width=20.0, step=0.1)
         (xs,) = grids
-        assert xs.size == 25 and xs[0] == -1.2 and xs[-1] == 1.2
-        assert np.allclose(np.diff(xs), 0.1, rtol=1e-12, atol=0.0)
+        assert xs.size == size and xs[0] == lo and xs[-1] == 20.0
+
+    @pytest.mark.parametrize("amp,tau", [(Amplitude.sech(1.5), 0.55),
+                                         (Amplitude.glaisher(), 0.55 - 0.2j),
+                                         (_ODD_CUSTOM, 0.55 - 0.2j)],
+                             ids=["sech", "glaisher", "odd-custom"])
+    @pytest.mark.parametrize("x", [0.3, 1.7, 4.2])
+    def test_modulus_is_even_in_x(self, amp, tau, x):
+        plus, minus = psi_oracle(amp, x, tau), psi_oracle(amp, -x, tau)
+        assert abs(abs(plus.value) - abs(minus.value)) <= (plus.abs_error_estimate
+                                                           + minus.abs_error_estimate)
 
     @pytest.mark.parametrize("half_width,step", [(1.25, 0.1), (20.0, 0.3), (0.05, 0.1),
                                                  (1.0, 0.0), (1.0, -0.1), (math.inf, 0.1)])
