@@ -29,8 +29,9 @@ _EXPORTS = {
     "hermite": ("gaussian_derivative", "hermite_eval", "shifted_argument_identity",
                 "shifted_identity_ratio_constant"),
     "ledger": ("CORRECTION_LEDGER", "CorrectionLedgerEntry"),
-    "quadrature": ("DecayBound", "QuadratureResult", "chirp_integral", "integrate_decaying",
-                   "integrate_interval", "integrate_oscillatory_regularized", "psi_oracle"),
+    "quadrature": ("DecayBound", "QuadratureResult", "StripBound", "chirp_integral",
+                   "chirp_trapezoid", "integrate_decaying", "integrate_interval",
+                   "integrate_oscillatory_regularized", "psi_oracle"),
     "registry": ("IdentityCase", "IdentityReport", "emit_report", "load_catalogue",
                  "run_suite"),
     "wavepacket": ("WaveValue", "amplitude_derivative", "calibrate_parseval_constant",

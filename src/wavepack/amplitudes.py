@@ -24,7 +24,7 @@ from .errors import DomainError, NonConvergenceError
 from .foundation import (SeriesEval, alternating_series_cvz, check_tau, scalar_or_array,
                          sqrt_principal, sum_to_smallest_term)
 from .hermite import gaussian_derivative, hermite_eval
-from .quadrature import DecayBound
+from .quadrature import DecayBound, StripBound
 
 GLAISHER_SQRT_ARG = math.pi / (2.0 * math.sqrt(2.0))  # c(z) = this * sqrt(|z|)
 
@@ -279,6 +279,7 @@ class Amplitude:
     cosine_transform_derivative = None   # (n, a) -> d^{2n} phibar_c / da^{2n}
     transform_decay = None               # DecayBound of phibar_c (of phibar_s, if odd)
     poles = None                         # PoleExpansion
+    strip = None                         # StripBound: analytic, with a bound, on a strip
 
     @property
     def parity(self) -> str:
@@ -363,6 +364,14 @@ class Sech(_PoleFamily):
     @property
     def poles(self) -> PoleExpansion | None:
         return sech_poles(self.beta) if self.z0 == 0 else None
+
+    @property
+    def strip(self) -> StripBound:
+        # |cosh(p + iq)|^2 = cosh^2 p - sin^2 q >= cosh^2 p cos^2 q and
+        # cosh p >= e^{|p|}/2, at p = beta (u - z0), q = beta y, |q| < pi/2
+        beta = self.beta
+        return StripBound(a_max=math.pi / (2.0 * beta), rate=beta, center=self.z0,
+                          scale=lambda a: 2.0 / math.cos(beta * a))
 
     def __call__(self, z):
         return scalar_or_array(1.0 / np.cosh(self.beta * (np.asarray(z, dtype=complex) - self.z0)), z)

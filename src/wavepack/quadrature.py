@@ -22,17 +22,21 @@ preserves the parity of the integrand.
 Every packet integral of the oracle, w(z) exp(i x z - i tau z^2) on the line
 or w(z) trig(x z) exp(-i tau z^2) on the half line, is `chirp_integral`: the
 one builder of that integrand, its tail bound and its frequency lines.
+`chirp_trapezoid` is the packet over an x-grid for an amplitude analytic on
+a declared strip (`StripBound`): one trapezoid sum with an a-priori bound,
+no adaptivity, so the oracle stays its independent check.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
-from .foundation import check_tau
+from .foundation import check_tau, golden_section_min
 
 # 15-point Kronrod extension of 7-point Gauss: the QUADPACK dqk15 constants
 # (Piessens et al., QUADPACK, 1983) to full double precision.  Truncated
@@ -71,6 +75,10 @@ _CELL_CAP = 8192
 _GENERATION_CAP = 64
 # Gaussian damping strengths of the zero-damping limit, strictly decreasing.
 _DAMPING = tuple(0.01 * 0.5**k for k in range(7))
+
+# Golden-section steps of the strip-width search of `chirp_trapezoid`: the
+# bracket shrinks to 0.618^24 ~ 1e-5 of the strip, where the step is flat.
+_STRIP_ITERS = 24
 
 _SQRT_PI = math.sqrt(math.pi)
 # Stopping rule, term cap and Lentz floor of the incomplete-gamma series and
@@ -237,6 +245,19 @@ class DecayBound:
         if self.power == 1.0 and self.rate > g:
             return DecayBound(rate=self.rate - g, power=1.0, scale=self.scale, onset=self.onset)
         return None
+
+
+@dataclass(frozen=True)
+class StripBound:
+    """Caller-declared bound |phi(u + iy)| <= scale(a) exp(-rate |u - center|)
+    for |y| <= a < a_max: phi is analytic on the strip |Im z| < a_max and
+    decays exponentially along it.  `chirp_trapezoid` takes its error bound
+    from it, so it must hold at every a below a_max."""
+
+    a_max: float
+    rate: float
+    center: float
+    scale: Callable[[float], float]
 
 
 def packet_decay(amp, tau, eps: float, grow: float = 0.0) -> DecayBound | None:
@@ -674,6 +695,14 @@ def integrate_oscillatory_regularized(f, tol: float = 1e-8, domain=(0.0, math.in
     return regularized_limit(damped, tol)
 
 
+def _real_array(x) -> np.ndarray:
+    """x as a float array; DomainError unless it is a non-empty 1-D real array."""
+    xs = np.asarray(x)
+    if xs.ndim != 1 or xs.size == 0 or (np.iscomplexobj(xs) and np.any(xs.imag != 0)):
+        raise DomainError("array x must be a non-empty 1-D real array")
+    return np.real(xs).astype(float)
+
+
 def _phase_block(xs: np.ndarray) -> tuple[int, float]:
     """Block size B and spacing h of the factored exp(i z x) table of `chirp_integral`:
     with k = a B + b, exp(i z x_k) is exp(i z (x_0 + a B h)) exp(i z b h).
@@ -699,6 +728,13 @@ def _powers(first, ratio: np.ndarray, k: int) -> np.ndarray:
     out[:, 0] = first
     out[:, 1:] = ratio[:, None]
     return np.multiply.accumulate(out, axis=1, out=out)
+
+
+def _phase_table(lead: np.ndarray, z: np.ndarray, m: int, block: int, h: float) -> FactoredTable:
+    """The m columns lead exp(i z k h), k < m, at nodes z as the two factors of
+    `_phase_block`: G = ceil(m/B) giant steps from `lead`, B baby steps from 1."""
+    return FactoredTable(_powers(lead, np.exp(1j * (block * h) * z), math.ceil(m / block)),
+                         _powers(1.0, np.exp(1j * h * z), block), m)
 
 
 def chirp_integral(amp, x, tau, tol: float = 1e-10, budget: int = DEFAULT_BUDGET, n: int = 0,
@@ -735,10 +771,7 @@ def chirp_integral(amp, x, tau, tol: float = 1e-10, budget: int = DEFAULT_BUDGET
     """
     tau = check_tau(tau)
     if np.ndim(x):
-        xs = np.asarray(x)
-        if xs.ndim != 1 or xs.size == 0 or (np.iscomplexobj(xs) and np.any(xs.imag != 0)):
-            raise DomainError("array x must be a non-empty 1-D real array")
-        xs = np.real(xs).astype(float)
+        xs = _real_array(x)
         x_lo, x_hi, grow = float(xs.min()), float(xs.max()), 0.0
     else:
         xs = complex(x)
@@ -756,10 +789,8 @@ def chirp_integral(amp, x, tau, tol: float = 1e-10, budget: int = DEFAULT_BUDGET
         if n and weight is None:
             w = w * zz**n
         if block > 1:
-            lead = w * np.exp(1j * xs[0] * zz - 1j * tau * zz * zz)
-            giants = math.ceil(xs.size / block)
-            return FactoredTable(_powers(lead, np.exp(1j * (block * h) * zz), giants),
-                                 _powers(1.0, np.exp(1j * h * zz), block), xs.size)
+            return _phase_table(w * np.exp(1j * xs[0] * zz - 1j * tau * zz * zz), zz, xs.size,
+                                block, h)
         if trig is not None:
             return (w * np.exp(-1j * tau * zz * zz) * trig(np.multiply.outer(zz, xs)).T).T
         if np.ndim(xs) == 0:
@@ -788,3 +819,78 @@ def psi_oracle(amp, x, tau, tol: float = 1e-10,
     n = 0 line case of `chirp_integral`: x is a scalar, complex allowed (the
     self-reciprocal check needs it), or a 1-D real array, one panel set."""
     return chirp_integral(amp, x, tau, tol, budget)
+
+
+def chirp_trapezoid(amp, xs, tau, tol: float = 1e-8,
+                    budget: int = DEFAULT_BUDGET) -> QuadratureResult:
+    """psi(x_k) = int phi(z) exp(i x_k z - i tau z^2) dz at every point of an
+    evenly spaced 1-D real array x (a grid, as `_phase_block` accepts it),
+    by one trapezoid sum h sum_{|j|<=J} g_k(jh) over one node set,
+    g_k(z) = phi(z) exp(-i tau z^2) exp(i x_k z).
+
+    The amplitude declares a `strip` (`StripBound`).  For a < min(a_max,
+    rate/(2 |Re tau|)) each g_k is then analytic on |Im z| < a with
+        int |g_k(u + iy)| du <= M_k(a) = scale(a) exp(a |x_k| + |Im tau| a^2
+                                  + 2 |Re tau| a |center|) 2/(rate - 2 |Re tau| a),
+    and the infinite sum is within 2 M_k(a)/(e^{2 pi a/h} - 1) of psi(x_k)
+    (Trefethen & Weideman, SIAM Rev. 56, 2014, Thm 5.1).  `golden_section_min`
+    picks the a that allows the widest h with that strip term within tol/2
+    at max |x|.  The sum stops at the first J where each tail, h sum_{j>J}
+    B(jh) <= B.tail_integral(Jh) for the decreasing `packet_decay` bound B,
+    is within tol/8.  The phases exp(i z x_k) are the factored table of
+    `chirp_integral` (`_phase_table`), and the sum is one matmul over it.
+
+    `abs_error_estimate` holds each point's strip term, the two tails and a
+    rounding term, 4 eps (2J + 1 + G + B + Z (|x_0| + 3 max|x|) + |tau| Z^2)
+    h sum_j |phi(jh) e^{-i tau (jh)^2}| with Z = Jh and G, B the widths of
+    the factors: it covers the sum, the factored powers, the chirp's phase
+    and the grid points the factored table takes, within a few ulps of
+    max |x| of x_k.  `evaluations` is 2J + 1; where that would exceed the
+    budget, the sum stops at the largest J the budget allows, and the result
+    is unconverged.
+    """
+    tau = check_tau(tau)
+    strip: StripBound | None = getattr(amp, "strip", None)
+    if strip is None:
+        raise DomainError("the trapezoid sum needs a declared strip bound")
+    if tol < 1e-13:
+        raise DomainError("tolerance below 1e-13 is not attainable in doubles")
+    xs = _real_array(xs)
+    block, step_x = _phase_block(xs)
+    if block == 1 and not step_x and xs.size > 1:
+        raise DomainError("the trapezoid sum needs an evenly spaced x")
+    ax = np.abs(xs)
+    x_max = float(ax.max())
+    drift, damp = 2.0 * abs(tau.real), abs(tau.imag)
+    width = min(strip.a_max, strip.rate / drift) if drift else strip.a_max
+
+    def log_mass(a: float) -> float:
+        # log M(a) at x = 0
+        return (math.log(2.0 * strip.scale(a) / (strip.rate - drift * a))
+                + damp * a * a + drift * a * abs(strip.center))
+
+    def step(a: float) -> float:
+        # the widest h whose strip term at max |x| is within tol/2
+        return 2.0 * math.pi * a / np.logaddexp(0.0, math.log(4.0 / tol) + log_mass(a) + a * x_max)
+
+    a = golden_section_min(lambda a: -step(a), 0.0, width, _STRIP_ITERS)
+    h = step(a)
+    strip_term = np.exp(math.log(2.0) + log_mass(a) + a * ax) / math.expm1(2.0 * math.pi * a / h)
+
+    eps_tail = tol / 8.0
+    bound = packet_decay(amp, tau, eps_tail)
+    if bound is None:
+        raise DomainError("the trapezoid sum needs a declared decay")
+    need = _first_false(lambda j: not bound.tail_integral(j * h) <= eps_tail, 64,
+                        budget // 2 + 1)
+    J = max(min(need, (budget - 1) // 2), 0)
+    z = h * np.arange(-J, J + 1)
+    lead = amp(z) * np.exp(1j * xs[0] * z - 1j * tau * z * z)
+    table = _phase_table(lead, z, xs.size, block, step_x)
+    value = h * (table.left.T @ table.right).ravel()[:xs.size]
+    Z = J * h
+    rounding = (4.0 * np.finfo(float).eps * h * float(np.sum(np.abs(lead)))
+                * (2 * J + 1 + table.left.shape[1] + block + Z * (abs(xs[0]) + 3.0 * x_max)
+                   + abs(tau) * Z * Z))
+    err = strip_term + 2.0 * bound.tail_integral(Z) + rounding
+    return _result(value, err, 2 * J + 1, 2 * need + 1 <= budget and _worst(err) <= tol)

@@ -3,8 +3,8 @@
 psi(x, t) = int phi(z) exp(i z x - i tau z^2) dz with tau = t hbar/(2m).
 
 Every entry point dispatches on the amplitude's capabilities (closed form,
-analytic derivative, transform and its decay, pole expansion) and falls back
-to the quadrature oracle where a capability is missing.  The oracle side of
+analytic derivative, transform and its decay, pole expansion, strip bound)
+and falls back to the quadrature oracle where a capability is missing.  The oracle side of
 the packet, its x-derivatives, the bare transforms and the Hermite expansion
 is `quadrature.chirp_integral`; this module supplies only their weights.
 The layers only some entry points need (`asymptotics`, `closedform`, `fd`)
@@ -27,8 +27,8 @@ from .errors import DomainError, UnsupportedMethodError
 from .foundation import (NATURAL_UNITS, PhysicalConfig, binomial, check_tau, golden_section_min,
                          reduced_time, scalar_or_array, sqrt_principal)
 from .hermite import hermite_all
-from .quadrature import (QuadratureResult, chirp_integral, integrate_decaying, psi_oracle,
-                         regularized_limit)
+from .quadrature import (QuadratureResult, chirp_integral, chirp_trapezoid, integrate_decaying,
+                         psi_oracle, regularized_limit)
 
 # Parseval constant for bare half-line transforms: int_0^inf f g = c_P int_0^inf fc gc.
 PARSEVAL_CONSTANT = 2.0 / math.pi
@@ -395,15 +395,19 @@ def position_norm_squared(amp: Amplitude, t: complex, cfg: PhysicalConfig = NATU
     the Simpson weights of the whole grid apply; a shifted amplitude (z0 != 0)
     or one of parity "none" is evaluated on all 2 L/step + 1 nodes.
 
+    "auto" takes one strip-bounded trapezoid sum over the evaluated grid
+    (`quadrature.chirp_trapezoid`, each node within tol by its a-priori
+    bound) for an amplitude that declares a `strip` (sech).  Otherwise
     `method` resolves as in `psi`: "closed" (the "auto" choice for the
     Gaussian) evaluates the closed form node by node, "quadrature" (the
-    "auto" choice otherwise) takes one batched quadrature over the evaluated
-    grid (each node within tol), and the series methods evaluate psi node by
-    node.  The grid is evenly spaced, so the batched oracle builds its
-    exp(i z x) table as two factors of about sqrt(npts) columns, 3 complex
-    exponentials per quadrature node, and never builds the nodes x npts table
-    (`quadrature.psi_oracle`): each node's psi is taken at a point within a
-    few ulps of max |x| of the grid point.
+    "auto" choice otherwise) takes one batched quadrature over the grid
+    (each node within tol), and the series methods evaluate psi node by
+    node.  The grid is evenly spaced, so the trapezoid sum and the batched
+    oracle build their exp(i z x) table as two factors of about sqrt(npts)
+    columns, 3 complex exponentials per node, and never build the nodes x
+    npts table: each node's psi is taken at a point within a few ulps of
+    max |x| of the grid point.  The Simpson step is
+    half_width/n, the step the grid is built from.
     """
     if not 0 < step <= half_width < math.inf:
         raise DomainError("the grid needs 0 < step <= half_width < inf")
@@ -414,8 +418,12 @@ def position_norm_squared(amp: Amplitude, t: complex, cfg: PhysicalConfig = NATU
     folded = amp.parity in ("even", "odd")
     xs = np.linspace(0.0 if folded else -half_width, half_width, n + 1 if folded else 2 * n + 1)
     tau = check_tau(reduced_time(t, cfg))
-    method = _resolve_method(amp, method)
-    if method == "closed":
+    use_strip = method == "auto" and amp.strip is not None
+    if not use_strip:
+        method = _resolve_method(amp, method)
+    if use_strip:
+        vals = np.abs(chirp_trapezoid(amp, xs, tau, tol=tol).checked("trapezoid psi sum").value) ** 2
+    elif method == "closed":
         vals = np.array([abs(gaussian_closed_psi(amp, xx, tau)) ** 2 for xx in xs])
     elif method == "quadrature":
         vals = np.abs(psi_oracle(amp, xs, tau, tol=tol).checked("batched psi quadrature").value) ** 2
@@ -424,8 +432,7 @@ def position_norm_squared(amp: Amplitude, t: complex, cfg: PhysicalConfig = NATU
                          for xx in xs])
     if folded:
         vals = np.concatenate((vals[:0:-1], vals))
-    h = xs[1] - xs[0]
     w = np.ones(2 * n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return float(h / 3.0 * np.dot(w, vals))
+    return float(half_width / n / 3.0 * np.dot(w, vals))

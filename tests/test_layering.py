@@ -28,7 +28,9 @@ loads no numpy, and each CLI subcommand loads only its own layers (checked
 through `sys.modules` in a fresh interpreter): `ledger` needs no numpy, `psi`
 skips `registry`, `zeta` and the layers `wavepacket` reads only when called
 (`asymptotics`, `closedform`, `fd`), and `zeta` skips `registry`,
-`wavepacket` and `amplitudes`.
+`wavepacket` and `amplitudes`.  Each of those commands, and `import
+wavepack.quadrature`, loads exactly its pinned set of package modules and no
+`numpy.fft`.
 """
 import ast
 import json
@@ -212,7 +214,7 @@ def test_one_place_builds_the_cvz_constant():
 
 @pytest.mark.parametrize("name,callers", [
     ("alternating_series_cvz", {"amplitudes", "zeta"}),
-    ("golden_section_min", {"asymptotics", "wavepacket"}),
+    ("golden_section_min", {"asymptotics", "quadrature", "wavepacket"}),
 ])
 def test_one_accelerator_and_one_line_search_in_foundation(name, callers):
     trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
@@ -267,18 +269,25 @@ def _cli_run(*argv):
             "    assert exc.code == 0, exc.code\n")
 
 
-@pytest.mark.parametrize("code,loaded,absent", [
-    ("import wavepack", {"wavepack"}, {"numpy"}),
-    (_cli_run("ledger", "--json"), {"wavepack.ledger"}, {"numpy"}),
+@pytest.mark.parametrize("code,loaded,absent,package", [
+    ("import wavepack", {"wavepack"}, {"numpy"}, set()),
+    ("import wavepack.quadrature", {"wavepack.quadrature"}, {"numpy.fft"},
+     {"errors", "foundation", "quadrature"}),
+    (_cli_run("ledger", "--json"), {"wavepack.ledger"}, {"numpy"}, {"errors", "ledger"}),
     (_cli_run("psi", "--amplitude", "sech", "--beta", "1.3", "--x", "0.7", "--t", "0.5,-0.2"),
      {"wavepack.wavepacket"}, {"wavepack.registry", "wavepack.zeta", "wavepack.asymptotics",
-                               "wavepack.closedform", "wavepack.fd"}),
+                               "wavepack.closedform", "wavepack.fd", "numpy.fft"},
+     {"amplitudes", "errors", "foundation", "hermite", "quadrature", "wavepacket"}),
     (_cli_run("zeta", "--m=2", "--method=lattice", "--json"), {"wavepack.zeta"},
-     {"wavepack.registry", "wavepack.wavepacket", "wavepack.amplitudes"}),
-], ids=["import", "ledger", "psi", "zeta-lattice"])
-def test_each_command_loads_only_its_layers(code, loaded, absent):
+     {"wavepack.registry", "wavepack.wavepacket", "wavepack.amplitudes", "numpy.fft"},
+     {"errors", "foundation", "hermite", "quadrature", "zeta"}),
+], ids=["import", "quadrature", "ledger", "psi", "zeta-lattice"])
+def test_each_command_loads_only_its_layers(code, loaded, absent, package):
+    # `package` pins the whole set of wavepack submodules loaded, so a new
+    # import anywhere in a command's layers shows here
     modules = _modules_loaded(code)
     assert (loaded - modules, absent & modules) == (set(), set())
+    assert {m for m in modules if m.startswith("wavepack.")} == {f"wavepack.{m}" for m in package}
 
 
 def _defined_names(top):

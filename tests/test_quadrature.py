@@ -1,6 +1,7 @@
 import cmath
 import heapq
 import math
+import random
 
 import numpy as np
 import pytest
@@ -627,7 +628,89 @@ class TestBatchedPsi:
 
         monkeypatch.setattr(wavepacket, "psi_oracle", starved)
         with pytest.raises(NonConvergenceError):
+            position_norm_squared(Amplitude.sech(1.5), 0.5, half_width=10.0, step=0.1,
+                                  method="quadrature")
+
+
+def _sweep_cases(seed: int, count: int):
+    """Seeded (amplitude, x-grid, tau, tol) draws: tau = 0, real tau (the
+    second kind up to where 2 Re(tau) a_max >= beta narrows the strip to
+    beta/(2 Re tau)) and damped tau, each on an even sech's half grid and a
+    shifted sech's full grid."""
+    rng = random.Random(seed)
+    for i in range(count):
+        beta = rng.uniform(0.8, 2.0)
+        kind, shifted = i % 4, (i // 4) % 2 == 1
+        tau = [0.0, rng.uniform(0.05, 1.0), rng.uniform(0.5, 2.0) * beta * beta / math.pi,
+               complex(rng.uniform(0.05, 1.2), -rng.uniform(0.02, 0.5))][kind]
+        L = rng.choice([5.0, 10.0, 20.0])
+        n = round(L / 0.1)
+        if shifted:
+            amp, xs = Amplitude.sech(beta, rng.uniform(-0.8, 0.8)), np.linspace(-L, L, 2 * n + 1)
+        else:
+            amp, xs = Amplitude.sech(beta), np.linspace(0.0, L, n + 1)
+        yield amp, xs, tau, rng.choice([1e-6, 1e-8, 1e-10])
+
+
+class TestChirpTrapezoid:
+    def test_every_node_is_within_its_estimate(self):
+        # the reference is exact at z0 = 0 (the pole resummation) and the
+        # oracle at tol 1e-12 otherwise, whose own estimate is added
+        narrow = 0
+        for amp, xs, tau, tol in _sweep_cases(2024, 48):
+            r = quadrature.chirp_trapezoid(amp, xs, tau, tol)
+            assert r.converged and r.evaluations % 2 == 1
+            assert np.max(r.abs_error_estimate) <= tol
+            if amp.z0 == 0:
+                ref = 2.0 * np.array([amp.poles.packet_exact(float(x), tau) for x in xs])
+                ref_err = 0.0
+            else:
+                o = psi_oracle(amp, xs, tau, tol=1e-12)
+                ref, ref_err = o.value, o.abs_error_estimate
+            assert np.all(np.abs(r.value - ref) <= r.abs_error_estimate + ref_err)
+            narrow += 2.0 * complex(tau).real * amp.strip.a_max >= amp.beta
+        assert narrow >= 12
+
+    @pytest.mark.parametrize("xs", [np.array([2.5]), np.array([-1.0, 2.0]),
+                                    np.linspace(-1.0, 2.0, 3), np.linspace(6.0, -4.0, 57)],
+                             ids=["n1", "n2", "n3", "descending"])
+    def test_small_and_descending_grids(self, xs):
+        amp, tau = Amplitude.sech(1.2, 0.4), 0.8 - 0.1j
+        r = quadrature.chirp_trapezoid(amp, xs, tau, 1e-9)
+        o = psi_oracle(amp, xs, tau, tol=1e-12)
+        assert r.converged and r.value.shape == xs.shape
+        assert np.all(np.abs(r.value - o.value) <= r.abs_error_estimate + o.abs_error_estimate)
+
+    def test_a_starved_budget_stops_early_and_stays_honest(self):
+        amp, tau = Amplitude.sech(1.5), 0.55
+        xs = np.linspace(0.0, 20.0, 201)
+        full = quadrature.chirp_trapezoid(amp, xs, tau, 1e-8)
+        starved = quadrature.chirp_trapezoid(amp, xs, tau, 1e-8, budget=full.evaluations - 1)
+        assert full.converged and not starved.converged
+        assert starved.evaluations == full.evaluations - 2
+        ref = 2.0 * np.array([amp.poles.packet_exact(float(x), tau) for x in xs])
+        assert np.all(np.abs(starved.value - ref) <= starved.abs_error_estimate)
+
+    def test_position_norm_raises_on_a_starved_trapezoid_sum(self, monkeypatch):
+        def starved(*args, **kwargs):
+            return quadrature.chirp_trapezoid(*args, budget=101, **kwargs)
+
+        monkeypatch.setattr(wavepacket, "chirp_trapezoid", starved)
+        with pytest.raises(NonConvergenceError):
             position_norm_squared(Amplitude.sech(1.5), 0.5, half_width=10.0, step=0.1)
+
+    @pytest.mark.parametrize("amp,xs,tol", [
+        (Amplitude.glaisher(), np.linspace(0.0, 1.0, 11), 1e-8),
+        (Amplitude.gaussian(1.0), np.linspace(0.0, 1.0, 11), 1e-8),
+        (Amplitude.sech(1.0), np.linspace(0.0, 1.0, 11), 1e-14),
+        (Amplitude.sech(1.0), np.array([0.5 + 1e-3j]), 1e-8),
+        (Amplitude.sech(1.0), np.zeros((2, 2)), 1e-8),
+        (Amplitude.sech(1.0), np.array([]), 1e-8),
+        (Amplitude.sech(1.0), np.array([0.0, 1.0, 3.0]), 1e-8),
+    ], ids=["glaisher", "gaussian", "tol", "complex-x", "2d-x", "empty-x", "uneven-x"])
+    def test_refusals(self, amp, xs, tol):
+        with pytest.raises(DomainError):
+            quadrature.chirp_trapezoid(amp, xs, 0.5, tol)
 
 
 def _reference_integrate_interval(f, a, b, tol, budget, osc_freq):

@@ -152,6 +152,22 @@ def test_parseval_bound_dominates_its_integrand(m, x, tau_re, damping, parity):
         assert np.all(np.abs(f(w)) <= d.scale * np.exp(-d.rate * w**d.power) * (1 + 1e-12))
 
 
+@settings(max_examples=200, deadline=None)
+@given(beta=st.floats(0.2, 5.0), z0=st.floats(-2.0, 2.0), frac=st.floats(0.0, 0.999),
+       side=st.floats(-1.0, 1.0))
+def test_sech_strip_bound_dominates_on_the_strip(beta, z0, frac, side):
+    # |sech(beta (u + iy - z0))| <= scale(a) exp(-rate |u - center|) for
+    # |y| <= a < a_max = pi/(2 beta), out to where sech underflows
+    amp = Amplitude.sech(beta, z0)
+    strip = amp.strip
+    assert (strip.a_max, strip.rate, strip.center) == (math.pi / (2.0 * beta), beta, z0)
+    a = frac * strip.a_max
+    u = z0 + np.concatenate([np.linspace(-2.0, 2.0, 401), np.linspace(-700.0, 700.0, 2801)]) / beta
+    got = np.abs(amp(u + 1j * side * a))
+    assert np.all(got <= strip.scale(a) * np.exp(-strip.rate * np.abs(u - strip.center))
+                  * (1 + 1e-12))
+
+
 def _assert_transform_bound(amp):
     d = amp.transform_decay
     w = _grid_past(max(d.onset, 1e-3), 2.0 * d.truncation_point(1e-12))

@@ -10,7 +10,7 @@ from wavepack.asymptotics import sech_packet_exact
 from wavepack.errors import DomainError, NonConvergenceError, UnsupportedMethodError
 from wavepack.foundation import PhysicalConfig
 from wavepack.hermite import hermite_eval
-from wavepack.quadrature import DecayBound, psi_oracle
+from wavepack.quadrature import DecayBound, chirp_trapezoid, psi_oracle
 from wavepack.wavepacket import (Amplitude, amplitude_derivative,
                                  calibrate_self_reciprocal_phase,
                                  calibrate_self_reciprocal_scale,
@@ -524,22 +524,42 @@ class TestPlancherelMethods:
             position_norm_squared(amp, 0.5, method="nosuch")
 
     @staticmethod
-    def _recorded_grids(monkeypatch):
+    def _recorded_grids(monkeypatch, name="psi_oracle"):
+        # the x-grids `position_norm_squared` hands to wavepacket.<name>
         grids = []
-        real_oracle = wavepacket.psi_oracle
+        real = getattr(wavepacket, name)
 
-        def recording_oracle(amp, x, *args, **kwargs):
+        def recording(amp, x, *args, **kwargs):
             grids.append(np.array(x))
-            return real_oracle(amp, x, *args, **kwargs)
+            return real(amp, x, *args, **kwargs)
 
-        monkeypatch.setattr(wavepacket, "psi_oracle", recording_oracle)
+        monkeypatch.setattr(wavepacket, name, recording)
         return grids
+
+    @staticmethod
+    def _simpson(xs, psis):
+        w = np.ones(xs.size)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        return (xs[1] - xs[0]) / 3.0 * np.dot(w, np.abs(psis) ** 2)
 
     def test_grid_keeps_its_step_when_the_quotient_rounds_down(self, monkeypatch):
         # 1.2 / 0.1 is 11.999999999999998, and truncating it gave 23 nodes on
         # the full grid of a shifted sech and would give 12 on the half grid
         # of an even one
         grids = self._recorded_grids(monkeypatch)
+        position_norm_squared(Amplitude.sech(1.5, 0.3), 0.5 - 0.2j, half_width=1.2, step=0.1,
+                              method="quadrature")
+        position_norm_squared(Amplitude.sech(1.5), 0.5 - 0.2j, half_width=1.2, step=0.1,
+                              method="quadrature")
+        full, half = grids
+        assert full.size == 25 and full[0] == -1.2 and full[-1] == 1.2
+        assert half.size == 13 and half[0] == 0.0 and half[-1] == 1.2
+        for xs in grids:
+            assert np.allclose(np.diff(xs), 0.1, rtol=1e-12, atol=0.0)
+
+    def test_trapezoid_grid_keeps_its_step_when_the_quotient_rounds_down(self, monkeypatch):
+        grids = self._recorded_grids(monkeypatch, "chirp_trapezoid")
         position_norm_squared(Amplitude.sech(1.5, 0.3), 0.5 - 0.2j, half_width=1.2, step=0.1)
         position_norm_squared(Amplitude.sech(1.5), 0.5 - 0.2j, half_width=1.2, step=0.1)
         full, half = grids
@@ -560,12 +580,19 @@ class TestPlancherelMethods:
         xs = np.linspace(-20.0, 20.0, 401)
         if amp.closed_psi is not None:
             psis = np.array([gaussian_closed_psi(amp, x, tau) for x in xs])
+            method = "closed"
         else:
             psis = psi_oracle(amp, xs, tau, tol=1e-8).checked("full grid").value
-        w = np.ones(401)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        full = (xs[1] - xs[0]) / 3.0 * np.dot(w, np.abs(psis) ** 2)
+            method = "quadrature"
+        full = self._simpson(xs, psis)
+        folded = position_norm_squared(amp, tau, half_width=20.0, step=0.1, method=method)
+        assert abs(folded - full) <= 1e-12 * full
+
+    @pytest.mark.parametrize("tau", [0.55, 0.55 - 0.2j])
+    def test_folded_trapezoid_norm_equals_the_full_grid_sum(self, tau):
+        amp = Amplitude.sech(1.5)
+        xs = np.linspace(-20.0, 20.0, 401)
+        full = self._simpson(xs, chirp_trapezoid(amp, xs, tau, tol=1e-8).checked("full grid").value)
         folded = position_norm_squared(amp, tau, half_width=20.0, step=0.1)
         assert abs(folded - full) <= 1e-12 * full
 
@@ -577,9 +604,38 @@ class TestPlancherelMethods:
     ], ids=["even-sech", "even-glaisher", "odd-custom", "shifted-sech"])
     def test_only_a_parity_definite_amplitude_is_folded(self, monkeypatch, amp, size, lo):
         grids = self._recorded_grids(monkeypatch)
+        position_norm_squared(amp, 0.55 - 0.2j, half_width=20.0, step=0.1, method="quadrature")
+        (xs,) = grids
+        assert xs.size == size and xs[0] == lo and xs[-1] == 20.0
+
+    @pytest.mark.parametrize("amp,size,lo", [
+        (Amplitude.sech(1.5), 201, 0.0),
+        (Amplitude.sech(1.5, 0.3), 401, -20.0),
+    ], ids=["even-sech", "shifted-sech"])
+    def test_only_a_parity_definite_amplitude_is_folded_on_the_trapezoid_path(
+            self, monkeypatch, amp, size, lo):
+        grids = self._recorded_grids(monkeypatch, "chirp_trapezoid")
         position_norm_squared(amp, 0.55 - 0.2j, half_width=20.0, step=0.1)
         (xs,) = grids
         assert xs.size == size and xs[0] == lo and xs[-1] == 20.0
+
+    @pytest.mark.parametrize("amp,method", [
+        (Amplitude.sech(1.5), "trapezoid"), (Amplitude.sech(1.5, 0.3), "trapezoid"),
+        (Amplitude.glaisher(), "quadrature"), (Amplitude.gaussian(1.0), "closed"),
+    ], ids=["sech", "shifted-sech", "glaisher", "gaussian"])
+    def test_auto_takes_the_trapezoid_sum_where_a_strip_is_declared(self, monkeypatch, amp,
+                                                                      method):
+        taken = []
+        for name in ("chirp_trapezoid", "psi_oracle", "gaussian_closed_psi"):
+            def spy(*args, _name=name, _real=getattr(wavepacket, name), **kwargs):
+                taken.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(wavepacket, name, spy)
+        position_norm_squared(amp, 0.55 - 0.2j, half_width=2.0, step=0.1)
+        expected = {"trapezoid": "chirp_trapezoid", "quadrature": "psi_oracle",
+                    "closed": "gaussian_closed_psi"}[method]
+        assert set(taken) == {expected}
 
     @pytest.mark.parametrize("amp,tau", [(Amplitude.sech(1.5), 0.55),
                                          (Amplitude.glaisher(), 0.55 - 0.2j),
