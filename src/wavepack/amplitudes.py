@@ -37,14 +37,14 @@ PACKET_POLES = 40       # poles summed by the exact packet, `PoleExpansion.packe
 
 
 def glaisher_kernel(z):
-    """The corrected Glaisher kernel, evaluated stably for large arguments."""
+    """The corrected Glaisher kernel at real z, in the one form that cannot
+    overflow: cosh c cos c / (cosh 2c + cos 2c) times 2e^2/(2e^2), e = e^{-c},
+    is e (1 + e^2) cos c / (1 + e^4 + 2 e^2 cos 2c), with e in (0, 1] and the
+    denominator at least (1 - e^2)^2 + 4 e^2 cos^2 c > 0."""
     c = GLAISHER_SQRT_ARG * np.sqrt(np.abs(np.asarray(z, dtype=float)))
-    small = c < 200.0
-    cs = np.where(small, c, 0.0)
-    with np.errstate(over="ignore"):
-        out = np.where(small,
-                       np.cosh(cs) * np.cos(cs) / (np.cosh(2 * cs) + np.cos(2 * cs)),
-                       np.exp(-c) * np.cos(c))
+    e = np.exp(-c)
+    e2 = e * e
+    out = e * (1.0 + e2) * np.cos(c) / (1.0 + e2 * e2 + 2.0 * e2 * np.cos(2.0 * c))
     return out if out.shape else float(out)
 
 
@@ -374,7 +374,10 @@ class Sech(_PoleFamily):
                           scale=lambda a: 2.0 / math.cos(beta * a))
 
     def __call__(self, z):
-        return scalar_or_array(1.0 / np.cosh(self.beta * (np.asarray(z, dtype=complex) - self.z0)), z)
+        # a scalar z stays a numpy scalar, whose arithmetic skips the array
+        # machinery and rounds as the array path does
+        zc = np.complex128(z) if np.isscalar(z) else np.asarray(z, dtype=complex)
+        return scalar_or_array(1.0 / np.cosh(self.beta * (zc - self.z0)), z)
 
     def derivative(self, k: int, z):
         u = self.beta * (np.asarray(z, dtype=complex) - self.z0)
@@ -385,6 +388,27 @@ class Sech(_PoleFamily):
         """c sech(c w), c = pi/(2 beta)."""
         c = math.pi / (2.0 * self.beta)
         return c / np.cosh(c * w)
+
+
+def _glaisher_strip_scale(a: float) -> float:
+    """S(a) = 2/(pi (1 - a^2)) + 5 ln 2/(4 pi) >= |K(u + iy)| for |y| <= a < 1.
+
+    K is even and meromorphic, with the partial fractions of GLAISHER_POLES,
+        K(z) = (1/pi) sum_{n>=0} (-1)^n nu [1/(nu^2 + iz) + 1/(nu^2 - iz)],
+    nu = 2n + 1, so its nearest poles are z = +-i.  The n = 0 term is
+    2/(pi (1 + z^2)), and |1 + z^2|^2 = (1 + u^2 - y^2)^2 + 4 u^2 y^2 is
+    least at u = 0, so that term is at most 2/(pi (1 - a^2)).  For the rest,
+    with zeta = +-iz (|Re zeta| <= a < 1) and h(t) = t/(t^2 + zeta), take the
+    terms in pairs -h(nu) + h(nu + 2), nu = 3, 7, 11, ...: each is at most
+    int_nu^{nu+2} |h'(t)| dt, and for t >= 3, t^2 + Re zeta >= 8, so
+        |h'(t)| = |t^2 - zeta| / |t^2 + zeta|^2 <= (1 + 2/8) / |t^2 + zeta|
+                <= (5/4) / (t^2 - 1).
+    The pairs of each sign then sum to at most (5/4) int_3^inf dt/(t^2 - 1)
+    = (5/8) ln 2, and the two signs with the 1/pi to 5 ln 2/(4 pi).  The
+    bound is 0.91 at a = 0 (sup |K| = 1/2 there) and 1/(pi (1 - a)) near
+    the pole, as sup |K| is; a looser S costs only log S in 2 pi a/h.
+    """
+    return 2.0 / (math.pi * (1.0 - a * a)) + 5.0 * math.log(2.0) / (4.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -401,11 +425,16 @@ class Glaisher(_PoleFamily):
     decay = DecayBound(rate=GLAISHER_SQRT_ARG, power=0.5, scale=4.0, onset=2.0)
     transform_decay = DecayBound(rate=1.0, power=1.0, scale=2.0, onset=0.5)
     poles = GLAISHER_POLES
+    strip = StripBound(a_max=1.0, rate=0.0, center=0.0, scale=_glaisher_strip_scale)
 
     def __call__(self, z):
-        if np.iscomplexobj(z) and np.any(np.asarray(z).imag != 0):
-            raise DomainError("glaisher kernel is defined on the real line")
-        return scalar_or_array(np.asarray(glaisher_kernel(np.real(z)), dtype=complex), z)
+        zr = np.asarray(z)
+        if zr.dtype.kind == "c":
+            if np.any(zr.imag != 0):
+                raise DomainError("glaisher kernel is defined on the real line")
+            zr = zr.real
+        k = glaisher_kernel(zr)
+        return complex(k) if np.isscalar(z) else np.asarray(k, dtype=complex)
 
     def cosine_transform(self, w):
         """The theta series G(w), w > 0."""

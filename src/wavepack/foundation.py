@@ -160,7 +160,10 @@ def check_tau(tau: complex) -> complex:
 def scalar_or_array(val, *inputs):
     """val as a Python complex when every input is a scalar (Python or numpy),
     else val unchanged: scalar arguments give a complex, arrays an array."""
-    return complex(val) if all(np.isscalar(i) for i in inputs) else val
+    for i in inputs:
+        if not np.isscalar(i):
+            return val
+    return complex(val)
 
 
 def sqrt_principal(z: complex) -> complex:

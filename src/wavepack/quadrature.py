@@ -251,13 +251,50 @@ class DecayBound:
 class StripBound:
     """Caller-declared bound |phi(u + iy)| <= scale(a) exp(-rate |u - center|)
     for |y| <= a < a_max: phi is analytic on the strip |Im z| < a_max and
-    decays exponentially along it.  `chirp_trapezoid` takes its error bound
-    from it, so it must hold at every a below a_max."""
+    decays exponentially along it (rate > 0) or is merely bounded on it
+    (rate = 0).  `chirp_trapezoid` takes its error bound from it, so it must
+    hold at every a below a_max."""
 
     a_max: float
     rate: float
     center: float
     scale: Callable[[float], float]
+
+    def finite_mass(self, tau: complex) -> bool:
+        """Whether the strip mass `log_mass` is finite at some a > 0: phi
+        decays along the strip, or the packet is damped (Im tau < 0)."""
+        return self.rate > 0 or tau.imag < 0
+
+    def log_mass(self, a: float, tau: complex) -> float:
+        """log M(a), a bound on int |phi(u + iy) exp(-i tau (u + iy)^2)| du
+        at every |y| <= a, with a below a_max (and, at real tau, below
+        rate/(2 |Re tau|)); inf where no such bound is finite.
+
+        With r = 2 |Re tau|, d = max(-Im tau, 0) and the packet's
+        |exp(-i tau z^2)| <= exp(r a |u| - d u^2 + |Im tau| a^2), the mass is
+            M(a) = scale(a) exp(|Im tau| a^2 + min(rate, r a) |center|) I(k, d),
+            I(k, d) = int exp(-k |v| - d v^2) dv,  k = rate - r a.
+        For k >= 0, v = u - center with |u| <= |v| + |center| costs
+        exp(r a |center|), and the rearrangement inequality (exp(-k |v|) is
+        even and falling) moves the Gaussian from u to v; for k < 0,
+        |u - center| >= |u| - |center| costs exp(rate |center|) and keeps
+        the integral in u.  In closed form I = 2/k at d = 0 (infinite for
+        k <= 0), and I = sqrt(pi/d) erfcx(k/(2 sqrt d)) at d > 0, where
+        erfcx(t) = exp(t^2) erfc(t); past t = 25, where erfc nears
+        underflow, its bound 1/(t sqrt(pi)) (within 1/(2 t^2) relative)
+        stands for it.
+        """
+        r, d = 2.0 * abs(tau.real), max(-tau.imag, 0.0)
+        k = self.rate - r * a
+        if d == 0.0:
+            if k <= 0.0:
+                return math.inf
+            log_si = math.log(2.0 * self.scale(a) / k)
+        else:
+            t = k / (2.0 * math.sqrt(d))
+            log_erfcx = t * t + math.log(math.erfc(t)) if t < 25.0 else -math.log(t * _SQRT_PI)
+            log_si = math.log(self.scale(a)) + 0.5 * math.log(math.pi / d) + log_erfcx
+        return log_si + abs(tau.imag) * a * a + min(self.rate, r * a) * abs(self.center)
 
 
 def packet_decay(amp, tau, eps: float, grow: float = 0.0) -> DecayBound | None:
@@ -828,16 +865,19 @@ def chirp_trapezoid(amp, xs, tau, tol: float = 1e-8,
     by one trapezoid sum h sum_{|j|<=J} g_k(jh) over one node set,
     g_k(z) = phi(z) exp(-i tau z^2) exp(i x_k z).
 
-    The amplitude declares a `strip` (`StripBound`).  For a < min(a_max,
-    rate/(2 |Re tau|)) each g_k is then analytic on |Im z| < a with
-        int |g_k(u + iy)| du <= M_k(a) = scale(a) exp(a |x_k| + |Im tau| a^2
-                                  + 2 |Re tau| a |center|) 2/(rate - 2 |Re tau| a),
-    and the infinite sum is within 2 M_k(a)/(e^{2 pi a/h} - 1) of psi(x_k)
-    (Trefethen & Weideman, SIAM Rev. 56, 2014, Thm 5.1).  `golden_section_min`
-    picks the a that allows the widest h with that strip term within tol/2
-    at max |x|.  The sum stops at the first J where each tail, h sum_{j>J}
-    B(jh) <= B.tail_integral(Jh) for the decreasing `packet_decay` bound B,
-    is within tol/8.  The phases exp(i z x_k) are the factored table of
+    The amplitude declares a `strip` (`StripBound`) whose mass is finite at
+    this tau (`StripBound.finite_mass`; a DomainError otherwise, as for a
+    strip without decay at real tau).  For a < a_max (at real tau, also
+    a < rate/(2 |Re tau|)) each g_k is then analytic on |Im z| < a with
+        int |g_k(u + iy)| du <= M_k(a) = M(a) exp(a |x_k|),
+    M(a) = exp(`StripBound.log_mass`(a, tau)), which keeps the packet's
+    damping exp(Im(tau) u^2), and the infinite sum is within
+    2 M_k(a)/(e^{2 pi a/h} - 1) of psi(x_k) (Trefethen & Weideman, SIAM
+    Rev. 56, 2014, Thm 5.1).  `golden_section_min` picks the a that allows
+    the widest h with that strip term within tol/2 at max |x|.  The sum
+    stops at the first J where each tail, h sum_{j>J} B(jh) <=
+    B.tail_integral(Jh) for the decreasing `packet_decay` bound B, is
+    within tol/8.  The phases exp(i z x_k) are the factored table of
     `chirp_integral` (`_phase_table`), and the sum is one matmul over it.
 
     `abs_error_estimate` holds each point's strip term, the two tails and a
@@ -853,6 +893,9 @@ def chirp_trapezoid(amp, xs, tau, tol: float = 1e-8,
     strip: StripBound | None = getattr(amp, "strip", None)
     if strip is None:
         raise DomainError("the trapezoid sum needs a declared strip bound")
+    if not strip.finite_mass(tau):
+        raise DomainError("the strip mass is infinite: the amplitude does not decay along "
+                          "its strip, and tau is real")
     if tol < 1e-13:
         raise DomainError("tolerance below 1e-13 is not attainable in doubles")
     xs = _real_array(xs)
@@ -861,21 +904,18 @@ def chirp_trapezoid(amp, xs, tau, tol: float = 1e-8,
         raise DomainError("the trapezoid sum needs an evenly spaced x")
     ax = np.abs(xs)
     x_max = float(ax.max())
-    drift, damp = 2.0 * abs(tau.real), abs(tau.imag)
-    width = min(strip.a_max, strip.rate / drift) if drift else strip.a_max
-
-    def log_mass(a: float) -> float:
-        # log M(a) at x = 0
-        return (math.log(2.0 * strip.scale(a) / (strip.rate - drift * a))
-                + damp * a * a + drift * a * abs(strip.center))
+    drift = 2.0 * abs(tau.real)
+    width = strip.a_max if tau.imag < 0 or not drift else min(strip.a_max, strip.rate / drift)
 
     def step(a: float) -> float:
         # the widest h whose strip term at max |x| is within tol/2
-        return 2.0 * math.pi * a / np.logaddexp(0.0, math.log(4.0 / tol) + log_mass(a) + a * x_max)
+        return 2.0 * math.pi * a / np.logaddexp(0.0, math.log(4.0 / tol) + strip.log_mass(a, tau)
+                                                + a * x_max)
 
     a = golden_section_min(lambda a: -step(a), 0.0, width, _STRIP_ITERS)
     h = step(a)
-    strip_term = np.exp(math.log(2.0) + log_mass(a) + a * ax) / math.expm1(2.0 * math.pi * a / h)
+    strip_term = (np.exp(math.log(2.0) + strip.log_mass(a, tau) + a * ax)
+                  / math.expm1(2.0 * math.pi * a / h))
 
     eps_tail = tol / 8.0
     bound = packet_decay(amp, tau, eps_tail)

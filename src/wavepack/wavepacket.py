@@ -397,12 +397,13 @@ def position_norm_squared(amp: Amplitude, t: complex, cfg: PhysicalConfig = NATU
 
     "auto" takes one strip-bounded trapezoid sum over the evaluated grid
     (`quadrature.chirp_trapezoid`, each node within tol by its a-priori
-    bound) for an amplitude that declares a `strip` (sech).  Otherwise
-    `method` resolves as in `psi`: "closed" (the "auto" choice for the
-    Gaussian) evaluates the closed form node by node, "quadrature" (the
-    "auto" choice otherwise) takes one batched quadrature over the grid
-    (each node within tol), and the series methods evaluate psi node by
-    node.  The grid is evenly spaced, so the trapezoid sum and the batched
+    bound) for an amplitude that declares a `strip` whose mass is finite at
+    this tau (`StripBound.finite_mass`): sech at every tau, Glaisher at
+    damped tau.  Otherwise `method` resolves as in `psi`: "closed" (the
+    "auto" choice for the Gaussian) evaluates the closed form node by node,
+    "quadrature" (the "auto" choice otherwise, Glaisher at real tau
+    included) takes one batched quadrature over the grid (each node within
+    tol), and the series methods evaluate psi node by node.  The grid is evenly spaced, so the trapezoid sum and the batched
     oracle build their exp(i z x) table as two factors of about sqrt(npts)
     columns, 3 complex exponentials per node, and never build the nodes x
     npts table: each node's psi is taken at a point within a few ulps of
@@ -418,7 +419,8 @@ def position_norm_squared(amp: Amplitude, t: complex, cfg: PhysicalConfig = NATU
     folded = amp.parity in ("even", "odd")
     xs = np.linspace(0.0 if folded else -half_width, half_width, n + 1 if folded else 2 * n + 1)
     tau = check_tau(reduced_time(t, cfg))
-    use_strip = method == "auto" and amp.strip is not None
+    strip = amp.strip
+    use_strip = method == "auto" and strip is not None and strip.finite_mass(tau)
     if not use_strip:
         method = _resolve_method(amp, method)
     if use_strip:

@@ -31,6 +31,9 @@ skips `registry`, `zeta` and the layers `wavepacket` reads only when called
 `wavepacket` and `amplitudes`.  Each of those commands, and `import
 wavepack.quadrature`, loads exactly its pinned set of package modules and no
 `numpy.fft`.
+
+`quadrature` names no amplitude family: the strip trapezoid reads one
+`StripBound` type, never subclassed, with no per-family branch.
 """
 import ast
 import json
@@ -247,6 +250,49 @@ def test_only_quadrature_builds_the_chirp_factor():
     imported = {alias.name for node in ast.walk(ast.parse((SRC / "wavepacket.py").read_text()))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert (chirps, "packet_decay" in imported) == (set(), False)
+
+
+def test_quadrature_names_no_amplitude_family():
+    # the oracle and the strip trapezoid serve every family through the
+    # declared DecayBound and StripBound, so no code of quadrature (docstrings
+    # and comments aside) names a family or imports the amplitudes
+    families = {"gaussian", "sech", "glaisher", "custom"}
+    tree = ast.parse((SRC / "quadrature.py").read_text())
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    named = set()
+    for node in ast.walk(tree):
+        words = [getattr(node, key, None) for key in ("id", "attr", "name", "arg")]
+        if isinstance(node, ast.Constant) and id(node) not in docstrings:
+            words.append(node.value)
+        named |= {f"{node.lineno}:{word}" for word in words
+                  if isinstance(word, str) and any(f in word.lower() for f in families)}
+    assert (named, "amplitudes" in _imported_modules(tree)) == (set(), False)
+
+
+def test_the_strip_trapezoid_has_no_per_family_branch():
+    # one StripBound type, subclassed nowhere, and chirp_trapezoid reads the
+    # amplitude only through its declared strip and decay: no type test and no
+    # attribute of amp
+    tree = ast.parse((SRC / "quadrature.py").read_text())
+    strips = {node.name for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and "strip" in node.name.lower()}
+    subclasses = {f"{path.name}:{node.lineno}" for path in MODULES
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.ClassDef)
+                  and any(getattr(base, "id", getattr(base, "attr", None)) == "StripBound"
+                          for base in node.bases)}
+    fn = next(node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "chirp_trapezoid")
+    typed = {node.lineno for node in ast.walk(fn) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) in ("isinstance", "type", "hasattr")}
+    read = {node.attr for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "amp"}
+    got = {node.args[1].value for node in ast.walk(fn) if isinstance(node, ast.Call)
+           and getattr(node.func, "id", None) == "getattr"}
+    assert (strips, subclasses, typed, read, got) == ({"StripBound"}, set(), set(), set(),
+                                                      {"strip"})
 
 
 def _modules_loaded(code):

@@ -671,6 +671,23 @@ class TestChirpTrapezoid:
             narrow += 2.0 * complex(tau).real * amp.strip.a_max >= amp.beta
         assert narrow >= 12
 
+    def test_every_glaisher_node_is_within_its_estimate(self):
+        # damped tau only (at real tau the strip mass is infinite); the
+        # reference is the exact pole resummation, even in x
+        amp, rng, ratios = Amplitude.glaisher(), random.Random(2026), []
+        for i in range(16):
+            tau = complex(rng.uniform(0.05, 1.2), -rng.uniform(0.02, 0.5))
+            L, tol = rng.choice([5.0, 10.0, 20.0]), rng.choice([1e-6, 1e-8, 1e-10])
+            n = round(L / 0.1)
+            xs = np.linspace(-L, L, 2 * n + 1) if i % 4 == 3 else np.linspace(0.0, L, n + 1)
+            r = quadrature.chirp_trapezoid(amp, xs, tau, tol)
+            assert r.converged and np.max(r.abs_error_estimate) <= tol
+            ref = 2.0 * np.array([glaisher_packet_exact(abs(float(x)), tau) for x in xs])
+            err = np.abs(r.value - ref)
+            assert np.all(err <= r.abs_error_estimate)
+            ratios.extend(err / r.abs_error_estimate)
+        assert np.median(ratios) < 1.0
+
     @pytest.mark.parametrize("xs", [np.array([2.5]), np.array([-1.0, 2.0]),
                                     np.linspace(-1.0, 2.0, 3), np.linspace(6.0, -4.0, 57)],
                              ids=["n1", "n2", "n3", "descending"])

@@ -5,16 +5,20 @@
 constant into a declared bound, and `packet_decay` picks the bound of a packet
 integrand.  Each derived bound must dominate the product it stands for past
 its onset, or the oracle truncates too early; each declared bound must hold at
-every parameter value of its family.
+every parameter value of its family.  The same holds for a declared
+`StripBound` on its strip, and for the strip mass `StripBound.log_mass` that
+`chirp_trapezoid` derives from it: it must dominate the integral of the packet
+integrand along every line of the strip.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from wavepack import quadrature, registry, wavepacket
-from wavepack.amplitudes import Amplitude
+from wavepack.amplitudes import GLAISHER_SQRT_ARG, Amplitude
 from wavepack.quadrature import DecayBound, QuadratureResult, packet_decay
 
 
@@ -166,6 +170,129 @@ def test_sech_strip_bound_dominates_on_the_strip(beta, z0, frac, side):
     got = np.abs(amp(u + 1j * side * a))
     assert np.all(got <= strip.scale(a) * np.exp(-strip.rate * np.abs(u - strip.center))
                   * (1 + 1e-12))
+
+
+def _glaisher_partial_fractions(z: complex) -> complex:
+    """K(z) = (1/pi) sum_n (-1)^n nu [1/(nu^2 + iz) + 1/(nu^2 - iz)], nu = 2n + 1,
+    summed by mpmath: independent of the kernel code, and valid off the line."""
+    iz = 1j * mpmath.mpc(z)
+    return complex(mpmath.nsum(lambda n: (-1) ** int(n) * (2 * n + 1)
+                               * (1 / ((2 * n + 1) ** 2 + iz) + 1 / ((2 * n + 1) ** 2 - iz)),
+                               [0, mpmath.inf]) / mpmath.pi)
+
+
+def _glaisher_on_the_strip(z: np.ndarray) -> np.ndarray:
+    """K at complex z by the one-formula kernel in c = GLAISHER_SQRT_ARG sqrt(z):
+    K is a function of z^2, so Re(z) >= 0 is taken, where |e^{-c}| <= 1."""
+    z = np.where(z.real < 0, -z, z)
+    c = GLAISHER_SQRT_ARG * np.sqrt(z)
+    e = np.exp(-c)
+    e2 = e * e
+    return e * (1.0 + e2) * np.cos(c) / (1.0 + e2 * e2 + 2.0 * e2 * np.cos(2.0 * c))
+
+
+@pytest.mark.parametrize("z", [0.0, 0.5, 3.0, -7.0, 40.0, 250.0, 0.3 + 0.9j, 5.0 - 0.99j,
+                               -20.0 + 0.5j, 200.0 + 0.7j, 0.01 - 0.999j])
+def test_glaisher_references_agree(z):
+    # the mpmath partial fractions are the kernel on the line, and the strip
+    # formula of the mass test below is the partial fractions off it
+    ref = _glaisher_partial_fractions(z)
+    on_strip = complex(_glaisher_on_the_strip(np.array([z]))[0])
+    assert abs(on_strip - ref) <= 1e-13 * max(abs(ref), 1.0)
+    if complex(z).imag == 0:
+        assert abs(Amplitude.glaisher()(complex(z).real) - ref) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(frac=st.floats(0.0, 0.999), side=st.floats(-1.0, 1.0),
+       u=st.one_of(st.floats(-2.0, 2.0), st.floats(-300.0, 300.0)))
+def test_glaisher_strip_bound_dominates_on_the_strip(frac, side, u):
+    # |K(u + iy)| <= scale(a) for |y| <= a < a_max = 1, the poles +-i, and
+    # no decay along the strip is claimed (rate 0)
+    strip = Amplitude.glaisher().strip
+    assert (strip.a_max, strip.rate, strip.center) == (1.0, 0.0, 0.0)
+    a = frac * strip.a_max
+    assert abs(_glaisher_partial_fractions(complex(u, side * a))) <= strip.scale(a)
+
+
+def _line_mass(phi, tau: complex, y: float, reach: float) -> float:
+    """int |phi(u + iy) exp(-i tau (u + iy)^2)| du over |u| <= reach, by a
+    trapezoid sum fine enough for the peaks of the strips tested."""
+    u = np.linspace(-reach, reach, 200_001)
+    z = u + 1j * y
+    with np.errstate(over="ignore", under="ignore"):
+        g = np.abs(phi(z)) * np.exp((-1j * tau * z * z).real)
+    return float(np.sum(g) - 0.5 * (g[0] + g[-1])) * (u[1] - u[0])
+
+
+def _assert_mass_dominates(amp, phi, tau: complex, frac: float, side: float):
+    strip = amp.strip
+    a = frac * strip.a_max
+    k, d = strip.rate - 2.0 * abs(tau.real) * a, -tau.imag
+    # past |u| = |center| + 2 max(-k, 0)/d + min(12/sqrt(d), 120/k) the
+    # integrand is below e^{-100} of its peak
+    fall = min(12.0 / math.sqrt(d), 120.0 / k) if k > 0 else 12.0 / math.sqrt(d)
+    reach = abs(strip.center) + 2.0 * max(-k, 0.0) / d + fall + 10.0
+    got = _line_mass(phi, tau, side * a, reach)
+    assert got <= math.exp(strip.log_mass(a, tau)) * (1 + 1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(beta=st.floats(0.8, 2.0), z0=st.one_of(st.just(0.0), st.floats(-0.8, 0.8)),
+       tau_re=st.floats(0.0, 1.2), damping=st.floats(0.02, 0.5), frac=st.floats(0.01, 0.95),
+       side=st.floats(-1.0, 1.0))
+def test_damped_sech_strip_mass_dominates_the_line_integral(beta, z0, tau_re, damping, frac,
+                                                            side):
+    # the damped M(a) keeps e^{Im(tau) u^2}; both branches k >= 0 and k < 0,
+    # centred and shifted
+    amp = Amplitude.sech(beta, z0)
+    _assert_mass_dominates(amp, amp, complex(tau_re, -damping), frac, side)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tau_re=st.floats(0.0, 1.2), damping=st.floats(0.02, 0.5), frac=st.floats(0.01, 0.95),
+       side=st.floats(-1.0, 1.0))
+def test_damped_glaisher_strip_mass_dominates_the_line_integral(tau_re, damping, frac, side):
+    _assert_mass_dominates(Amplitude.glaisher(), _glaisher_on_the_strip,
+                           complex(tau_re, -damping), frac, side)
+
+
+@pytest.mark.parametrize("damping", [1e-4, 1e-7])
+def test_weakly_damped_mass_takes_the_erfcx_bound(damping):
+    # k/(2 sqrt d) >= 25: the bound 1/(t sqrt(pi)) stands for erfcx, and the
+    # mass tends to the undamped one, 2 scale/k, times the e^{d a^2} both carry
+    amp, tau, a = Amplitude.sech(2.0), complex(0.3, -damping), 0.2
+    strip = amp.strip
+    undamped = strip.log_mass(a, complex(tau.real, 0.0)) + damping * a * a
+    assert (strip.rate - 0.6 * a) / (2.0 * math.sqrt(damping)) >= 25.0
+    assert undamped - 1e-3 <= strip.log_mass(a, tau) <= undamped + 1e-12
+    _assert_mass_dominates(amp, amp, tau, a / strip.a_max, 1.0)
+
+
+@pytest.mark.parametrize("k,d", [(2.0, 0.5), (0.3, 0.02), (-1.5, 0.1), (-4.0, 0.02),
+                                 (40.0, 0.5), (1e-3, 1e-9)])
+def test_strip_mass_integral_is_the_closed_form(k, d):
+    # with scale 1 and center 0 the mass is e^{d a^2} int e^{-k|v| - d v^2} dv,
+    # k = rate - 2 |Re tau| a: the erfc closed form (and past t = 25 its
+    # erfcx bound, within 1/(2 t^2)) against a fine trapezoid sum
+    a, tau_re = 0.5, 1.0
+    strip = quadrature.StripBound(a_max=10.0, rate=k + 2.0 * tau_re * a, center=0.0,
+                                  scale=lambda a: 1.0)
+    got = math.exp(strip.log_mass(a, complex(tau_re, -d)) - d * a * a)
+    reach = 2.0 * max(-k, 0.0) / d + (min(12.0 / math.sqrt(d), 60.0 / k) if k > 0
+                                      else 12.0 / math.sqrt(d))
+    v = np.linspace(0.0, reach, 2_000_001)
+    g = np.exp(-k * v - d * v * v)
+    want = 2.0 * float(np.sum(g) - 0.5 * (g[0] + g[-1])) * (v[1] - v[0])
+    t = k / (2.0 * math.sqrt(d))
+    assert want * (1 - 1e-9) <= got <= want * (1 + (0.5 / t**2 if t >= 25.0 else 1e-9))
+
+
+def test_strip_mass_is_infinite_without_decay_or_damping():
+    strip = Amplitude.glaisher().strip
+    assert not strip.finite_mass(0.5 + 0j) and strip.finite_mass(0.5 - 1e-3j)
+    assert strip.log_mass(0.5, 0.5 + 0j) == math.inf
+    assert Amplitude.sech(1.0).strip.finite_mass(0.5 + 0j)
 
 
 def _assert_transform_bound(amp):

@@ -172,6 +172,19 @@ class TestPlancherel:
         for nv in norms:
             assert abs(nv - target) / target <= 1e-4
 
+    @pytest.mark.parametrize("tau", [0.45 - 0.15j, 0.55 - 0.2j, 0.7 - 0.25j])
+    def test_norm_glaisher_damped(self, tau):
+        # the damping e^{2 Im(tau) z^2} is not unitary: Plancherel gives
+        # 2 pi int |K(z)|^2 e^{2 Im(tau) z^2} dz, here by the composite
+        # Simpson rule on [-20, 20] (the weight is below 1e-52 past it)
+        z = np.linspace(-20.0, 20.0, 40_001)
+        f = np.abs(Amplitude.glaisher()(z)) ** 2 * np.exp(2.0 * tau.imag * z * z)
+        w = np.ones(z.size)
+        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+        target = 2.0 * math.pi * (z[1] - z[0]) / 3.0 * np.dot(w, f)
+        nv = position_norm_squared(Amplitude.glaisher(), tau, half_width=20.0, step=0.1, tol=1e-8)
+        assert abs(nv - target) / target <= 1e-4
+
     def test_norm_t_independent_sech(self):
         amp = Amplitude.sech(math.pi / 2)
         target = 2 * math.pi * (4 / math.pi)            # 2 pi int sech^2(pi z/2)
@@ -621,7 +634,7 @@ class TestPlancherelMethods:
 
     @pytest.mark.parametrize("amp,method", [
         (Amplitude.sech(1.5), "trapezoid"), (Amplitude.sech(1.5, 0.3), "trapezoid"),
-        (Amplitude.glaisher(), "quadrature"), (Amplitude.gaussian(1.0), "closed"),
+        (Amplitude.glaisher(), "trapezoid"), (Amplitude.gaussian(1.0), "closed"),
     ], ids=["sech", "shifted-sech", "glaisher", "gaussian"])
     def test_auto_takes_the_trapezoid_sum_where_a_strip_is_declared(self, monkeypatch, amp,
                                                                       method):
@@ -636,6 +649,21 @@ class TestPlancherelMethods:
         expected = {"trapezoid": "chirp_trapezoid", "quadrature": "psi_oracle",
                     "closed": "gaussian_closed_psi"}[method]
         assert set(taken) == {expected}
+
+    def test_auto_takes_the_oracle_where_the_strip_mass_is_infinite(self, monkeypatch):
+        # Glaisher's strip carries no decay (rate 0), so at real tau its mass
+        # is infinite and "auto" falls back to the batched oracle; the spy
+        # stops there instead of running the slow real-tau oracle
+        class Taken(Exception):
+            pass
+
+        def spy(*args, **kwargs):
+            raise Taken
+
+        monkeypatch.setattr(wavepacket, "psi_oracle", spy)
+        monkeypatch.setattr(wavepacket, "chirp_trapezoid", None)    # must not be called
+        with pytest.raises(Taken):
+            position_norm_squared(Amplitude.glaisher(), 0.55, half_width=2.0, step=0.1)
 
     @pytest.mark.parametrize("amp,tau", [(Amplitude.sech(1.5), 0.55),
                                          (Amplitude.glaisher(), 0.55 - 0.2j),
