@@ -18,9 +18,11 @@ from .errors import DomainError, NonConvergenceError, WavepackError
 USAGE_EXIT = 2
 NUMERICAL_EXIT = 1
 
-# the keys of amplitudes.AMPLITUDE_FAMILIES, listed here so that parsing the
-# command line loads no numerical layer; a test keeps the two equal
+# the keys of amplitudes.AMPLITUDE_FAMILIES, and "auto" with the names of
+# wavepacket.PSI_PATHS a caller may give, listed here so that parsing the
+# command line loads no numerical layer; a test keeps each pair equal
 AMPLITUDE_NAMES = ("gaussian", "sech", "glaisher")
+PSI_METHODS = ("auto", "closed", "quadrature", "heat", "theta")
 
 
 def parse_complex(text: str) -> complex:
@@ -180,8 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z0", type=float, default=0.0, help="amplitude shift")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--t", type=parse_complex, required=True, help="time, 're,im'")
-    p.add_argument("--method", choices=["auto", "closed", "quadrature", "heat", "theta"],
-                   default="auto")
+    p.add_argument("--method", choices=PSI_METHODS, default="auto")
     p.add_argument("--hbar", type=float, default=None)
     p.add_argument("--mass", type=float, default=None)
     p.add_argument("--json", action="store_true")

@@ -3,19 +3,21 @@
 psi(x, t) = int phi(z) exp(i z x - i tau z^2) dz with tau = t hbar/(2m).
 
 Every entry point dispatches on the amplitude's capabilities (closed form,
-analytic derivative, transform and its decay, pole expansion, strip bound)
-and falls back to the quadrature oracle where a capability is missing.  The oracle side of
-the packet, its x-derivatives, the bare transforms and the Hermite expansion
-is `quadrature.chirp_integral`; this module supplies only their weights.
-The layers only some entry points need (`asymptotics`, `closedform`, `fd`)
-are read as `wavepack.<module>` attributes when called, so evaluating a
-packet loads none of them.
+analytic derivative, transform and its decay, pole expansion, strip bound),
+with the quadrature oracle where one is missing; `psi` and
+`position_norm_squared` read one ordered table of paths, `PSI_PATHS`.  The
+oracle side of the packet, its x-derivatives, the bare transforms and the
+Hermite expansion is `quadrature.chirp_integral`; this module supplies only
+their weights.  The layers only some entry points need (`asymptotics`,
+`closedform`, `fd`) are read as `wavepack.<module>` attributes when called,
+so evaluating a packet loads none of them.
 """
 from __future__ import annotations
 
 import cmath
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +42,7 @@ _FD_MAX_ORDER = 8
 @dataclass(frozen=True, slots=True)
 class WaveValue:
     psi: complex
-    method: str       # closed | quadrature | heat_series | theta_series
+    method: str       # the `label` of the PSI_PATHS entry that evaluated it
     error_estimate: float
 
 
@@ -66,47 +68,94 @@ def gaussian_closed_psi(amp: Amplitude, x, tau) -> complex:
     return amp.closed_psi(complex(x), check_tau(tau))
 
 
-_METHODS = ("closed", "quadrature", "heat", "theta")
+def _real_x(x) -> float:
+    if complex(x).imag != 0:
+        raise DomainError(f"the series paths need a real x, not {x!r}")
+    return complex(x).real
 
 
-def _resolve_method(amp: Amplitude, method: str) -> str:
-    """"auto" is the closed form where the amplitude has one, else quadrature."""
-    if method == "auto":
-        return "closed" if amp.closed_psi is not None else "quadrature"
-    if method not in _METHODS:
-        raise UnsupportedMethodError(f"unknown method {method!r}")
-    return method
+def _node_by_node(evaluate):
+    """A scalar evaluator that takes the norm grid one node at a time."""
+    def on_x(amp, x, tau, tol):
+        if not isinstance(x, np.ndarray):
+            return evaluate(amp, x, tau, tol)
+        return tuple(map(np.array, zip(*(evaluate(amp, xx, tau, tol) for xx in x))))
+    return on_x
+
+
+# The evaluators of PSI_PATHS, (amp, x, tau, tol) -> (psi at x, error estimate),
+# read the functions they call as module globals when they run.
+def _checked(r: QuadratureResult, what: str):
+    r = r.checked(what)
+    return r.value, r.abs_error_estimate
+
+
+def _closed(amp, x, tau, tol):
+    val = gaussian_closed_psi(amp, x, tau)
+    return val, 1e-13 * max(1.0, abs(val))
+
+
+def _heat(amp, x, tau, tol):
+    se = wavepack.asymptotics.heat_series(amp, _real_x(x), tau, N=40)
+    return se.value, se.tail_estimate
+
+
+def _theta(amp, x, tau, tol):
+    se = amp.poles.theta_series(_real_x(x), tau, N=80)
+    return 2.0 * se.value, 2.0 * se.tail_estimate
+
+
+@dataclass(frozen=True, slots=True)
+class PsiPath:
+    name: str
+    label: str              # the WaveValue.method it reports
+    applies: Callable       # (amp, x, tau) -> bool, x a scalar or the norm grid (an array)
+    evaluate: Callable      # (amp, x, tau, tol) -> (psi at x, error estimate)
+    refusal: str = ""       # why a caller naming it is refused where it does not apply
+    by_name: bool = True    # False: taken by "auto" only
+
+
+# "auto" takes the first path that applies.  quadrature applies everywhere, so
+# the series after it (heat: small tau, from the transform derivatives; theta:
+# large x, from the poles) are taken by name only.
+PSI_PATHS = (
+    PsiPath("closed", "closed", lambda amp, x, tau: amp.closed_psi is not None,
+            _node_by_node(_closed), "closed form available for gaussian amplitudes only"),
+    PsiPath("trapezoid", "trapezoid", lambda amp, x, tau: isinstance(x, np.ndarray)
+            and amp.strip is not None and amp.strip.finite_mass(tau),
+            lambda amp, xs, tau, tol: _checked(chirp_trapezoid(amp, xs, tau, tol=tol),
+                                               "trapezoid psi sum"), by_name=False),
+    PsiPath("quadrature", "quadrature", lambda amp, x, tau: True,
+            lambda amp, x, tau, tol: _checked(psi_oracle(amp, x, tau, tol=tol), "psi quadrature")),
+    PsiPath("heat", "heat_series", lambda amp, x, tau: amp.parity == "even"
+            and amp.cosine_transform_derivative is not None,
+            _node_by_node(_heat), "heat series requires an even amplitude with transform "
+                                  "derivatives"),
+    PsiPath("theta", "theta_series", lambda amp, x, tau: amp.poles is not None,
+            _node_by_node(_theta), "theta series available for sech/glaisher only"),
+)
+
+
+def _psi_path(amp: Amplitude, x, tau: complex, method: str) -> PsiPath:
+    """The path of PSI_PATHS for `method`: under "auto" the first that applies,
+    else the one so named, which must apply."""
+    for path in PSI_PATHS:
+        if method == "auto" and path.applies(amp, x, tau):
+            return path
+        if method == path.name and path.by_name:
+            if not path.applies(amp, x, tau):
+                raise UnsupportedMethodError(path.refusal)
+            return path
+    raise UnsupportedMethodError(f"unknown method {method!r}")
 
 
 def psi(amp: Amplitude, x, t, cfg: PhysicalConfig = NATURAL_UNITS,
         method: str = "auto", tol: float = 1e-10) -> WaveValue:
-    """Evaluate the packet at (x, t) by the requested method.
-
-    Methods: closed (Gaussian only), quadrature (the oracle), heat (small-tau
-    series over transform derivatives), theta (large-x exponential series for
-    amplitudes with a pole expansion: sech at z0 = 0 and Glaisher).
-    """
+    """The packet at (x, t) by `method`: "auto" or a path of `PSI_PATHS` by name."""
     tau = check_tau(reduced_time(t, cfg))
-    method = _resolve_method(amp, method)
-    if method == "closed":
-        val = gaussian_closed_psi(amp, x, tau)
-        return WaveValue(psi=val, method="closed", error_estimate=1e-13 * max(1.0, abs(val)))
-    if method == "quadrature":
-        r = psi_oracle(amp, x, tau, tol=tol).checked("psi quadrature")
-        return WaveValue(psi=r.value, method="quadrature", error_estimate=r.abs_error_estimate)
-    if method == "heat":
-        if amp.parity != "even":
-            raise UnsupportedMethodError("heat series requires an even amplitude")
-        se = wavepack.asymptotics.heat_series(amp, float(np.real(x)), tau, N=40)
-        return WaveValue(psi=se.value, method="heat_series", error_estimate=se.tail_estimate)
-    xr = float(np.real(x))
-    if xr <= 0:
-        raise DomainError("theta series requires x > 0")
-    if amp.poles is None:
-        raise UnsupportedMethodError("theta series available for sech/glaisher only")
-    se = amp.poles.theta_series(xr, tau, N=80)
-    return WaveValue(psi=2.0 * se.value, method="theta_series",
-                     error_estimate=2.0 * se.tail_estimate)
+    path = _psi_path(amp, x, tau, method)
+    value, estimate = path.evaluate(amp, x, tau, tol)
+    return WaveValue(psi=value, method=path.label, error_estimate=estimate)
 
 
 def _derivative_form(amp: Amplitude, n: int):
@@ -381,34 +430,22 @@ def schrodinger_residual(amp: Amplitude, x: float, t: complex,
 def position_norm_squared(amp: Amplitude, t: complex, cfg: PhysicalConfig = NATURAL_UNITS,
                           half_width: float = 25.0, step: float = 0.1,
                           method: str = "auto", tol: float = 1e-8) -> float:
-    """int |psi(x,t)|^2 dx over [-L, L] by composite Simpson on a uniform grid.
+    """int |psi(x,t)|^2 dx over [-L, L] by composite Simpson, step half_width/n.
 
-    The truncation L = half_width must be chosen by the caller so the packet
-    mass outside is below the comparison tolerance, and must be a multiple of
-    `step` (within a few ulps of the quotient, so 1.2 and 0.1 give 25 nodes);
-    anything else is a DomainError.
+    L = half_width, chosen by the caller so the packet mass outside is below
+    the comparison tolerance, must be a multiple of `step` (within a few ulps
+    of the quotient, so 1.2 and 0.1 give 25 nodes); else DomainError.
 
-    Fold by parity: if phi(-z) = +-phi(z), the substitution z -> -z gives
-    psi(-x) = +-psi(x), so |psi|^2 is even in x.  An even or odd amplitude
-    (its declared `parity`) is therefore evaluated on the half grid
-    x = 0, step, ..., L only, and the values are reflected onto x < 0 before
-    the Simpson weights of the whole grid apply; a shifted amplitude (z0 != 0)
-    or one of parity "none" is evaluated on all 2 L/step + 1 nodes.
+    Fold by parity: phi(-z) = +-phi(z) gives psi(-x) = +-psi(x), so |psi|^2 is
+    even.  An even or odd amplitude (its declared `parity`) is evaluated on
+    x = 0, step, ..., L only and reflected onto x < 0 before the Simpson
+    weights apply; any other is evaluated on all 2 L/step + 1 nodes.
 
-    "auto" takes one strip-bounded trapezoid sum over the evaluated grid
-    (`quadrature.chirp_trapezoid`, each node within tol by its a-priori
-    bound) for an amplitude that declares a `strip` whose mass is finite at
-    this tau (`StripBound.finite_mass`): sech at every tau, Glaisher at
-    damped tau.  Otherwise `method` resolves as in `psi`: "closed" (the
-    "auto" choice for the Gaussian) evaluates the closed form node by node,
-    "quadrature" (the "auto" choice otherwise, Glaisher at real tau
-    included) takes one batched quadrature over the grid (each node within
-    tol), and the series methods evaluate psi node by node.  The grid is evenly spaced, so the trapezoid sum and the batched
-    oracle build their exp(i z x) table as two factors of about sqrt(npts)
-    columns, 3 complex exponentials per node, and never build the nodes x
-    npts table: each node's psi is taken at a point within a few ulps of
-    max |x| of the grid point.  The Simpson step is
-    half_width/n, the step the grid is built from.
+    The values come from the path of `PSI_PATHS` that `method` picks, as in
+    `psi`, with x the evaluated grid.  The strip trapezoid and the batched
+    oracle take the grid in one call, each node within tol, through an
+    exp(i z x) table of two factors of about sqrt(npts) columns, so each
+    node's psi is taken at a point within a few ulps of max |x| of it.
     """
     if not 0 < step <= half_width < math.inf:
         raise DomainError("the grid needs 0 < step <= half_width < inf")
@@ -419,19 +456,8 @@ def position_norm_squared(amp: Amplitude, t: complex, cfg: PhysicalConfig = NATU
     folded = amp.parity in ("even", "odd")
     xs = np.linspace(0.0 if folded else -half_width, half_width, n + 1 if folded else 2 * n + 1)
     tau = check_tau(reduced_time(t, cfg))
-    strip = amp.strip
-    use_strip = method == "auto" and strip is not None and strip.finite_mass(tau)
-    if not use_strip:
-        method = _resolve_method(amp, method)
-    if use_strip:
-        vals = np.abs(chirp_trapezoid(amp, xs, tau, tol=tol).checked("trapezoid psi sum").value) ** 2
-    elif method == "closed":
-        vals = np.array([abs(gaussian_closed_psi(amp, xx, tau)) ** 2 for xx in xs])
-    elif method == "quadrature":
-        vals = np.abs(psi_oracle(amp, xs, tau, tol=tol).checked("batched psi quadrature").value) ** 2
-    else:
-        vals = np.array([abs(psi(amp, float(xx), t, cfg, method=method, tol=tol).psi) ** 2
-                         for xx in xs])
+    values, _ = _psi_path(amp, xs, tau, method).evaluate(amp, xs, tau, tol)
+    vals = np.abs(values) ** 2
     if folded:
         vals = np.concatenate((vals[:0:-1], vals))
     w = np.ones(2 * n + 1)

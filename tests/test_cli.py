@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavepack.amplitudes import AMPLITUDE_FAMILIES
-from wavepack.cli import AMPLITUDE_NAMES, _linspace, build_parser, main, parse_complex
+from wavepack.cli import (AMPLITUDE_NAMES, PSI_METHODS, _linspace, build_parser, main,
+                          parse_complex)
 from wavepack.foundation import PhysicalConfig
-from wavepack.wavepacket import Amplitude, psi
+from wavepack.wavepacket import PSI_PATHS, Amplitude, psi
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -96,10 +97,13 @@ class TestPsiCommand:
         assert doc["psi"]["re"] == lib.real
 
     def test_amplitude_choices_are_the_families(self):
-        # the parser lists the names without importing amplitudes
+        # the parser lists the names without importing amplitudes, and the
+        # methods without importing wavepacket
         psi_parser = build_parser()._subparsers._group_actions[0].choices["psi"]
-        choices = next(a.choices for a in psi_parser._actions if a.dest == "amplitude")
-        assert list(choices) == list(AMPLITUDE_NAMES) == list(AMPLITUDE_FAMILIES)
+        choices = {a.dest: a.choices for a in psi_parser._actions}
+        assert list(choices["amplitude"]) == list(AMPLITUDE_NAMES) == list(AMPLITUDE_FAMILIES)
+        named = tuple(path.name for path in PSI_PATHS if path.by_name)
+        assert tuple(choices["method"]) == PSI_METHODS == ("auto",) + named
 
     def test_usage_error_exit_2(self):
         code, _, _ = run_cli(["psi", "--amplitude", "nosuch", "--x", "0", "--t", "0,0"])

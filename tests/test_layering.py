@@ -33,7 +33,9 @@ wavepack.quadrature`, loads exactly its pinned set of package modules and no
 `numpy.fft`.
 
 `quadrature` names no amplitude family: the strip trapezoid reads one
-`StripBound` type, never subclassed, with no per-family branch.
+`StripBound` type, never subclassed, with no per-family branch.  In
+`wavepacket`, only the resolver of the table `PSI_PATHS` compares a method
+name.
 """
 import ast
 import json
@@ -293,6 +295,20 @@ def test_the_strip_trapezoid_has_no_per_family_branch():
            and getattr(node.func, "id", None) == "getattr"}
     assert (strips, subclasses, typed, read, got) == ({"StripBound"}, set(), set(), set(),
                                                       {"strip"})
+
+
+def test_one_resolver_reads_the_method():
+    # psi and position_norm_squared take their path from the ordered table
+    # PSI_PATHS through one resolver, so no other code of wavepacket tests a
+    # method name and no second dispatch point grows back
+    tree = ast.parse((SRC / "wavepacket.py").read_text())
+    tests = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+    readers = {f"{getattr(top, 'name', '<module>')}:{node.lineno}"
+               for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Compare) and any(isinstance(op, tests) for op in node.ops)
+               and any(isinstance(side, ast.Name) and side.id == "method"
+                       for side in (node.left, *node.comparators))}
+    assert {site.split(":")[0] for site in readers} == {"_psi_path"}, readers
 
 
 def _modules_loaded(code):

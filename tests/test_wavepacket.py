@@ -158,6 +158,30 @@ class TestPsi:
         with pytest.raises(UnsupportedMethodError):
             psi(Amplitude.gaussian(1.0), 1.0, 0.0, method="theta")
 
+    @pytest.mark.parametrize("amp,method", [
+        (Amplitude.sech(1.0), "heat"), (Amplitude.sech(1.0), "theta"),
+        (Amplitude.glaisher(), "heat"), (Amplitude.glaisher(), "theta"),
+    ], ids=["sech-heat", "sech-theta", "glaisher-heat", "glaisher-theta"])
+    def test_series_paths_refuse_a_complex_x(self, amp, method):
+        # the series sum at real x; taking Re x would return psi at x = 1
+        # (2.9311 - 0.1437i on the heat path) for the 1.2146 - 0.5369i at 1 + 0.5i
+        with pytest.raises(DomainError):
+            psi(amp, 1.0 + 0.5j, 0.5 - 0.2j, method=method)
+        assert psi(amp, 1.0 + 0j, 0.5 - 0.2j, method=method).psi == psi(
+            amp, 1.0, 0.5 - 0.2j, method=method).psi
+
+    @pytest.mark.parametrize("amp", [Amplitude.sech(1.0), Amplitude.sech(1.5, 0.3),
+                                     Amplitude.glaisher()],
+                             ids=["sech", "shifted-sech", "glaisher"])
+    def test_a_single_x_never_takes_the_trapezoid(self, monkeypatch, amp):
+        # the strip trapezoid serves the norm grid only: at one x, "auto" is
+        # the scalar oracle even where the strip mass is finite
+        monkeypatch.setattr(wavepacket, "chirp_trapezoid", None)    # must not be called
+        tau = 0.55 - 0.2j
+        assert amp.strip.finite_mass(tau)
+        wv = psi(amp, 1.3, tau)
+        assert (wv.psi, wv.method) == (psi_oracle(amp, 1.3, tau, tol=1e-10).value, "quadrature")
+
     def test_upper_half_plane_rejected(self):
         with pytest.raises(DomainError):
             psi(Amplitude.gaussian(1.0), 0.0, 1j)
