@@ -3,7 +3,7 @@
 `Gaussian`, `Sech`, `Glaisher` and `Custom` are built through the `Amplitude`
 constructors or the `AMPLITUDE_FAMILIES` table.  Each is callable on scalars
 and node arrays and carries `decay` (the tail bound handed to the quadrature
-oracle), `parity` and `z0`, plus the optional capabilities listed on
+oracle; required), `parity` and `z0`, plus the optional capabilities listed on
 `Amplitude`; callers dispatch on those capabilities, not on the family.
 
 The sech amplitude (at z0 = 0) and the Glaisher kernel are alternating sums
@@ -446,19 +446,21 @@ class Glaisher(_PoleFamily):
 
 @dataclass(frozen=True)
 class Custom(Amplitude):
-    """A user-supplied callable with declared parity and tail bound; decay=None
-    sends it down the oracle's regularized path.  The decay of phi does not
-    bound its transform's, so it declares no `transform_decay`.  The parity is
-    trusted (the heat series and the folded norm grid rely on it), so only
-    "even", "odd" and "none" are accepted."""
+    """A user-supplied callable with declared parity and a required `decay`
+    DecayBound: the oracle's error bound rests on it, so none is guessed.  The
+    decay of phi does not bound its transform's, so it declares no
+    `transform_decay`.  The parity is trusted (the heat series and the folded
+    norm grid rely on it), so only "even", "odd" and "none" are accepted."""
 
     fn: object
     parity: str = "none"
-    decay: DecayBound | None = None
+    decay: DecayBound = None     # required: the default only lets __post_init__ refuse it
 
     def __post_init__(self) -> None:
         if self.parity not in ("even", "odd", "none"):
             raise DomainError(f"parity must be even, odd or none, not {self.parity!r}")
+        if not isinstance(self.decay, DecayBound):
+            raise DomainError("custom amplitude needs a declared decay (a DecayBound)")
 
     def __call__(self, z):
         return scalar_or_array(np.asarray(self.fn(np.asarray(z, dtype=complex)), dtype=complex), z)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import GLAISHER_POLES, Amplitude
-from .errors import DomainError
+from .errors import CapacityError, DomainError, NonConvergenceError
 from .foundation import SeriesEval, golden_section_min, sum_to_smallest_term
 from .quadrature import integrate_decaying, integrate_interval, psi_oracle
 
@@ -85,7 +85,8 @@ def heat_series(amp: Amplitude, x: float, tau: complex, N: int = 40) -> SeriesEv
     Returns the FULL packet value (the factor 2 relative to the half-line
     integral is the documented convention; the printed series equals psi/2).
     Terms are summed while they decrease; growth beyond n > 2 sets the
-    diverging flag, and the tail estimate is the first omitted term.
+    diverging flag, and the tail estimate is the first omitted term.  A term
+    past the transform derivative's capacity raises NonConvergenceError.
     """
     if amp.parity != "even":
         raise DomainError("heat series requires an even amplitude")
@@ -93,9 +94,15 @@ def heat_series(amp: Amplitude, x: float, tau: complex, N: int = 40) -> SeriesEv
     if transform_derivative is None:
         raise DomainError("no analytic transform-derivative catalogue for this amplitude")
     tau = complex(tau)
-    return sum_to_smallest_term(
-        2.0, lambda n: (1j * tau) ** n / math.factorial(n) * transform_derivative(n, x), N,
-        grow_from=3)
+
+    def term(n: int) -> complex:
+        try:
+            return (1j * tau) ** n / math.factorial(n) * transform_derivative(n, x)
+        except CapacityError as exc:
+            raise NonConvergenceError(f"heat series term n={n} is past the transform "
+                                      f"derivative's capacity: {exc}") from None
+
+    return sum_to_smallest_term(2.0, term, N, grow_from=3)
 
 
 def sech_theta_series(beta: float, x: float, tau: complex, N: int = 80) -> SeriesEval:

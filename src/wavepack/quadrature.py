@@ -1,6 +1,5 @@
-"""Adaptive Gauss-Kronrod quadrature with declared-decay tail truncation, and a
-Gaussian-damped regularization scheme for conditionally convergent oscillatory
-integrals.
+"""Adaptive Gauss-Kronrod quadrature with declared-decay tail truncation, and
+the zero-damping limit of a Gaussian-damped family of integrals.
 
 This module is the independent numerical oracle: every closed form in the
 package is validated against it.  Integrands are complex-valued callables that
@@ -13,10 +12,10 @@ deterministic: panels are refined worst first, in generations of up to
 _GENERATION_CAP panels chosen by the rule of scipy.integrate.quad_vec, with an
 insertion-order tiebreak.
 
-The regularized path computes I(delta) = int f(z) exp(-delta z^2) dz over a
-fixed, strictly decreasing set of damping strengths and extrapolates the
-values polynomially to delta = 0 (Neville); `regularized_limit` owns that
-limit.  Gaussian damping is used rather than exponential damping because it
+`regularized_limit` extrapolates I(delta) = int f(z) exp(-delta z^2) dz over
+a fixed, strictly decreasing set of damping strengths polynomially to
+delta = 0 (Neville): a settled-check, not a bound, so no packet takes it.
+Gaussian damping is used rather than exponential damping because it
 preserves the parity of the integrand.
 
 Every packet integral of the oracle, w(z) exp(i x z - i tau z^2) on the line
@@ -301,15 +300,13 @@ def packet_decay(amp, tau, eps: float, grow: float = 0.0) -> DecayBound | None:
     """Tail bound of |phi(z) exp(-i tau z^2)| exp(grow |z|), or None.
 
     Of the amplitude's declared `decay` and, at Im(tau) < 0, the damping
-    exp(Im(tau) z^2) at the amplitude's scale (1 without a declared decay),
-    each times exp(grow |z|) where it can absorb that, the bound that
-    truncates first at eps.
+    exp(Im(tau) z^2) at that decay's scale, each times exp(grow |z|) where
+    it can absorb that, the bound that truncates first at eps (None if none can).
     """
-    decay: DecayBound | None = getattr(amp, "decay", None)
-    bounds = [] if decay is None else [decay]
+    decay: DecayBound = amp.decay
+    bounds = [decay]
     if complex(tau).imag < 0:
-        bounds.append(DecayBound(rate=-complex(tau).imag, power=2.0,
-                                 scale=1.0 if decay is None else decay.scale))
+        bounds.append(DecayBound(rate=-complex(tau).imag, power=2.0, scale=decay.scale))
     grown = [b for b in (d.times_exp_growth(grow) for d in bounds) if b is not None]
     if len(grown) < 2:
         return grown[0] if grown else None
@@ -328,15 +325,6 @@ class FactoredTable:
     left: np.ndarray    # (nodes, G), G B >= m
     right: np.ndarray   # (nodes, B)
     m: int
-
-    def times_rows(self, w: np.ndarray) -> "FactoredTable":
-        """This table with the row of node j times w[j]."""
-        return replace(self, left=self.left * w[:, None])
-
-    def peak(self) -> float:
-        """max |left| max |right| (nan ignored): a bound on every column's
-        modulus, equal to their maximum where right has unit modulus."""
-        return float(np.nanmax(np.abs(self.left)) * np.nanmax(np.abs(self.right)))
 
 
 def _factored_rule(w, left, right, m: int):
@@ -664,70 +652,42 @@ def regularized_limit(evaluate, tol: float) -> QuadratureResult:
     The result converges only if every inner quadrature converged, the
     residuals settled (the last is within 4x the smallest, or within tol) and
     the estimate is within tol, so an erratic sequence is reported as
-    non-convergence rather than as a silent wrong answer.  Vector values are
-    extrapolated column by column and converge only if every column does.
+    non-convergence rather than as a silent wrong answer.  Values are scalars.
     """
-    vals = []
-    evals = 0
-    worst_inner = 0.0
-    ok = True
-    for d in _DAMPING:
-        r = evaluate(d)
-        vals.append(r.value)
-        evals += r.evaluations
-        worst_inner = np.maximum(worst_inner, r.abs_error_estimate)
-        ok = ok and r.converged
-    residuals = []
-    for k in range(1, len(_DAMPING)):
-        value, res = neville_extrapolate(_DAMPING[: k + 1], vals[: k + 1])
-        residuals.append(res)
-    settled = bool(np.all(residuals[-1] <= np.maximum(4.0 * np.min(residuals, axis=0), tol)))
-    err = residuals[-1] + worst_inner
-    return _result(value, err, evals, ok and settled and _worst(err) <= tol)
+    inner = [evaluate(d) for d in _DAMPING]
+    vals = [r.value for r in inner]
+    diagonals = [neville_extrapolate(_DAMPING[: k + 1], vals[: k + 1])
+                 for k in range(1, len(_DAMPING))]
+    value, last = diagonals[-1]
+    settled = last <= max(4.0 * min(res for _, res in diagonals), tol)
+    err = last + max(r.abs_error_estimate for r in inner)
+    ok = all(r.converged for r in inner) and settled and err <= tol
+    return _result(value, err, sum(r.evaluations for r in inner), ok)
 
 
-def integrate_oscillatory_regularized(f, tol: float = 1e-8, domain=(0.0, math.inf),
-                                      budget: int = DEFAULT_BUDGET,
-                                      osc_freq=None) -> QuadratureResult:
-    """Regularized limit of a bounded oscillatory integrand over [0, inf) or
-    (-inf, inf).
+def integrate_oscillatory_regularized(f, tol: float = 1e-8, osc_freq=None) -> QuadratureResult:
+    """Regularized limit of a bounded oscillatory scalar integrand over [0, inf).
 
-    I(delta) = int f(z) exp(-delta z^2) dz is integrated by `integrate_decaying`
-    for each damping strength of `regularized_limit`, which extrapolates to
-    delta = 0 and gives the verdict.  Each I(delta) gets a seventh of the
-    budget (at least 30,000 evaluations) and tol/20 (at least 2e-13); its tail
-    bound takes 1.5 max |f| on a coarse grid over [0, 40] (mirrored on the
-    line) as the scale of the bounded integrand.  A vector-valued f is
-    extrapolated column by column; a `FactoredTable` value is damped through
-    its left factor and its max |f| taken from the factors (`peak`).  `osc_freq` declares a convex majorant of
-    the local phase frequency of f, in the form `integrate_interval` takes;
-    the damping adds no oscillation.
+    I(delta) = int_0^inf f(z) exp(-delta z^2) dz is integrated by
+    `integrate_decaying` for each damping strength of `regularized_limit`,
+    which extrapolates to delta = 0 and gives the verdict.  Each I(delta)
+    gets a seventh of the default budget and tol/20 (at least 2e-13); its
+    tail bound takes 1.5 max |f| on a coarse grid over [0, 40] as the scale
+    of the bounded integrand.  `osc_freq` declares a convex majorant of the
+    local phase frequency of f, in the form `integrate_interval` takes; the
+    damping adds no oscillation.
     """
-    zs = np.linspace(0.0, 40.0, 401)
-    if domain[0] == -math.inf:
-        zs = np.concatenate([-zs[::-1], zs])
     with np.errstate(all="ignore"):
-        probe = f(zs)
-        if isinstance(probe, FactoredTable):
-            scale = probe.peak() * 1.5
-        else:
-            scale = float(np.nanmax(np.abs(np.asarray(probe, dtype=complex)))) * 1.5
-    if not math.isfinite(scale) or scale == 0.0:
-        scale = 1.0
-    inner_tol = max(tol / 20.0, 2e-13)
-    per_delta_budget = max(budget // len(_DAMPING), 30_000)
+        scale = float(np.nanmax(np.abs(np.asarray(f(np.linspace(0.0, 40.0, 401)), dtype=complex))))
+    scale = scale * 1.5 if math.isfinite(scale) and scale != 0.0 else 1.0
 
     def damped(d):
         def fd(z):
-            # the damping factor broadcasts over the output columns of f
-            v, damping = f(z), np.exp(-d * np.asarray(z) ** 2)
-            if isinstance(v, FactoredTable):
-                return v.times_rows(damping)
-            return (np.asarray(v, dtype=complex).T * damping).T
+            return np.asarray(f(z), dtype=complex) * np.exp(-d * np.asarray(z) ** 2)
 
-        return integrate_decaying(fd, domain=domain, tol=inner_tol,
+        return integrate_decaying(fd, tol=max(tol / 20.0, 2e-13),
                                   decay=DecayBound(rate=d, power=2.0, scale=scale),
-                                  budget=per_delta_budget, osc_freq=osc_freq)
+                                  budget=DEFAULT_BUDGET // len(_DAMPING), osc_freq=osc_freq)
 
     return regularized_limit(damped, tol)
 
@@ -782,13 +742,12 @@ def chirp_integral(amp, x, tau, tol: float = 1e-10, budget: int = DEFAULT_BUDGET
     and the Hermite rearrangement.
 
     w is phi(z) z^n, or weight(z) where given; `amp` is callable on node
-    arrays, with a `decay` DecayBound (None for merely bounded amplitudes).
-    The tail bound is `packet_decay(amp, tau, tol/10, |Im x|)` times `scale`
-    and |z|^n, so it must bound a weight too, and a weight needs the declared
-    decay.  With that bound one panel set covers [-T, T] or [0, T]
-    (`integrate_decaying`); without it phi alone on the line (n = 0, real x)
-    takes the zero-damping limit (`integrate_oscillatory_regularized`, tol at
-    least 1e-9), and anything else is a DomainError.
+    arrays, with a declared `decay` DecayBound.  The tail bound is
+    `packet_decay(amp, tau, tol/10, |Im x|)` times `scale` and |z|^n, so it
+    must bound a weight too.  With that bound one panel set covers [-T, T]
+    or [0, T] (`integrate_decaying`).  At real tau a complex x whose growth
+    exp(|Im x| |z|) the declared decay cannot absorb has no bound, and is a
+    DomainError.
 
     x is a scalar, complex allowed on the line (the bound absorbs its
     exp(|Im x| |z|)), or a 1-D real array whose points share one panel set;
@@ -837,17 +796,12 @@ def chirp_integral(amp, x, tau, tol: float = 1e-10, budget: int = DEFAULT_BUDGET
     # max(x_hi - 2 Re(tau) z, 2 Re(tau) z - x_lo) + 2 |Im tau| |z|, as lines
     drift, damp = 2.0 * tau.real, 2.0 * abs(tau.imag)
     osc = ((x_hi, damp - drift), (x_hi, -damp - drift), (-x_lo, drift + damp), (-x_lo, drift - damp))
-    if weight is not None and amp.decay is None:
-        raise DomainError("a weight is bounded through the amplitude's declared decay")
     bound = packet_decay(amp, tau, tol / 10.0, grow)
-    if bound is not None:
-        bound = bound if scale == 1.0 else bound.times_const(scale)
-        return integrate_decaying(f, domain=(-math.inf if trig is None else 0.0, math.inf),
-                                  tol=tol, decay=bound.times_poly(n), budget=budget, osc_freq=osc)
-    if grow > 0 or n or trig is not None:
-        raise DomainError("complex x, moments and the half line need decay or Im(tau) < 0")
-    return integrate_oscillatory_regularized(f, tol=max(tol, 1e-9), domain=(-math.inf, math.inf),
-                                             budget=budget, osc_freq=osc)
+    if bound is None:
+        raise DomainError("complex x: at real tau the declared decay cannot absorb exp(|Im x| |z|)")
+    bound = bound if scale == 1.0 else bound.times_const(scale)
+    return integrate_decaying(f, domain=(-math.inf if trig is None else 0.0, math.inf),
+                              tol=tol, decay=bound.times_poly(n), budget=budget, osc_freq=osc)
 
 
 def psi_oracle(amp, x, tau, tol: float = 1e-10,
@@ -919,8 +873,6 @@ def chirp_trapezoid(amp, xs, tau, tol: float = 1e-8,
 
     eps_tail = tol / 8.0
     bound = packet_decay(amp, tau, eps_tail)
-    if bound is None:
-        raise DomainError("the trapezoid sum needs a declared decay")
     need = _first_false(lambda j: not bound.tail_integral(j * h) <= eps_tail, 64,
                         budget // 2 + 1)
     J = max(min(need, (budget - 1) // 2), 0)

@@ -61,6 +61,15 @@ class TestFamilies:
         with pytest.raises(DomainError):
             Amplitude.custom(lambda z: np.exp(-np.asarray(z) ** 2), parity=parity)
 
+    def test_custom_without_declared_decay_is_refused(self):
+        # the oracle guessed |phi| <= 1 for such an amplitude: at tau = 0.5 -
+        # 0.25i and x = 0.7 this phi reported converged=True with an estimate
+        # of 1.7e-9 and missed the closed form by 2.3e-7, so it cannot be built
+        with pytest.raises(DomainError, match="declared decay"):
+            Amplitude.custom(lambda z: 1e4 * np.cos(np.asarray(z)), parity="even")
+        with pytest.raises(DomainError, match="declared decay"):
+            Amplitude.custom(lambda z: np.exp(-np.asarray(z) ** 2), decay=0.5)
+
     def test_custom_without_transform_capabilities(self):
         amp = _custom()
         with pytest.raises(DomainError):

@@ -120,6 +120,13 @@ class TestHeatSeries:
         with pytest.raises(DomainError):
             heat_series(Amplitude.gaussian(1.0, z0=1.0), 1.0, 0.1j - 0.1)
 
+    @pytest.mark.parametrize("x,tau", [(0.7, 0.1 - 0.05j), (0.0, 0.1 - 0.05j), (0.7, 0.02)])
+    def test_gaussian_past_the_hermite_cap_raises_nonconvergence(self, x, tau):
+        # the terms still fall at n = 33, whose transform derivative needs
+        # Hermite order 66 > 64: the series did not settle, not a usage error
+        with pytest.raises(NonConvergenceError, match=r"n=33.*capped at 64"):
+            heat_series(Amplitude.gaussian(1.0), x, tau, N=40)
+
     @pytest.mark.parametrize("x", [0.005, 0.01, 0.02])
     def test_glaisher_overflow_raises_nonconvergence(self, x):
         # the exact-integer terms nu^(4n+1) of deep transform derivatives

@@ -132,6 +132,14 @@ class TestNumericalErrors:
         assert out == ""
         assert err.startswith("numerical error: ") and "overflows" in err
 
+    @pytest.mark.parametrize("x,t", [("0.7", "0.1,-0.05"), ("0", "0.1,-0.05"), ("0.7", "0.02,0")])
+    def test_gaussian_heat_past_the_hermite_cap_is_a_numerical_error(self, x, t):
+        code, out, err = run_cli(["psi", "--amplitude", "gaussian", "--x", x, "--t", t,
+                                  "--method", "heat"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("numerical error: heat series term n=33") and "capped at 64" in err
+
     def test_non_finite_psi_is_not_json(self, monkeypatch):
         from wavepack import wavepacket
         monkeypatch.setattr(wavepacket, "psi", lambda *a, **k: wavepacket.WaveValue(

@@ -6,10 +6,11 @@ below the packet layer: `amplitudes` imports neither `asymptotics` nor
 `wavepacket`, and `asymptotics` does not import `wavepacket`.  Tail bounds
 are declared in `amplitudes` and derived in `quadrature`, so `wavepacket`
 builds no `DecayBound` of its own and rescales none by hand, and `Custom`
-guesses no transform bound.  The result types are slotted, one
-function of `quadrature` applies the Kronrod rule, and only the zero-damping
-limit and the finite-difference derivative call the Neville table.  The run
-time needs numpy only: no module imports scipy or mpmath, which stay test
+guesses no transform bound.  Every amplitude carries a declared `decay`, so
+no module reads one through `getattr` with a default.  The result types are
+slotted, one function of `quadrature` applies the Kronrod rule, and only the
+zero-damping limit and the finite-difference derivative call the Neville
+table.  The run time needs numpy only: no module imports scipy or mpmath, which stay test
 dependencies.  Every private top-level function has a caller in the package
 (helpers nothing calls get deleted), and one place builds the CVZ constant
 3 + sqrt(8), so the package keeps one alternating-series accelerator: it
@@ -44,9 +45,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wavepack
+from wavepack.amplitudes import AMPLITUDE_FAMILIES, Amplitude
+from wavepack.quadrature import DecayBound
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wavepack"
 MODULES = sorted(SRC.glob("*.py"))
@@ -139,6 +143,22 @@ def test_no_bound_is_rescaled_by_hand_or_guessed():
                 or any(getattr(t, "id", None) == "transform_decay"
                        for t in getattr(node, "targets", [getattr(node, "target", None)]))]
     assert (replaced, declared) == ([], [])
+
+
+def test_every_amplitude_declares_its_decay():
+    # the oracle's error bound rests on the declared decay, so no code reads
+    # a decay through getattr(obj, "...decay", default) and guesses a bound
+    # where it is missing; every family and a Custom carry a DecayBound
+    guessed = {f"{path.name}:{node.lineno}" for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+               and len(node.args) == 3 and isinstance(node.args[1], ast.Constant)
+               and str(node.args[1].value).endswith("decay")}
+    amps = [build({"beta": 1.0}) for build in AMPLITUDE_FAMILIES.values()]
+    amps.append(Amplitude.custom(lambda z: np.exp(-np.asarray(z) ** 2), parity="even",
+                                 decay=DecayBound(rate=0.5)))
+    undeclared = [amp for amp in amps if not isinstance(amp.decay, DecayBound)]
+    assert (guessed, undeclared) == (set(), [])
 
 
 @pytest.mark.parametrize("module,name", [

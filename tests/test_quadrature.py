@@ -350,12 +350,14 @@ class TestChirpIntegral:
         assert abs(moment.value - weighted.value) <= 1e-11
 
     def test_a_missing_bound_is_refused(self):
-        bounded = Amplitude.custom(lambda z: np.cos(np.asarray(z)), parity="even")
-        for kwargs in ({"n": 2}, {"trig": np.cos}, {"weight": bounded}):
-            with pytest.raises(DomainError):
-                chirp_integral(bounded, 0.5, 0.3, **kwargs)
-        with pytest.raises(DomainError):
-            chirp_integral(bounded, 0.5, 0.3 - 0.1j, weight=bounded)
+        # an amplitude without a declared decay is refused where it is built;
+        # at real tau a complex x grows like exp(|Im x| |z|), which neither the
+        # Glaisher kernel's exp(-c sqrt|z|) nor sech with beta <= |Im x| absorbs
+        with pytest.raises(DomainError, match="declared decay"):
+            Amplitude.custom(lambda z: np.cos(np.asarray(z)), parity="even")
+        for amp in (Amplitude.glaisher(), Amplitude.sech(0.5)):
+            with pytest.raises(DomainError, match="complex x"):
+                chirp_integral(amp, 1.0 + 0.5j, 0.5)
 
 
 class TestKronrodConstants:
@@ -442,8 +444,7 @@ _GRID_CALLS = {"sech/real": 17, "sech-shift/damped": 13, "glaisher/damped": 9}
 
 def _direct_table_psi(amp, xs, tau, tol):
     """psi_oracle over an x-array with the unfactored table exp(i z x_k):
-    one complex exponential per node and x, on the decaying path or, with no
-    tail bound, the regularized one."""
+    one complex exponential per node and x, on the decaying path."""
     tau = complex(tau)
 
     def f(z):
@@ -455,12 +456,8 @@ def _direct_table_psi(amp, xs, tau, tol):
     osc = ((xs.max(), damp - drift), (xs.max(), -damp - drift),
            (-xs.min(), drift + damp), (-xs.min(), drift - damp))
 
-    decay = packet_decay(amp, tau, tol / 10.0)
-    if decay is None:
-        return integrate_oscillatory_regularized(f, tol=max(tol, 1e-9),
-                                                 domain=(-math.inf, math.inf), osc_freq=osc)
     return integrate_decaying(f, domain=(-math.inf, math.inf), tol=tol,
-                              decay=decay, osc_freq=osc)
+                              decay=packet_decay(amp, tau, tol / 10.0), osc_freq=osc)
 
 
 class TestBatchedPsi:
@@ -533,28 +530,6 @@ class TestBatchedPsi:
         assert r.evaluations == ref.evaluations
         assert np.array_equal(r.value, ref.value)
         assert np.array_equal(r.abs_error_estimate, ref.abs_error_estimate)
-
-    def test_regularized_path_array_x(self):
-        # decay=None at real tau takes the Gaussian-regularized path
-        amp = Amplitude.custom(lambda z: np.exp(-np.asarray(z) ** 2), parity="even")
-        xs = np.array([-0.8, 1.3])
-        r = psi_oracle(amp, xs, 0.5, tol=1e-8)
-        vals, errs = _columns(r)
-        assert r.converged and np.all(errs <= 1e-8)
-        for x, v, e in zip(xs, vals, errs):
-            s = psi_oracle(amp, float(x), 0.5, tol=1e-8)
-            assert s.converged
-            assert abs(v - s.value) <= e + s.abs_error_estimate
-
-    def test_regularized_path_takes_factored_values(self):
-        # a slow decay, so the damping of the factors decides the limit
-        amp = Amplitude.custom(lambda z: 1.0 / (1.0 + np.asarray(z) ** 2), parity="even")
-        xs = np.linspace(-2.0, 2.0, 9)
-        assert quadrature._phase_block(xs)[0] == 3
-        r = psi_oracle(amp, xs, 0.5, tol=1e-8)
-        ref = _direct_table_psi(amp, xs, 0.5, tol=1e-8)
-        assert r.converged and ref.converged
-        assert np.all(np.abs(r.value - ref.value) <= r.abs_error_estimate + ref.abs_error_estimate)
 
     def test_grid_calls_store_factors_within_the_cell_cap(self, monkeypatch):
         # every integrand value is the two factors, never the nodes x 401 table

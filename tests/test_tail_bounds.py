@@ -19,6 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from wavepack import quadrature, registry, wavepacket
 from wavepack.amplitudes import GLAISHER_SQRT_ARG, Amplitude
+from wavepack.errors import DomainError
 from wavepack.quadrature import DecayBound, QuadratureResult, packet_decay
 
 
@@ -101,11 +102,16 @@ def test_packet_decay_dominates_the_packet_integrand(amp, tau, grow):
 
 
 def test_packet_decay_without_declared_decay():
-    amp = Amplitude.custom(lambda z: np.cos(z), parity="even")
-    assert packet_decay(amp, 0.5, 1e-11) is None
-    assert packet_decay(amp, 0.5, 1e-11, grow=0.3) is None
+    # no amplitude is built without a declared decay, so the damping bound
+    # exp(Im(tau) z^2) carries that decay's scale, never a guessed one
+    with pytest.raises(DomainError, match="declared decay"):
+        Amplitude.custom(lambda z: np.cos(z), parity="even")
+    decay = DecayBound(rate=0.5, power=1.0, scale=3.0)
+    amp = Amplitude.custom(lambda z: 3.0 * np.exp(-0.5 * np.abs(z)), parity="even", decay=decay)
+    assert packet_decay(amp, 0.5, 1e-11) is decay
+    assert packet_decay(amp, 0.5, 1e-11, grow=0.6) is None
     d = packet_decay(amp, 0.5 - 0.25j, 1e-11)
-    assert (d.rate, d.power, d.scale) == (0.25, 2.0, 1.0)
+    assert (d.rate, d.power, d.scale) == (0.25, 2.0, 3.0)
 
 
 @pytest.mark.parametrize("a,beta", [(1.0, 1.0), (2.0, 1.5), (0.8, 0.6), (0.3, 2.0), (5.0, 0.2)])
