@@ -35,7 +35,7 @@ import numpy as np
 from .amplitudes import GLAISHER_POLES, Amplitude
 from .errors import CapacityError, DomainError, NonConvergenceError
 from .foundation import SeriesEval, golden_section_min, sum_to_smallest_term
-from .quadrature import integrate_decaying, integrate_interval, psi_oracle
+from .quadrature import chirp_integral, integrate_interval, psi_oracle
 
 
 @dataclass(frozen=True)
@@ -166,40 +166,20 @@ def calibrate_glaisher_quartic_phase(x: float = 1.0, sigma: float = 0.01) -> flo
     return golden_section_min(lambda q: abs(model(q) - ref), 0.0, 2.0, 80)
 
 
-# The Glaisher kernel's frequency allowance 0.3/sqrt(max(z, 0.01)) on z >= 0,
-# as a convex majorant: the chords of the convex 0.3/sqrt(z) between the nodes
-# z = 0.01 4^j, j = 0..5 (each lies above it between its nodes), and its value
-# at the last node.
-_GLAISHER_NODES = [(z, 0.3 / math.sqrt(z)) for z in (0.01 * 4.0**j for j in range(6))]
-_GLAISHER_CHORDS = tuple(
-    (g0 - (g1 - g0) / (z1 - z0) * z0, (g1 - g0) / (z1 - z0))
-    for (z0, g0), (z1, g1) in zip(_GLAISHER_NODES, _GLAISHER_NODES[1:])) + ((_GLAISHER_NODES[-1][1], 0.0),)
-
-
 def glaisher_theta_integral(x: float, tol: float = 1e-9):
     """The Glaisher transform pair: (integral, series) for int_0^inf K cos(xz) dz.
 
-    The integral side is evaluated by the oracle (the corrected kernel decays
-    like exp(-c sqrt(z)), so the decaying path applies; the regularized path
-    reproduces it and is exercised in the tests).  Its panels are sized by
-    |x| + 0.3/sqrt(max(z, 0.01)), declared through the convex majorant
-    `_GLAISHER_CHORDS`: the chords of 0.3/sqrt(z) between z = 0.01 4^j,
-    j = 0..5, and the constant at the last node.  The series side is G(x).
-    The printed pair carries a spurious 1/2 on the integral; the reconciled
-    pair has none (ledgered).
+    The integral side is the half-line `chirp_integral` at tau = 0, the
+    route `fourier_cosine_transform` takes for an amplitude without a closed
+    transform: the corrected kernel decays like exp(-c sqrt(z)), so its
+    declared decay bounds the tail (the zero-damping limit
+    `integrate_oscillatory_regularized` reproduces it).  The series side is
+    G(x).  The printed pair carries a spurious 1/2 on the integral; the
+    reconciled pair has none (ledgered).
     """
     if not (x > 0):
         raise DomainError("x must be positive")
-    amp = Amplitude.glaisher()
-
-    def f(z):
-        zz = np.asarray(z, dtype=float)
-        return np.asarray(amp(zz), dtype=complex) * np.cos(x * zz)
-
-    r = integrate_decaying(f, (0.0, math.inf), tol=tol, decay=amp.decay,
-                           osc_freq=[(abs(x) + c, s) for c, s in _GLAISHER_CHORDS])
-    series = glaisher_series_g(x)
-    return r, series
+    return chirp_integral(Amplitude.glaisher(), x, 0j, tol, trig=np.cos), glaisher_series_g(x)
 
 
 def glaisher_series_g(x: float) -> SeriesEval:

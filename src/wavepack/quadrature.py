@@ -12,15 +12,20 @@ deterministic: panels are refined worst first, in generations of up to
 _GENERATION_CAP panels chosen by the rule of scipy.integrate.quad_vec, with an
 insertion-order tiebreak.
 
+A declared `DecayBound` has one of three shapes, Gaussian, exponential or
+root-exponential, and its tail integral is in closed form for each.
+
 `regularized_limit` extrapolates I(delta) = int f(z) exp(-delta z^2) dz over
 a fixed, strictly decreasing set of damping strengths polynomially to
 delta = 0 (Neville): a settled-check, not a bound, so no packet takes it.
 Gaussian damping is used rather than exponential damping because it
 preserves the parity of the integrand.
 
-Every packet integral of the oracle, w(z) exp(i x z - i tau z^2) on the line
-or w(z) trig(x z) exp(-i tau z^2) on the half line, is `chirp_integral`: the
-one builder of that integrand, its tail bound and its frequency lines.
+Every amplitude integral of the oracle, w(z) exp(i x z - i tau z^2) on the
+line or w(z) trig(x z) exp(-i tau z^2) on the half line, is `chirp_integral`:
+the one builder of that integrand, its tail bound and its frequency lines.
+The zero-damping limit `integrate_oscillatory_regularized` is that half-line
+integral at tau = -i delta.
 `chirp_trapezoid` is the packet over an x-grid for an amplitude analytic on
 a declared strip (`StripBound`): one trapezoid sum with an a-priori bound,
 no adaptivity, so the oracle stays its independent check.
@@ -80,11 +85,6 @@ _DAMPING = tuple(0.01 * 0.5**k for k in range(7))
 _STRIP_ITERS = 24
 
 _SQRT_PI = math.sqrt(math.pi)
-# Stopping rule, term cap and Lentz floor of the incomplete-gamma series and
-# continued fraction.
-_SPECIAL_EPS = 1e-16
-_SPECIAL_MAX_TERMS = 1000
-_LENTZ_TINY = 1e-300
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,58 +117,28 @@ class QuadratureResult:
 
 
 def _upper_gamma(a: float, u: float) -> float:
-    """The upper incomplete gamma function Gamma(a, u) = int_u^inf t^{a-1} e^{-t} dt.
-
-    Closed forms at the powers the library declares (a = 1/2, 1, 2 for
-    power 2, 1, 0.5); for any other a > 0, Legendre's continued fraction
-    (modified Lentz) where u >= a + 1 and Gamma(a) minus the lower-gamma series
-    below it, each taken to double precision.
-    """
+    """The upper incomplete gamma function Gamma(a, u) = int_u^inf t^{a-1} e^{-t} dt
+    at the three a = 1/power a `DecayBound` declares, each in closed form:
+    Gamma(1/2, u) = sqrt(pi) erfc(sqrt u), Gamma(1, u) = e^{-u} and
+    Gamma(2, u) = (1 + u) e^{-u}."""
     if a == 0.5:
         return _SQRT_PI * math.erfc(math.sqrt(u))
     if a == 1.0:
         return math.exp(-u)
-    if a == 2.0:
-        return (1.0 + u) * math.exp(-u)
-    if u == 0.0:
-        return math.gamma(a)
-    front = math.exp(a * math.log(u) - u)       # u^a e^{-u}, without overflow
-    if u >= a + 1.0:
-        # Gamma(a, u) = front / (u + 1 - a - 1(1-a)/(u + 3 - a - 2(2-a)/(u + 5 - a - ...)))
-        b = u + 1.0 - a
-        c = 1.0 / _LENTZ_TINY
-        d = 1.0 / b
-        h = d
-        for i in range(1, _SPECIAL_MAX_TERMS):
-            an = -i * (i - a)
-            b += 2.0
-            d = an * d + b
-            d = d if abs(d) > _LENTZ_TINY else _LENTZ_TINY
-            c = b + an / c
-            c = c if abs(c) > _LENTZ_TINY else _LENTZ_TINY
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
-            if abs(delta - 1.0) < _SPECIAL_EPS:
-                return front * h
-    else:
-        # gamma(a, u) = front sum_n u^n / (a (a+1) ... (a+n))
-        term = total = 1.0 / a
-        for n in range(1, _SPECIAL_MAX_TERMS):
-            term *= u / (a + n)
-            total += term
-            if term < _SPECIAL_EPS * total:
-                return math.gamma(a) - front * total
-    raise NonConvergenceError(f"incomplete gamma at a={a:.3g}, u={u:.3g} did not converge")
+    return (1.0 + u) * math.exp(-u)
 
 
 @dataclass(frozen=True)
 class DecayBound:
     """Caller-declared bound |f(z)| <= scale * exp(-rate * |z|^power) for |z| >= onset.
 
-    power=2 declares Gaussian decay, power=1 exponential, power=0.5 covers the
-    exp(-rate sqrt(z)) class.  Only used for tail truncation, so loose bounds
-    are safe; but a loose decay of phi bounds nothing of its transform's decay.
+    power is one of the three shapes whose tail integral has a closed form:
+    2 (Gaussian decay), 1 (exponential) or 0.5 (the exp(-rate sqrt(z))
+    class); any other power is a DomainError.  An f bounded with some power
+    p >= 1/2 declares the largest of the three not above p, with onset
+    max(onset, 1): that bound holds too.  Only used for tail truncation, so
+    loose bounds are safe; but a loose decay of phi bounds nothing of its
+    transform's decay.
     """
 
     rate: float
@@ -179,12 +149,15 @@ class DecayBound:
     _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (self.rate > 0) or not (self.power > 0) or not (self.scale > 0):
-            raise DomainError("decay bound needs positive scale, rate and power")
+        if not (self.rate > 0) or not (self.scale > 0):
+            raise DomainError("decay bound needs positive scale and rate")
+        if self.power not in (2.0, 1.0, 0.5):
+            raise DomainError(f"decay power must be 2, 1 or 0.5, got {self.power!r}")
 
     def tail_integral(self, T: float) -> float:
         """int_T^inf scale * exp(-rate z^power) dz = scale a rate^-a Gamma(a, u)
-        with a = 1/power and u = rate T^power; `_upper_gamma` gives Gamma(a, u)."""
+        with a = 1/power and u = rate T^power; `_upper_gamma` gives Gamma(a, u)
+        in closed form."""
         if T < self.onset:
             return math.inf
         a = 1.0 / self.power
@@ -232,7 +205,7 @@ class DecayBound:
 
     def times_exp_growth(self, g: float) -> "DecayBound | None":
         """A bound on exp(g |z|) times this bound, or None where the decay
-        cannot absorb the growth (power < 1, or power 1 with rate <= g)."""
+        cannot absorb the growth (power 0.5, or power 1 with rate <= g)."""
         if g == 0.0:
             return self
         if self.power > 1.0:
@@ -665,31 +638,19 @@ def regularized_limit(evaluate, tol: float) -> QuadratureResult:
     return _result(value, err, sum(r.evaluations for r in inner), ok)
 
 
-def integrate_oscillatory_regularized(f, tol: float = 1e-8, osc_freq=None) -> QuadratureResult:
-    """Regularized limit of a bounded oscillatory scalar integrand over [0, inf).
+def integrate_oscillatory_regularized(amp, x: float, tol: float = 1e-8) -> QuadratureResult:
+    """Zero-damping limit of int_0^inf phi(z) cos(x z) dz at a real x.
 
-    I(delta) = int_0^inf f(z) exp(-delta z^2) dz is integrated by
-    `integrate_decaying` for each damping strength of `regularized_limit`,
-    which extrapolates to delta = 0 and gives the verdict.  Each I(delta)
-    gets a seventh of the default budget and tol/20 (at least 2e-13); its
-    tail bound takes 1.5 max |f| on a coarse grid over [0, 40] as the scale
-    of the bounded integrand.  `osc_freq` declares a convex majorant of the
-    local phase frequency of f, in the form `integrate_interval` takes; the
-    damping adds no oscillation.
+    I(delta) = int_0^inf phi(z) cos(x z) exp(-delta z^2) dz is exactly the
+    half-line `chirp_integral` at tau = -i delta, so each I(delta) takes that
+    builder's integrand, frequency lines and tail bound: `packet_decay`'s,
+    the declared decay or the damping at that decay's scale.  Each gets a
+    seventh of the default budget and tol/20 (at least 2e-13), and
+    `regularized_limit` extrapolates to delta = 0 and gives the verdict.
     """
-    with np.errstate(all="ignore"):
-        scale = float(np.nanmax(np.abs(np.asarray(f(np.linspace(0.0, 40.0, 401)), dtype=complex))))
-    scale = scale * 1.5 if math.isfinite(scale) and scale != 0.0 else 1.0
-
-    def damped(d):
-        def fd(z):
-            return np.asarray(f(z), dtype=complex) * np.exp(-d * np.asarray(z) ** 2)
-
-        return integrate_decaying(fd, tol=max(tol / 20.0, 2e-13),
-                                  decay=DecayBound(rate=d, power=2.0, scale=scale),
-                                  budget=DEFAULT_BUDGET // len(_DAMPING), osc_freq=osc_freq)
-
-    return regularized_limit(damped, tol)
+    return regularized_limit(
+        lambda d: chirp_integral(amp, x, -1j * d, max(tol / 20.0, 2e-13),
+                                 DEFAULT_BUDGET // len(_DAMPING), trig=np.cos), tol)
 
 
 def _real_array(x) -> np.ndarray:
@@ -755,7 +716,8 @@ def chirp_integral(amp, x, tau, tol: float = 1e-10, budget: int = DEFAULT_BUDGET
     holds only if every point is within tol.  On the line an evenly spaced x
     gets the factored exp(i z x) table of `_phase_block` and `_powers` (3
     complex exponentials a node, column k at x_0 + k h, within a few ulps of
-    x_k), any other x the direct table.  The half line keeps real nodes.
+    x_k), any other x the direct table.  The half line keeps real nodes, and
+    at tau = 0 skips the chirp factor, which is 1 there.
 
     The one frequency declaration is the chirp's local phase frequency
     |x - 2 Re(tau) z| + 2 |Im tau| |z| at its worst over [x_lo, x_hi], the
@@ -788,7 +750,9 @@ def chirp_integral(amp, x, tau, tol: float = 1e-10, budget: int = DEFAULT_BUDGET
             return _phase_table(w * np.exp(1j * xs[0] * zz - 1j * tau * zz * zz), zz, xs.size,
                                 block, h)
         if trig is not None:
-            return (w * np.exp(-1j * tau * zz * zz) * trig(np.multiply.outer(zz, xs)).T).T
+            if tau:
+                w = w * np.exp(-1j * tau * zz * zz)
+            return (w * trig(np.multiply.outer(zz, xs)).T).T
         if np.ndim(xs) == 0:
             return w * np.exp(1j * zz * xs - 1j * tau * zz * zz)
         return (w * np.exp(-1j * tau * zz * zz))[:, None] * np.exp(1j * np.multiply.outer(zz, xs))

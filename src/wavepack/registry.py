@@ -266,13 +266,7 @@ def _ev_glaisher_pair(p):
 @evaluator("glaisher_pair_regularized")
 def _ev_glaisher_reg(p):
     x = float(p["x"])
-    amp = Amplitude.glaisher()
-
-    def f(z):
-        zz = np.asarray(z, dtype=float)
-        return np.asarray(amp(zz), dtype=complex) * np.cos(x * zz)
-
-    r = integrate_oscillatory_regularized(f, tol=1e-7, osc_freq=x)
+    r = integrate_oscillatory_regularized(Amplitude.glaisher(), x, tol=1e-7)
     return (r.checked("regularized Glaisher transform integral").value,
             asymptotics.glaisher_series_g(x).value)
 

@@ -52,7 +52,6 @@ _EM_2K = 2.0 * np.arange(1.0, len(_EM_COEFFS))[:, None]     # 2k, k = 1..19
 class LatticeSumSpec:
     m: int
     statistic: str          # fermi (+1 denominator) | bose (-1 denominator)
-    n_max: int = 0          # 0 = choose from the tail bound
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -235,13 +234,12 @@ def bose_moment_transform(m: int, b: float) -> float:
 
 
 def lattice_sum(spec: LatticeSumSpec) -> SeriesEval:
-    """Direct evaluation of sum_{n>=1} n^{2m} / (e^{n^2} +- 1)."""
+    """Direct evaluation of sum_{n>=1} n^{2m} / (e^{n^2} +- 1), summed to the
+    first n >= 8 whose tail bound 2 n^{2m} e^{-n^2} is within 1e-18."""
     sign = 1.0 if spec.statistic == "fermi" else -1.0
-    n_max = spec.n_max
-    if n_max <= 0:
-        n_max = 8
-        while 2.0 * n_max ** (2 * spec.m) * math.exp(-n_max * n_max) > 1e-18:
-            n_max += 1
+    n_max = 8
+    while 2.0 * n_max ** (2 * spec.m) * math.exp(-n_max * n_max) > 1e-18:
+        n_max += 1
     acc = 0.0
     for n in range(1, n_max + 1):
         acc += n ** (2 * spec.m) / (math.exp(n * n) + sign)

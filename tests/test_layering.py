@@ -7,10 +7,12 @@ below the packet layer: `amplitudes` imports neither `asymptotics` nor
 are declared in `amplitudes` and derived in `quadrature`, so `wavepacket`
 builds no `DecayBound` of its own and rescales none by hand, and `Custom`
 guesses no transform bound.  Every amplitude carries a declared `decay`, so
-no module reads one through `getattr` with a default.  The result types are
-slotted, one function of `quadrature` applies the Kronrod rule, and only the
-zero-damping limit and the finite-difference derivative call the Neville
-table.  The run time needs numpy only: no module imports scipy or mpmath, which stay test
+no module reads one through `getattr` with a default, and only `quadrature`
+reads it: every amplitude integral takes its tail bound from
+`chirp_integral`.  The result types are slotted, one function of
+`quadrature` applies the Kronrod rule, and only the zero-damping limit and
+the finite-difference derivative call the Neville table.  The run time
+needs numpy only: no module imports scipy or mpmath, which stay test
 dependencies.  Every private top-level function has a caller in the package
 (helpers nothing calls get deleted), and one place builds the CVZ constant
 3 + sqrt(8), so the package keeps one alternating-series accelerator: it
@@ -159,6 +161,18 @@ def test_every_amplitude_declares_its_decay():
                                  decay=DecayBound(rate=0.5)))
     undeclared = [amp for amp in amps if not isinstance(amp.decay, DecayBound)]
     assert (guessed, undeclared) == (set(), [])
+
+
+def test_only_quadrature_reads_the_declared_decay():
+    # the tail bound of every amplitude integral comes from
+    # quadrature.chirp_integral, so no other module builds an integrand on an
+    # amplitude's declared decay; amplitudes declares it
+    readers = {f"{path.name}:{node.lineno}" for path in MODULES
+               if path.name not in ("quadrature.py", "amplitudes.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "decay"
+               and isinstance(node.ctx, ast.Load)}
+    assert readers == set()
 
 
 @pytest.mark.parametrize("module,name", [

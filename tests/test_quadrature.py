@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavepack import quadrature, wavepacket
-from wavepack.asymptotics import glaisher_packet_exact
+from wavepack.asymptotics import glaisher_packet_exact, glaisher_series_g
 from wavepack.closedform import f_cosine_moment
 from wavepack.errors import DomainError, NonConvergenceError
 from wavepack.quadrature import (DecayBound, chirp_integral, integrate_decaying,
@@ -38,15 +38,22 @@ class TestDecayBound:
         with pytest.raises(DomainError):
             DecayBound(rate=-1.0)
 
+    @pytest.mark.parametrize("power", [3.0, 1.7, 0.8, 0.01])
+    def test_only_the_three_closed_form_shapes(self, power):
+        # the Gaussian, exponential and root-exponential shapes alone have a
+        # closed-form tail; a bound of any other power declares one of them
+        with pytest.raises(DomainError, match="decay power"):
+            DecayBound(rate=1.0, power=power)
+
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from([0.5, 1.0, 2.0, 1.5]), st.floats(1e-3, 1e3), st.floats(1e-3, 1e6),
+    @given(st.sampled_from([0.5, 1.0, 2.0]), st.floats(1e-3, 1e3), st.floats(1e-3, 1e6),
            st.floats(1e-3, 50.0), st.floats(-16.0, -2.0))
     def test_truncation_point_is_the_first_rung_within_eps(self, power, rate, scale, onset, lg):
         d = DecayBound(rate=rate, power=power, scale=scale, onset=onset)
         assert d.truncation_point(10.0**lg) == _linear_truncation_point(d, 10.0**lg)
 
     def test_too_weak_a_bound_is_refused_after_400_rungs(self):
-        d = DecayBound(rate=1.0, power=0.01)
+        d = DecayBound(rate=1.0, scale=math.inf)
         for search in (d.truncation_point, lambda eps: _linear_truncation_point(d, eps)):
             with pytest.raises(DomainError):
                 search(1e-10)
@@ -261,21 +268,43 @@ class TestRegularized:
     def test_noop_on_decaying_integrand(self):
         f = lambda z: np.cos(np.asarray(z)) * np.exp(-np.asarray(z) ** 2)
         direct = integrate_decaying(f, (0.0, math.inf), tol=1e-12, decay=DecayBound(rate=1.0))
-        reg = integrate_oscillatory_regularized(f, tol=1e-9)
+        reg = integrate_oscillatory_regularized(Amplitude.gaussian(1.0), 1.0, tol=1e-9)
         assert abs(direct.value - reg.value) <= 1e-10
 
     def test_divergent_constant_refused(self):
-        r = integrate_oscillatory_regularized(lambda z: np.ones_like(np.asarray(z, dtype=float)),
-                                              tol=1e-8)
-        assert not r.converged
+        # int_0^inf exp(-delta z^2) dz = sqrt(pi/delta)/2 has no limit at delta = 0
+        def damped(d):
+            return integrate_decaying(lambda z: np.exp(-d * np.asarray(z) ** 2), (0.0, math.inf),
+                                      tol=5e-10, decay=DecayBound(rate=d))
+
+        assert not quadrature.regularized_limit(damped, 1e-8).converged
 
     def test_glaisher_kernel_times_cosine(self):
         # int_0^inf K(z) cos(z) dz = G(1) = 0.36750921182828...
-        amp = Amplitude.glaisher()
-        f = lambda z: np.asarray(amp(np.asarray(z, dtype=float)), dtype=complex) * np.cos(np.asarray(z))
-        r = integrate_oscillatory_regularized(f, tol=1e-8, osc_freq=1.0)
+        r = integrate_oscillatory_regularized(Amplitude.glaisher(), 1.0, tol=1e-8)
         assert r.converged
         assert abs(r.value - 0.3675092118282790) <= 1e-8
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("beta", [0.7, 1.0, 2.0])
+    def test_sech_limit_within_its_estimate(self, beta, x):
+        # int_0^inf sech(beta z) cos(xz) dz = (pi/(2 beta)) sech(pi x/(2 beta))
+        r = integrate_oscillatory_regularized(Amplitude.sech(beta), x, 1e-7)
+        exact = math.pi / (2.0 * beta) / math.cosh(math.pi * x / (2.0 * beta))
+        assert r.converged and abs(r.value - exact) <= r.abs_error_estimate
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
+    def test_glaisher_limit_within_its_estimate(self, x):
+        r = integrate_oscillatory_regularized(Amplitude.glaisher(), x, 1e-7)
+        exact = glaisher_series_g(x).value
+        assert r.converged and abs(r.value - exact) <= r.abs_error_estimate
+
+    def test_gaussian_limit_within_its_estimate(self):
+        # int_0^inf exp(-z^2) cos(xz) dz = (sqrt(pi)/2) exp(-x^2/4)
+        x = 1.0
+        r = integrate_oscillatory_regularized(Amplitude.gaussian(1.0), x, 1e-7)
+        exact = 0.5 * SQRT_PI * math.exp(-x * x / 4.0)
+        assert r.converged and abs(r.value - exact) <= r.abs_error_estimate
 
     def test_limit_uses_seven_strengths(self):
         seen = []

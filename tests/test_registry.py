@@ -101,7 +101,7 @@ class TestUnconvergedOracle:
         ("T2.2-exact-x1", registry, "psi_oracle"),
         ("HEAT-gauss-smalltau", registry, "psi_oracle"),
         ("G2.4-regularized-x1", registry, "integrate_oscillatory_regularized"),
-        ("G2.4-x1", asymptotics, "integrate_decaying"),
+        ("G2.4-x1", asymptotics, "chirp_integral"),
         ("G3.1-b05", zeta, "integrate_decaying"),
         ("PSF-fermi-m1", zeta, "integrate_decaying"),
     ])

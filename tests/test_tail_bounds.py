@@ -35,7 +35,7 @@ def _log_bound(d: DecayBound, z):
 
 
 @settings(max_examples=300, deadline=None)
-@given(rate=st.floats(0.05, 5.0), power=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+@given(rate=st.floats(0.05, 5.0), power=st.sampled_from([0.5, 1.0, 2.0]),
        scale=st.floats(0.1, 10.0), onset=st.floats(0.0, 5.0), n=st.integers(0, 16),
        g=st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
 def test_derived_bound_dominates_the_product(rate, power, scale, onset, n, g):
