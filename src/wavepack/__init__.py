@@ -29,7 +29,8 @@ _EXPORTS = {
     "hermite": ("gaussian_derivative", "hermite_eval", "shifted_argument_identity",
                 "shifted_identity_ratio_constant"),
     "ledger": ("CORRECTION_LEDGER", "CorrectionLedgerEntry"),
-    "quadrature": ("DecayBound", "QuadratureResult", "StripBound", "chirp_integral",
+    "quadrature": ("DecayBound", "Piece", "QuadratureResult", "SectorBound", "StripBound",
+                   "chirp_integral",
                    "chirp_trapezoid", "integrate_decaying", "integrate_interval",
                    "integrate_oscillatory_regularized", "psi_oracle"),
     "registry": ("IdentityCase", "IdentityReport", "emit_report", "load_catalogue",

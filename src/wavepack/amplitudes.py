@@ -24,7 +24,7 @@ from .errors import DomainError, NonConvergenceError
 from .foundation import (SeriesEval, alternating_series_cvz, check_tau, scalar_or_array,
                          sqrt_principal, sum_to_smallest_term)
 from .hermite import gaussian_derivative, hermite_eval
-from .quadrature import DecayBound, StripBound
+from .quadrature import DecayBound, SectorBound, StripBound
 
 GLAISHER_SQRT_ARG = math.pi / (2.0 * math.sqrt(2.0))  # c(z) = this * sqrt(|z|)
 
@@ -34,6 +34,7 @@ GLAISHER_SQRT_ARG = math.pi / (2.0 * math.sqrt(2.0))  # c(z) = this * sqrt(|z|)
 POLE_TERM_FLOOR = 1e-18
 MAX_POLE_TERMS = 250_000
 PACKET_POLES = 40       # poles summed by the exact packet, `PoleExpansion.packet_exact`
+_EPS = float(np.finfo(float).eps)
 
 
 def glaisher_kernel(z):
@@ -166,16 +167,20 @@ class PoleExpansion:
 
         The terms fall monotonically once mu_k a > 2n + (p-q)/q, so the sum
         stops at the first such term below POLE_TERM_FLOOR (1 + |sum|),
-        which bounds the tail.  A sum that would need more than
-        MAX_POLE_TERMS terms, or whose term overflows the float range (deep
-        derivatives at small a), raises NonConvergenceError instead of
-        returning a partial sum.
+        which bounds the tail: `tail_estimate`.  Near a = 0 the terms
+        cancel deeply (G(1e-5) is below 1e-100, from terms that sum to 2.5e4
+        in modulus), so the sum also reports `roundoff_estimate`,
+        eps |C pi/(2c)| sum_k |term_k|, the rounding of the summed terms.  A
+        sum that would need more than MAX_POLE_TERMS terms, or whose term
+        overflows the float range (deep derivatives at small a), raises
+        NonConvergenceError instead of returning a partial sum.
         """
         if not (a > 0):
             raise DomainError("pole-series transforms need a > 0")
         p, c, q = self.p, self.c, self.q
         falling = 2 * n + (p - q) / q
         acc = 0.0
+        mass = 0.0
         for k in range(MAX_POLE_TERMS):
             nu = 2 * k + 1
             mu = c * nu**q
@@ -186,6 +191,7 @@ class PoleExpansion:
                     f"pole series at a={a:.3g}, n={n}: term {k} overflows the float range"
                 ) from None
             acc += term
+            mass += abs(term)
             if k >= 3 and mu * a > falling and abs(term) < POLE_TERM_FLOOR * (1.0 + abs(acc)):
                 break
         else:
@@ -193,7 +199,8 @@ class PoleExpansion:
                 f"pole series at a={a:.3g}, n={n} needs more than {MAX_POLE_TERMS} terms")
         pref = self.theta_prefactor
         return SeriesEval(value=complex(pref * acc), terms_used=k + 1,
-                          tail_estimate=abs(pref * term))
+                          tail_estimate=abs(pref * term),
+                          roundoff_estimate=_EPS * abs(pref) * mass)
 
     def theta_series(self, x: float, tau: complex, N: int) -> SeriesEval:
         """(C pi/(2c)) sum_{n<=N} (-1)^n nu^{p-q} exp(-mu_n x + i mu_n^2 tau).
@@ -280,6 +287,7 @@ class Amplitude:
     transform_decay = None               # DecayBound of phibar_c (of phibar_s, if odd)
     poles = None                         # PoleExpansion
     strip = None                         # StripBound: analytic, with a bound, on a strip
+    sector = None                        # SectorBound: analytic, with a bound, on two sectors
 
     @property
     def parity(self) -> str:
@@ -309,6 +317,31 @@ class Gaussian(Amplitude):
         # |phibar_c(w)| = (1/2) |sqrt(pi/alpha)| exp(-w^2 Re(1/(4 alpha)))
         rr = self.alpha.real / (4.0 * abs(self.alpha) ** 2)
         return DecayBound(rate=rr / 2.0, power=2.0, scale=max(2.0, abs(self.cosine_transform(0.0))))
+
+    @property
+    def sector(self) -> SectorBound:
+        return SectorBound(rate=self.alpha.real / 2.0, z_min=abs(self.z0) + 1.0,
+                           scale=self._sector_scale)
+
+    def _sector_scale(self, Z: float, theta: float) -> float | None:
+        """M = exp(-a d^2), d = Z - |z0| >= 1/2, at rate a/2, where
+        k = a (1 - t^2) - 2 |b| t >= 0, t = tan theta; None elsewhere.
+
+        With alpha = a + ib and z - z0 = p + iq, |phi| = exp(-Q),
+        Q = a (p^2 - q^2) - 2 b p q.  On the sector, with u = |Re z| - Z,
+        |p| >= u + d and |q| <= t u, so Q >= a p^2 - 2 |b| t u |p| - a t^2 u^2.
+        Where k >= 0, |b| t <= a/2, so this rises with |p| past
+        |b| t u / a <= u, and at |p| = u + d
+            Q >= k u^2 + 2 d (a - |b| t) u + a d^2 >= a d u + a d^2,
+        which is >= a u/2 + a d^2 for d >= 1/2; z_min = |z0| + 1 keeps
+        d >= 1/2 however Z rounds.  Where k < 0, at |p| = u + d on the edge
+        where b p q > 0, Q = k u^2 + O(u): |phi| grows, and no M bounds it.
+        """
+        a, b = self.alpha.real, abs(self.alpha.imag)
+        d, t = Z - abs(self.z0), math.tan(theta)
+        if d < 0.5 or a * (1.0 - t * t) < 2.0 * b * t:
+            return None
+        return math.exp(-a * d * d)
 
     def __call__(self, z):
         return scalar_or_array(np.exp(-self.alpha * (np.asarray(z, dtype=complex) - self.z0) ** 2), z)
@@ -372,6 +405,26 @@ class Sech(_PoleFamily):
         beta = self.beta
         return StripBound(a_max=math.pi / (2.0 * beta), rate=beta, center=self.z0,
                           scale=lambda a: 2.0 / math.cos(beta * a))
+
+    @property
+    def sector(self) -> SectorBound:
+        return SectorBound(rate=self.beta, z_min=abs(self.z0) + 1.0 / self.beta,
+                           scale=self._sector_scale)
+
+    def _sector_scale(self, Z: float, theta: float) -> float | None:
+        """M = 2 e^{-beta d}/(1 - e^{-2 beta d}), d = Z - |z0| > 0, at rate
+        beta, whatever theta; None where d <= 0.
+
+        With p = beta (Re z - z0) and q = beta Im z,
+        |cosh(p + iq)|^2 = sinh^2 p + cos^2 q >= sinh^2 p.  Past
+        |Re z| = Z + u, |p| >= beta (u + d), and as 1/sinh y =
+        2 e^{-y}/(1 - e^{-2y}) with a denominator that rises with y,
+        |phi| <= 1/sinh(beta (u + d)) <= M e^{-beta u}.  The poles
+        z0 + i (2k + 1) pi/(2 beta) lie on Re z = z0, inside |Re z| < Z.
+        z_min = |z0| + 1/beta keeps M <= 2/(e - 1/e) ~ 0.85.
+        """
+        d = Z - abs(self.z0)
+        return 2.0 * math.exp(-self.beta * d) / -math.expm1(-2.0 * self.beta * d) if d > 0 else None
 
     def __call__(self, z):
         # a scalar z stays a numpy scalar, whose arithmetic skips the array

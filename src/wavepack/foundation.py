@@ -50,12 +50,15 @@ NATURAL_UNITS = PhysicalConfig()
 @dataclass(frozen=True, slots=True)
 class SeriesEval:
     """A truncated series: value, terms summed, tail estimate, and whether the
-    terms started to grow before the truncation point."""
+    terms started to grow before the truncation point.  `tail_estimate` is
+    the truncation term alone; `roundoff_estimate`, where a sum sets it, is
+    the rounding of the summed terms, to be added to it."""
 
     value: complex
     terms_used: int
     tail_estimate: float
     diverging: bool = False
+    roundoff_estimate: float = 0.0
 
 
 def sum_to_smallest_term(prefactor: float, terms, N: int, grow_from: int = 1) -> SeriesEval:

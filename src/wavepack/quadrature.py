@@ -24,6 +24,11 @@ preserves the parity of the integrand.
 Every amplitude integral of the oracle, w(z) exp(i x z - i tau z^2) on the
 line or w(z) trig(x z) exp(-i tau z^2) on the half line, is `chirp_integral`:
 the one builder of that integrand, its tail bound and its frequency lines.
+At Re tau != 0, for an amplitude that declares a `SectorBound`, it turns the
+line's two tails onto rays on which the chirp becomes a Gaussian decay
+(numerical steepest descent: Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44,
+2006), and `integrate_interval` takes the segment and both rays as `Piece`s
+of one panel set, with complex nodes.
 The zero-damping limit `integrate_oscillatory_regularized` is that half-line
 integral at tau = -i delta.
 `chirp_trapezoid` is the packet over an x-grid for an amplitude analytic on
@@ -32,6 +37,7 @@ no adaptivity, so the oracle stays its independent check.
 """
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 from collections.abc import Callable
@@ -219,6 +225,13 @@ class DecayBound:
         return None
 
 
+def _log_erfcx(t: float) -> float:
+    """log erfcx(t), erfcx(t) = exp(t^2) erfc(t), at t >= 0, or a bound above
+    it: past t = 25, where erfc nears underflow, the bound 1/(t sqrt(pi))
+    (within 1/(2 t^2) relative) stands for erfcx."""
+    return t * t + math.log(math.erfc(t)) if t < 25.0 else -math.log(t * _SQRT_PI)
+
+
 @dataclass(frozen=True)
 class StripBound:
     """Caller-declared bound |phi(u + iy)| <= scale(a) exp(-rate |u - center|)
@@ -251,10 +264,8 @@ class StripBound:
         even and falling) moves the Gaussian from u to v; for k < 0,
         |u - center| >= |u| - |center| costs exp(rate |center|) and keeps
         the integral in u.  In closed form I = 2/k at d = 0 (infinite for
-        k <= 0), and I = sqrt(pi/d) erfcx(k/(2 sqrt d)) at d > 0, where
-        erfcx(t) = exp(t^2) erfc(t); past t = 25, where erfc nears
-        underflow, its bound 1/(t sqrt(pi)) (within 1/(2 t^2) relative)
-        stands for it.
+        k <= 0), and I = sqrt(pi/d) erfcx(k/(2 sqrt d)) at d > 0
+        (`_log_erfcx`).
         """
         r, d = 2.0 * abs(tau.real), max(-tau.imag, 0.0)
         k = self.rate - r * a
@@ -263,10 +274,24 @@ class StripBound:
                 return math.inf
             log_si = math.log(2.0 * self.scale(a) / k)
         else:
-            t = k / (2.0 * math.sqrt(d))
-            log_erfcx = t * t + math.log(math.erfc(t)) if t < 25.0 else -math.log(t * _SQRT_PI)
-            log_si = math.log(self.scale(a)) + 0.5 * math.log(math.pi / d) + log_erfcx
+            log_si = (math.log(self.scale(a)) + 0.5 * math.log(math.pi / d)
+                      + _log_erfcx(k / (2.0 * math.sqrt(d))))
         return log_si + abs(tau.imag) * a * a + min(self.rate, r * a) * abs(self.center)
+
+
+@dataclass(frozen=True)
+class SectorBound:
+    """Caller-declared bound |phi(z)| <= scale(Z, theta) exp(-rate (|Re z| - Z))
+    wherever |Re z| >= Z and |Im z| <= (|Re z| - Z) tan theta, for every
+    Z >= z_min and 0 < theta <= pi/4: phi is analytic, with this bound, on
+    the two sectors that open from +-Z.  scale returns None where no such
+    bound holds.  `chirp_integral` turns the tails of the packet onto rays in these
+    sectors and takes their length from this bound, so it must hold at every
+    such Z and theta."""
+
+    rate: float
+    z_min: float
+    scale: Callable[[float, float], float | None]
 
 
 def packet_decay(amp, tau, eps: float, grow: float = 0.0) -> DecayBound | None:
@@ -306,7 +331,7 @@ def _factored_rule(w, left, right, m: int):
     return ((w[:, None] * left).transpose(0, 2, 1) @ right).reshape(len(left), -1)[:, :m]
 
 
-def _eval_panels(f, spans, width: int = 0):
+def _eval_panels(f, spans, width: int = 0, paths=None):
     """K15 values, |K15 - G7| errors and heap keys of the panels (lo, hi) in
     `spans`, plus the integrand's stored width.
 
@@ -317,7 +342,10 @@ def _eval_panels(f, spans, width: int = 0):
     a call of its own; width=0 means the width is not known yet, so the first
     call holds a single panel.  Values and errors of a scalar integrand come
     back as complex and float, those of a vector integrand as arrays of shape
-    (m,); the key is the worst column.
+    (m,); the key is the worst column.  `paths` is None where every panel is
+    on the real line (z = t), else each panel's (origin, direction) of its
+    `Piece`: its nodes are then z = origin + direction t, and its rule
+    carries dz = direction dt.
     """
     vals, errs, keys = [], [], []
     start = 0
@@ -327,11 +355,19 @@ def _eval_panels(f, spans, width: int = 0):
             # a lone panel, often a wide one, skips the array bookkeeping
             lo, hi = spans[start]
             c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            fv = f(c + h * _XGK)
+            nodes = c + h * _XGK
+            if paths is not None:
+                origin, direction = paths[start]
+                nodes, h = origin + direction * nodes, h * direction
+            fv = f(nodes)
         else:
             lo, hi = np.array(spans[start:start + count]).T[:, :, None]
             c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            fv = f((c + h * _XGK).ravel())
+            nodes = c + h * _XGK
+            if paths is not None:
+                origin, direction = np.array(paths[start:start + count]).T[:, :, None]
+                nodes, h = origin + direction * nodes, h * direction
+            fv = f(nodes.ravel())
         start += count
         if isinstance(fv, FactoredTable):
             width = fv.left.shape[1] + fv.right.shape[1]
@@ -501,41 +537,77 @@ def _worst(err) -> float:
     return float(np.max(err))
 
 
-def integrate_interval(f, a: float, b: float, tol: float = 1e-10,
+@dataclass(frozen=True, slots=True)
+class Piece:
+    """One straight piece of a contour, z = origin + direction t for
+    a <= t <= b with |direction| = 1, and the declared frequency of the
+    integrand along it, in t (the `osc_freq` of `integrate_interval`).  The
+    real interval [a, b] is Piece(a, b, osc_freq)."""
+
+    a: float
+    b: float
+    osc_freq: object = None
+    origin: complex = 0.0
+    direction: complex = 1.0
+
+
+def integrate_interval(f, a, b: float | None = None, tol: float = 1e-10,
                        budget: int = DEFAULT_BUDGET, osc_freq=None) -> QuadratureResult:
-    """Adaptive Gauss-Kronrod integration of a complex integrand on [a, b].
+    """Adaptive Gauss-Kronrod integration of a complex integrand on [a, b], or
+    along a contour of straight pieces: `a` a list of `Piece`s, b None.
 
     f maps a 1-D node array, of any length that is a multiple of 15, to values
     of the same length (scalar integrand), of shape (length, m) (m integrands
-    sharing one panel set) or a `FactoredTable` of m columns.  One call covers
-    many panels: the presplit panels go in calls of at most _CELL_CAP stored
-    cells (nodes x m, or nodes x (G + B) for a `FactoredTable`).  Refinement
-    then runs in generations: the worst panels are taken until their summed
-    errors exceed total_err - tol (the rule of scipy.integrate.quad_vec), at
-    most _GENERATION_CAP panels and _CELL_CAP stored cells of children per
-    generation, and the children go in as few calls as those cells allow.
-    Panels are refined worst column first until every column's error is
-    <= tol.  `evaluations` counts z-nodes, 15 per panel, whatever m is.
+    sharing one panel set) or a `FactoredTable` of m columns.  On a contour
+    the nodes are complex, z = origin + direction t, and each panel's rule
+    carries dz = direction dt.  One call covers many panels, of any pieces:
+    the presplit panels go in calls of at most _CELL_CAP stored cells
+    (nodes x m, or nodes x (G + B) for a `FactoredTable`).  Refinement then
+    runs in generations over the one heap of every piece's panels: the worst
+    panels are taken until their summed errors exceed total_err - tol (the
+    rule of scipy.integrate.quad_vec), at most _GENERATION_CAP panels and
+    _CELL_CAP stored cells of children per generation, and the children go in
+    as few calls as those cells allow.  Panels are refined worst column first
+    until every column's error is <= tol; a panel narrower than 1e-14 of its
+    piece is not split.  `evaluations` counts z-nodes, 15 per panel, whatever
+    m is, and the budget covers every piece.
 
-    `osc_freq` declares a convex majorant omega(z) of the local phase
-    frequency of f: None (no oscillation), a constant, or a sequence of
-    (intercept, slope) lines with omega(z) = max(0, c_i + s_i z); a callable
-    is a TypeError.  `_presplit` sizes the starting panels from it in closed
-    form, so an omega below the true frequency leaves more to refinement and
-    one above it costs more starting panels.
+    `osc_freq` (on [a, b]; a `Piece` carries its own, in its t) declares a
+    convex majorant omega(t) of the local phase frequency of f: None (no
+    oscillation), a constant, or a sequence of (intercept, slope) lines with
+    omega(t) = max(0, c_i + s_i t); a callable is a TypeError.  `_presplit`
+    sizes each piece's starting panels from it in closed form, out of an
+    equal share of half the budget's panels, so an omega below the true
+    frequency leaves more to refinement and one above it costs more starting
+    panels.
     """
-    if not (b > a):
+    pieces = [Piece(a, b, osc_freq)] if b is not None else list(a)
+    if not all(p.b > p.a for p in pieces):
         raise DomainError("empty or inverted interval")
     if tol < 1e-13:
         raise DomainError("tolerance below 1e-13 is not attainable in doubles")
     max_panels = max(budget // 15, 4)
-    pieces = _presplit(a, b, osc_freq, max_panels // 2)
-    vals, errs, keys, width = _eval_panels(f, pieces)
-    heap = [(-key, i, lo, hi, val, err)
-            for i, ((lo, hi), val, err, key) in enumerate(zip(pieces, vals, errs, keys))]
+    spans, where = [], []
+    for k, p in enumerate(pieces):
+        split = _presplit(p.a, p.b, p.osc_freq, max_panels // (2 * len(pieces)))
+        spans += split
+        where += [k] * len(split)
+    paths = (None if all(p.origin == 0.0 and p.direction == 1.0 for p in pieces)
+             else [(p.origin, p.direction) for p in pieces])
+
+    def evaluate(spans, where, width):
+        # a contour's panels carry their pieces' maps; the line's have none
+        if paths is None:
+            return _eval_panels(f, spans, width)
+        return _eval_panels(f, spans, width, [paths[k] for k in where])
+
+    vals, errs, keys, width = evaluate(spans, where, 0)
+    heap = [(-key, i, lo, hi, k, val, err)
+            for i, ((lo, hi), k, val, err, key) in enumerate(zip(spans, where, vals, errs, keys))]
     heapq.heapify(heap)
     counter = len(heap)
     evals = 15 * len(heap)
+    narrow = [1e-14 * (p.b - p.a) for p in pieces]
     total = 0j
     total_err = 0.0
     for val, err in zip(vals, errs):
@@ -549,22 +621,23 @@ def integrate_interval(f, a: float, b: float, tol: float = 1e-10,
         err_sum = 0.0
         while (heap and len(parents) < per_gen and evals + 30 * (len(parents) + 1) <= budget
                and (not parents or err_sum <= worst - tol)
-               and heap[0][3] - heap[0][2] >= 1e-14 * (b - a)):
+               and heap[0][3] - heap[0][2] >= narrow[heap[0][4]]):
             parents.append(heapq.heappop(heap))
             err_sum -= parents[-1][0]
         if not parents:
             break
-        spans = []
-        for _, _, lo, hi, _, _ in parents:
+        spans, where = [], []
+        for _, _, lo, hi, k, _, _ in parents:
             mid = 0.5 * (lo + hi)
             spans += ((lo, mid), (mid, hi))
-        vals, errs, keys, _ = _eval_panels(f, spans, width)
+            where += (k, k)
+        vals, errs, keys, _ = evaluate(spans, where, width)
         evals += 15 * len(spans)
-        for j, (_, _, _, _, val, err) in enumerate(parents):
+        for j, (_, _, _, _, k, val, err) in enumerate(parents):
             total += (vals[2 * j] + vals[2 * j + 1]) - val
             total_err += (errs[2 * j] + errs[2 * j + 1]) - err
             for i in (2 * j, 2 * j + 1):
-                heapq.heappush(heap, (-keys[i], counter, *spans[i], vals[i], errs[i]))
+                heapq.heappush(heap, (-keys[i], counter, *spans[i], k, vals[i], errs[i]))
                 counter += 1
         worst = total_err if scalar else total_err.max()
     return _result(total, total_err, evals, _worst(total_err) <= tol)
@@ -695,6 +768,102 @@ def _phase_table(lead: np.ndarray, z: np.ndarray, m: int, block: int, h: float) 
                          _powers(1.0, np.exp(1j * h * z), block), m)
 
 
+# Newton steps of `_ray_length` at most: each lands at or beyond the root.
+_RAY_STEPS = 8
+# Each ray of `_rotated_contour` ends where its tail bound is this share of
+# tol.  The bound is nearly tight (the sector bound and the chirp's modulus
+# are exact up to a constant), where the line's tail bound is loose by orders
+# of magnitude; a tol/20 ray moved catalogue values by up to 4e-12 relative,
+# this share keeps them within 1e-14 for 0.1% more evaluations.
+_RAY_SHARE = 5e-5
+
+
+def _ray_length(log_scale: float, b: float, c: float, log_eps: float):
+    """(S, log tail) with S >= 0 near the least S where the tail
+    scale int_S^inf exp(b s - c s^2) ds, c > 0, is within eps (S = 0 where
+    the whole ray's is), and the log of that tail at S; None if no step
+    reaches it.
+
+    In logs, so nothing overflows at small c:
+        int_S^inf exp(b s - c s^2) ds = exp(b S - c S^2) sqrt(pi)/(2 sqrt c) erfcx(u),
+    u = (2 c S - b)/(2 sqrt c) (`_log_erfcx`).  The integrand is log-concave,
+    so its tail integral is too (Prekopa): F(S), the log of the tail, is
+    concave and falling, with F'(S) = -2 sqrt(c/pi)/erfcx(u).  Newton's step
+    from any S then lands where F is within log eps, as the tangent lies
+    above F, and from there every step falls back towards the root.
+    """
+    log_half_gauss = math.log(_SQRT_PI / (2.0 * math.sqrt(c)))
+
+    def tail(S):
+        u = (2.0 * c * S - b) / (2.0 * math.sqrt(c))
+        return log_scale + b * S - c * S * S + log_half_gauss + _log_erfcx(u), u
+
+    S, (value, u) = 0.0, tail(0.0)
+    if value <= log_eps:
+        return S, value
+    for _ in range(_RAY_STEPS):
+        step = (value - log_eps) * math.exp(log_half_gauss + _log_erfcx(u))
+        if value <= log_eps and -step <= 1e-3 * S:
+            break
+        S += step
+        value, u = tail(S)
+    return (S, value) if value <= log_eps else None
+
+
+def _rotated_contour(sector: SectorBound, x: float, tau: complex, lines, eps: float, T: float):
+    """The pieces of [-Z, Z] and two rays z = +-Z + e^{-i theta} s, and the
+    summed bound on the two tails past the rays' ends, or None where the
+    contour reaches no nearer than T or `sector` gives no bound.
+
+    theta = atan2(Re tau, -Im tau)/2, in (0, pi/4] for Re tau > 0 and its
+    mirror in [-pi/4, 0) for Re tau < 0, makes the s^2 coefficient of
+    i x z - i tau z^2 exactly -|tau| on both rays: the chirp is gone, and
+    each ray's phase has the constant frequency of its linear term.  That
+    term's real part, |x| sin|theta| - 2 Z (|Re tau| sin|theta| + |Im tau|
+    cos theta) at its worse sign of x, is <= 0 for
+        Z = max(|x| sin|theta| / (2 (|Re tau| sin|theta| + |Im tau| cos theta)), z_min),
+    and on a ray |Re z| - Z = |s| cos theta, so with the sector bound
+        |integrand| <= M exp(Im(tau) Z^2 + b |s| - |tau| s^2),
+    b = (that real part) - rate cos theta.  Each ray ends at its
+    `_ray_length` for eps, and the contour is taken only where both ends
+    fall short of the line's truncation point T.
+
+    Cauchy's theorem moves each tail of the line onto its ray: phi is
+    analytic on the wedge between them, and on the arc |z -+ Z| = R of the
+    wedge, at angle phi' in [0, |theta|], the s^2 coefficient is
+    -|tau| cos(2 |theta| - 2 phi') <= 0, the linear one is <= 0 (as
+    sin phi'/(|Re tau| sin phi' + |Im tau| cos phi') rises with phi'), and
+    the sector bound falls like exp(-rate R cos theta), faster than the arc
+    grows.  The segment keeps the line's frequency `lines`; each ray
+    declares the constant frequency of its linear term.
+    """
+    theta = 0.5 * math.atan2(tau.real, -tau.imag)
+    sin_t, cos_t = abs(math.sin(theta)), math.cos(theta)
+    Z = max(abs(x) * sin_t / (2.0 * (abs(tau.real) * sin_t + abs(tau.imag) * cos_t)),
+            sector.z_min)
+    M = sector.scale(Z, abs(theta)) if Z < T else None
+    if M is None:
+        return None
+    d = cmath.exp(-1j * theta)
+    # M underflows to 0 far out, where the rays add nothing
+    log_scale = (math.log(M) if M > 0.0 else -math.inf) + tau.imag * Z * Z
+    pieces, tails = [Piece(-Z, Z, lines)], 0.0
+    for side in (-1.0, 1.0):
+        # the exponent's coefficient of |s| on the ray from side Z
+        lin = side * 1j * x * d - 2j * tau * Z * d
+        ray = _ray_length(log_scale, lin.real - sector.rate * cos_t, abs(tau), math.log(eps))
+        if ray is None:
+            return None
+        S, log_tail = ray
+        if Z + S >= T:
+            return None
+        tails += math.exp(log_tail)
+        if S > 0.0:
+            span = (-S, 0.0) if side < 0 else (0.0, S)
+            pieces.append(Piece(*span, abs(lin.imag), origin=side * Z, direction=d))
+    return pieces, tails
+
+
 def chirp_integral(amp, x, tau, tol: float = 1e-10, budget: int = DEFAULT_BUDGET, n: int = 0,
                    trig=None, weight=None, scale: float = 1.0) -> QuadratureResult:
     """int w(z) exp(i x z - i tau z^2) dz on the line, or with trig (np.cos or
@@ -718,6 +887,15 @@ def chirp_integral(amp, x, tau, tol: float = 1e-10, budget: int = DEFAULT_BUDGET
     complex exponentials a node, column k at x_0 + k h, within a few ulps of
     x_k), any other x the direct table.  The half line keeps real nodes, and
     at tau = 0 skips the chirp factor, which is 1 there.
+
+    At a real scalar x, Re tau != 0 and n = 0, without trig or weight, an
+    amplitude that declares a `sector` (`SectorBound`) takes the rotated
+    contour of `_rotated_contour` where its rays end short of T: [-Z, Z] and
+    two rays on which the chirp is a Gaussian decay, one `Piece` list in one
+    `integrate_interval` call (one heap, one budget), with tol less the rays'
+    summed tail bound, which joins the error estimate.  Cauchy's theorem
+    only moves the contour of the same integral, so the result is still the
+    oracle's.  Every other call keeps the line.
 
     The one frequency declaration is the chirp's local phase frequency
     |x - 2 Re(tau) z| + 2 |Im tau| |z| at its worst over [x_lo, x_hi], the
@@ -763,9 +941,19 @@ def chirp_integral(amp, x, tau, tol: float = 1e-10, budget: int = DEFAULT_BUDGET
     bound = packet_decay(amp, tau, tol / 10.0, grow)
     if bound is None:
         raise DomainError("complex x: at real tau the declared decay cannot absorb exp(|Im x| |z|)")
-    bound = bound if scale == 1.0 else bound.times_const(scale)
+    bound = (bound if scale == 1.0 else bound.times_const(scale)).times_poly(n)
+    if (tau.real and not (np.ndim(xs) or grow or n) and trig is None and weight is None
+            and amp.sector is not None):
+        contour = _rotated_contour(amp.sector, xs.real, tau, osc, _RAY_SHARE * tol,
+                                   bound.truncation_point(tol / 10.0))
+        if contour is not None:
+            pieces, tails = contour
+            inner = integrate_interval(f, pieces, tol=max(tol - tails, tol / 2, 1e-13),
+                                       budget=budget)
+            err = inner.abs_error_estimate + tails
+            return _result(inner.value, err, inner.evaluations, inner.converged and err <= tol)
     return integrate_decaying(f, domain=(-math.inf if trig is None else 0.0, math.inf),
-                              tol=tol, decay=bound.times_poly(n), budget=budget, osc_freq=osc)
+                              tol=tol, decay=bound, budget=budget, osc_freq=osc)
 
 
 def psi_oracle(amp, x, tau, tol: float = 1e-10,

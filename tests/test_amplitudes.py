@@ -1,6 +1,7 @@
 """Amplitude families, capability dispatch and the pole-expansion routine."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -34,6 +35,14 @@ class TestFamilies:
         assert have["glaisher"] == {"cosine_transform", "cosine_transform_derivative",
                                     "transform_decay", "poles"}
         assert have["custom"] == set()
+
+    def test_sector_per_family(self):
+        # sech at any z0 and the Gaussian are analytic with a bound on the
+        # rotated contour's sectors; the Glaisher kernel takes real z only
+        for amp in (Amplitude.sech(1.0), Amplitude.sech(0.5, -2.0), Amplitude.gaussian(1.0),
+                    Amplitude.gaussian(0.7 - 0.2j, 1.5)):
+            assert amp.sector is not None
+        assert Amplitude.glaisher().sector is None and _custom().sector is None
 
     def test_every_family_has_z0(self):
         assert Amplitude.glaisher().z0 == 0.0
@@ -123,6 +132,21 @@ class TestPoleExpansion:
         # G(x) -> 0 as x -> 0; a fixed 200- or 400-term cap returned 0.645 / -40.4
         assert abs(glaisher_series_g(1e-5).value) <= 1e-10
         assert abs(fourier_cosine_transform(Amplitude.glaisher(), 1e-5)) <= 1e-10
+
+    @pytest.mark.parametrize("x", [1e-5, 1e-4, 1e-3, 0.1, 1.0])
+    def test_glaisher_transform_within_its_truncation_and_roundoff(self, x):
+        # G(1e-5) is below 1e-100, but the sum returns -2.37e-14 from terms of
+        # modulus 2.5e4: the first omitted term (1e-18) alone does not cover
+        # that, the rounding term eps sum |term_k| (5.6e-12) does; the
+        # reference is the same series at 40 digits, run out to 1e-60
+        se = glaisher_series_g(x)
+        with mpmath.workdps(40):
+            n_max = int(math.sqrt(140.0 / x) / 2) + 2
+            exact = mpmath.fsum((-1) ** n * (2 * n + 1) * mpmath.exp(-(2 * n + 1) ** 2 * mpmath.mpf(x))
+                                for n in range(n_max))
+        assert abs(se.value - complex(exact)) <= se.tail_estimate + se.roundoff_estimate
+        if x == 1e-5:
+            assert se.tail_estimate < 2.37e-14 < se.roundoff_estimate < 1e-11
 
     def test_past_the_ceiling_raises(self):
         with pytest.raises(NonConvergenceError):

@@ -175,6 +175,18 @@ def test_only_quadrature_reads_the_declared_decay():
     assert readers == set()
 
 
+def test_only_quadrature_reads_the_declared_sector():
+    # the rotated contour is chirp_integral's, so no other module turns a
+    # packet's tails onto rays from an amplitude's sector bound; amplitudes
+    # declares it
+    readers = {f"{path.name}:{node.lineno}" for path in MODULES
+               if path.name not in ("quadrature.py", "amplitudes.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "sector"
+               and isinstance(node.ctx, ast.Load)}
+    assert readers == set()
+
+
 @pytest.mark.parametrize("module,name", [
     ("quadrature", "QuadratureResult"),
     ("wavepacket", "WaveValue"),

@@ -2,16 +2,18 @@ import cmath
 import heapq
 import math
 import random
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavepack import quadrature, wavepacket
-from wavepack.asymptotics import glaisher_packet_exact, glaisher_series_g
+from wavepack.asymptotics import glaisher_packet_exact, glaisher_series_g, sech_packet_exact
 from wavepack.closedform import f_cosine_moment
 from wavepack.errors import DomainError, NonConvergenceError
-from wavepack.quadrature import (DecayBound, chirp_integral, integrate_decaying,
+from wavepack.quadrature import (DecayBound, Piece, chirp_integral, integrate_decaying,
                                  integrate_interval, integrate_oscillatory_regularized,
                                  neville_extrapolate, packet_decay, psi_oracle)
 from wavepack.wavepacket import Amplitude, position_norm_squared, psi
@@ -66,21 +68,27 @@ class TestDecayBound:
 
     @pytest.mark.parametrize("tau", [0.55, 0.55 - 0.15j], ids=["one-bound", "two-bounds"])
     def test_psi_oracle_searches_each_candidate_bound_once(self, monkeypatch, tau):
-        amp, tol = Amplitude.sech(1.5), 1e-10
-        candidates = [amp.decay]
-        if complex(tau).imag < 0:
-            candidates.append(DecayBound(rate=-complex(tau).imag, power=2.0, scale=amp.decay.scale))
+        sech, tol = Amplitude.sech(1.5), 1e-10
+        # the same function without a sector bound keeps the line's tails:
+        # one search per candidate, then the winner's tail at its point; the
+        # rotated contour of the sech takes its tails from the sector bound
+        line = Amplitude.custom(sech, parity="even", decay=sech.decay)
         calls = []
         tail = DecayBound.tail_integral
         monkeypatch.setattr(DecayBound, "tail_integral",
                             lambda self, T: calls.append(T) or tail(self, T))
-        for d in candidates:
-            d.truncation_point(tol / 10.0)
-        searches = len(calls)
-        calls.clear()
-        assert psi_oracle(amp, 0.3, tau, tol=tol).converged
-        # one search per candidate, then the winner's tail at its point
-        assert len(calls) == searches + 1
+        for amp, line_tail in ((line, 1), (sech, 0)):
+            candidates = [replace(amp.decay)]      # a copy: its searches are not cached
+            if complex(tau).imag < 0:
+                candidates.append(DecayBound(rate=-complex(tau).imag, power=2.0,
+                                             scale=amp.decay.scale))
+            calls.clear()
+            for d in candidates:
+                d.truncation_point(tol / 10.0)
+            searches = len(calls)
+            calls.clear()
+            assert psi_oracle(amp, 0.3, tau, tol=tol).converged
+            assert len(calls) == searches + line_tail
 
 
 def _linear_truncation_point(d, eps):
@@ -926,3 +934,174 @@ class TestCallShapes:
         r = integrate_interval(f, -6.0, 6.0, tol=1e-12, budget=450, osc_freq=40.0)
         assert r.evaluations == sum(sizes) <= 450
         assert not r.converged
+
+
+def _contours(monkeypatch):
+    """The list of what `_rotated_contour` returned, one entry per time
+    `chirp_integral` consulted it (None: the call kept the line)."""
+    seen = []
+    rotated = quadrature._rotated_contour
+
+    def spy(*args):
+        seen.append(rotated(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(quadrature, "_rotated_contour", spy)
+    return seen
+
+
+def _ray_path(theta: float, Z: float, S: float, lines=None):
+    """[-Z, Z] and two rays of length S leaving +-Z along e^{-i theta}, as `Piece`s."""
+    d = cmath.exp(-1j * theta)
+    return [Piece(-S, 0.0, lines, origin=-Z, direction=d), Piece(-Z, Z, lines),
+            Piece(0.0, S, lines, origin=Z, direction=d)]
+
+
+def _seeded_contour_points(seed: int, count: int):
+    """(label, amplitude, x, tau, tol, reference psi): unshifted sech against
+    2 sech_packet_exact, shifted sech against the Galilean boost
+    e^{i z0 x - i tau z0^2} 2 sech_packet_exact(beta, x - 2 tau z0, tau), and
+    the Gaussian (complex alpha at damped tau) against its closed form, at
+    real and damped tau of both signs of Re tau."""
+    rng = random.Random(seed)
+    for i in range(count):
+        kind, damped = ("sech", "shifted", "gaussian")[i % 3], (i // 3) % 2 == 1
+        tau = complex(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 3.0),
+                      -rng.uniform(0.01, 1.0) if damped else 0.0)
+        x, tol = rng.uniform(-10.0, 10.0), rng.choice([1e-8, 1e-10, 1e-12])
+        beta, z0 = rng.uniform(0.3, 3.0), rng.uniform(-3.0, 3.0)
+        if kind == "sech":
+            amp, ref = Amplitude.sech(beta), 2.0 * sech_packet_exact(beta, abs(x), tau)
+        elif kind == "shifted":
+            amp = Amplitude.sech(beta, z0)
+            ref = (cmath.exp(1j * z0 * x - 1j * tau * z0 * z0)
+                   * 2.0 * sech_packet_exact(beta, x - 2.0 * tau * z0, tau))
+        else:
+            alpha = complex(rng.uniform(0.3, 3.0), rng.uniform(-0.3, 0.3) if damped else 0.0)
+            amp = Amplitude.gaussian(alpha, z0)
+            ref = amp.closed_psi(x, tau)
+        yield f"{kind}/{'damped' if damped else 'real'}", amp, x, tau, tol, ref
+
+
+# evaluations of psi_oracle on the rotated contour at three fixed points:
+# sech beta = 1 at x = 1.5 (tol 1e-10) and the PSI-gauss-closed-vs-quad point
+# (alpha = 1, x = 1, tau = 1, tol 1e-11); each is the presplit of the three
+# pieces, 8 panels each
+_CONTOUR_EVALS = [("sech/real", Amplitude.sech(1.0), 1.5, 1.0, 1e-10, 360),
+                  ("sech/damped", Amplitude.sech(1.0), 1.5, 1.0 - 0.3j, 1e-10, 360),
+                  ("gauss-closed-vs-quad", Amplitude.gaussian(1.0), 1.0, 1.0, 1e-11, 360)]
+
+
+class TestRotatedContour:
+    @settings(max_examples=150, deadline=None)
+    @given(_integration_problems())
+    def test_one_piece_is_the_interval_bitwise(self, problem):
+        f, a, b, tol, budget, osc = problem
+        ref = _reference_integrate_interval(f, a, b, tol, budget, osc)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadrature, "_GENERATION_CAP", 1)
+            got = integrate_interval(f, [Piece(a, b, osc)], tol=tol, budget=budget)
+        assert _same(got.value, ref.value)
+        assert _same(got.abs_error_estimate, ref.abs_error_estimate)
+        assert got.evaluations == ref.evaluations and got.converged == ref.converged
+        line = integrate_interval(f, a, b, tol=tol, budget=budget, osc_freq=osc)
+        listed = integrate_interval(f, [Piece(a, b, osc)], tol=tol, budget=budget)
+        assert _same(line.value, listed.value) and line.evaluations == listed.evaluations
+
+    @pytest.mark.parametrize("m", [None, 3], ids=["scalar", "m3"])
+    @pytest.mark.parametrize("theta", [math.pi / 4, 0.3, -0.6])
+    def test_pieces_integrate_along_their_path(self, m, theta):
+        # e^{-z^2} is entire: along -Z - d S -> -Z -> Z -> Z + d S its
+        # integral is (sqrt(pi)/2) (erf(Z + d S) - erf(-Z - d S)), by mpmath
+        Z, S = 1.3, 2.5
+        ws = np.linspace(1.0, 2.0, m or 1)
+
+        def f(z):
+            head = np.exp(-z * z)
+            return head if m is None else head[:, None] * ws
+
+        r = integrate_interval(f, _ray_path(theta, Z, S, 4.0), tol=1e-13)
+        end = Z + cmath.exp(-1j * theta) * S
+        exact = complex(mpmath.sqrt(mpmath.pi) / 2 * (mpmath.erf(end) - mpmath.erf(-end)))
+        assert r.converged and r.evaluations >= 3 * 8 * 15
+        assert np.all(np.abs(r.value - exact * (ws if m else 1.0))
+                      <= r.abs_error_estimate + 1e-15)
+
+    def test_the_budget_covers_every_piece(self):
+        f = lambda z: np.exp(-z * z) * np.cos(30.0 * z)
+        r = integrate_interval(f, _ray_path(0.4, 1.3, 2.5), tol=1e-13, budget=600)
+        assert r.evaluations <= 600 and not r.converged
+
+    def test_seeded_points_are_within_their_estimates(self, monkeypatch):
+        seen = _contours(monkeypatch)
+        taken = {}
+        for label, amp, x, tau, tol, ref in _seeded_contour_points(31, 120):
+            seen.clear()
+            r = psi_oracle(amp, x, tau, tol=tol)
+            assert r.converged and abs(r.value - ref) <= r.abs_error_estimate, (label, x, tau)
+            taken[label] = taken.get(label, 0) + (seen[0] is not None)
+        # each family and regime takes the contour at most of its 20 points
+        # (the Gaussian's real-tau points have a real alpha; its own decay
+        # keeps the line at 7 damped points, where the rays reach past T)
+        assert len(taken) == 6 and min(taken.values()) >= 12, taken
+
+    @pytest.mark.parametrize("label,amp,x,tau,tol,evaluations", _CONTOUR_EVALS,
+                             ids=[c[0] for c in _CONTOUR_EVALS])
+    def test_pinned_evaluation_counts(self, monkeypatch, label, amp, x, tau, tol, evaluations):
+        # the deterministic counts are pinned: a change to refinement fails here
+        seen = _contours(monkeypatch)
+        r = psi_oracle(amp, x, tau, tol=tol)
+        assert seen[0] is not None and r.converged and r.evaluations == evaluations
+
+    def test_a_starved_contour_is_unconverged(self):
+        r = psi_oracle(Amplitude.sech(1.0), 1.5, 1.0, tol=1e-12, budget=300)
+        assert r.evaluations <= 300 and not r.converged
+
+
+def _line_twin(amp):
+    """The same function as a Custom amplitude: same values, same declared
+    decay, no sector bound, so it keeps the line."""
+    return Amplitude.custom(amp, parity=amp.parity, decay=amp.decay)
+
+
+_XS = np.linspace(-3.0, 3.0, 7)
+# (label, amplitude, call): each call keeps the line, with or without a sector
+_KEEP_THE_LINE = [
+    ("re-tau-zero", Amplitude.sech(1.3), lambda amp: psi_oracle(amp, 0.7, -0.4j)),
+    ("rays-past-T", Amplitude.sech(1.0),                       # T2.1-sech-b1-x4
+     lambda amp: psi_oracle(amp, 4.0, 0.05, tol=1e-11)),
+    ("complex-x", Amplitude.sech(1.0, 0.0),                    # C1.2.1's dual side
+     lambda amp: psi_oracle(amp, 0.5 / (2 * (1 - 0.3j)) + 0.2j, -1 / (4 * (1 - 0.3j)))),
+    ("array-x", Amplitude.sech(1.3), lambda amp: psi_oracle(amp, _XS, 0.6, tol=1e-9)),
+    ("half-line", Amplitude.sech(1.3),
+     lambda amp: chirp_integral(amp, 0.7, 0.6 - 0.1j, 1e-10, trig=np.cos)),
+    ("moment", Amplitude.sech(1.3), lambda amp: chirp_integral(amp, 0.7, 0.6 - 0.1j, 1e-10, n=2)),
+    ("weight", Amplitude.gaussian(1.0),
+     lambda amp: chirp_integral(amp, 0.7, 0.6 - 0.1j, 1e-10, weight=lambda z: np.exp(-z * z),
+                                scale=1.0)),
+    ("glaisher", Amplitude.glaisher(), lambda amp: psi_oracle(amp, 1.0, 0.8 - 0.3j)),
+    ("custom", Amplitude.custom(lambda z: np.exp(-z * z), parity="even",
+                                decay=DecayBound(rate=0.5)),
+     lambda amp: psi_oracle(amp, 1.0, 0.8 - 0.3j)),
+]
+
+
+@pytest.mark.parametrize("label,amp,call", _KEEP_THE_LINE, ids=[c[0] for c in _KEEP_THE_LINE])
+def test_other_calls_keep_the_line_bitwise(monkeypatch, label, amp, call):
+    # no Piece list reaches integrate_interval, and the value, estimate and
+    # count are bitwise those of the same function without a sector bound
+    pieces = []
+    interval = quadrature.integrate_interval
+
+    def spy(f, a, *args, **kwargs):
+        pieces.append(isinstance(a, list))
+        return interval(f, a, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_interval", spy)
+    seen = _contours(monkeypatch)
+    got = call(amp)
+    assert pieces and not any(pieces) and all(c is None for c in seen)
+    ref = call(_line_twin(amp)) if amp.sector is not None else got
+    assert _same(got.value, ref.value)
+    assert _same(got.abs_error_estimate, ref.abs_error_estimate)
+    assert got.evaluations == ref.evaluations and got.converged == ref.converged

@@ -10,6 +10,7 @@ every parameter value of its family.  The same holds for a declared
 `chirp_trapezoid` derives from it: it must dominate the integral of the packet
 integrand along every line of the strip.
 """
+import cmath
 import math
 
 import mpmath
@@ -344,3 +345,116 @@ def test_hermite_expansion_bound_dominates_its_integrand(monkeypatch, amp, x, ta
     bound = d.scale * np.exp(-d.rate * z**d.power)
     for side in (z, -z):
         assert np.all(np.abs(f(side)) <= bound * (1 + 1e-12))
+
+
+def _sector_points(Z: float, theta: float, reach: float):
+    """Points of both sectors |Re z| >= Z, |Im z| <= (|Re z| - Z) tan theta:
+    u = |Re z| - Z linear near the corner and geometric out to reach, five
+    heights across each sector (both edges among them), both signs of Re z.
+    Returns z and its u."""
+    u = np.concatenate([np.linspace(0.0, 2.0, 201), np.geomspace(2.0, reach, 201)])
+    uu, vv = np.meshgrid(u, np.linspace(-1.0, 1.0, 5))
+    y = vv * uu * math.tan(theta)
+    z = np.concatenate([(Z + uu + 1j * y).ravel(), (-(Z + uu) + 1j * y).ravel()])
+    return z, np.concatenate([uu.ravel(), uu.ravel()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(beta=st.floats(0.3, 3.0), z0=st.floats(-3.0, 3.0), theta=st.floats(1e-3, math.pi / 4),
+       extra=st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+def test_sech_sector_bound_dominates_on_both_sectors(beta, z0, theta, extra):
+    # |sech(beta (z - z0))| <= M(Z, theta) exp(-beta (|Re z| - Z)) for every
+    # Z >= z_min, out to where the bound is e^{-600}
+    amp = Amplitude.sech(beta, z0)
+    sector = amp.sector
+    assert (sector.rate, sector.z_min) == (beta, abs(z0) + 1.0 / beta)
+    Z = sector.z_min + extra
+    M = sector.scale(Z, theta)
+    z, u = _sector_points(Z, theta, 600.0 / beta)
+    with np.errstate(over="ignore"):        # cosh overflows to inf far out: 1/inf = 0 is right
+        got = np.abs(amp(z))
+    assert np.all(got <= M * np.exp(-sector.rate * u) * (1 + 1e-12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(0.3, 3.0), b=st.floats(-2.0, 2.0), z0=st.floats(-3.0, 3.0),
+       theta=st.floats(1e-3, math.pi / 4), extra=st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+def test_gaussian_sector_bound_dominates_on_both_sectors(a, b, z0, theta, extra):
+    # complex alpha = a + ib: a bound where a (1 - t^2) >= 2 |b| t, t = tan theta,
+    # and None elsewhere; compared in logs, -Re(alpha (z - z0)^2) against
+    # log M - rate (|Re z| - Z)
+    alpha = complex(a, b)
+    sector = Amplitude.gaussian(alpha, z0).sector
+    assert (sector.rate, sector.z_min) == (a / 2.0, abs(z0) + 1.0)
+    Z = sector.z_min + extra
+    M = sector.scale(Z, theta)
+    t = math.tan(theta)
+    assert (M is None) == (a * (1.0 - t * t) < 2.0 * abs(b) * t)
+    assume(M is not None)
+    z, u = _sector_points(Z, theta, 60.0)
+    log_got = (-alpha * (z - z0) ** 2).real
+    log_bound = math.log(M) - sector.rate * u
+    assert np.all(log_got <= log_bound + 1e-12 * (1.0 + np.abs(log_bound)))
+
+
+def test_gaussian_sector_refusal_is_needed():
+    # alpha = 1 + 0.5i at theta = pi/4 (a real tau): along one edge of the
+    # sector |phi| grows like exp(|b| u^2), so no M exp(-rate u) bounds it
+    amp = Amplitude.gaussian(1.0 + 0.5j)
+    theta = math.pi / 4
+    assert amp.sector.scale(amp.sector.z_min, theta) is None
+    z, _ = _sector_points(amp.sector.z_min, theta, 20.0)
+    assert np.max(np.abs(amp(z))) > 1e100
+
+
+@pytest.mark.parametrize("beta,alpha,z0,theta,extra", [(0.3, 0.3, 0.0, math.pi / 4, 0.0),
+                                                       (3.0, 3.0 - 0.6j, -3.0, 0.1, 0.0),
+                                                       (1.0, 1.0 + 0.2j, 2.5, math.pi / 8, 1.5)])
+def test_sector_bounds_against_mpmath(beta, alpha, z0, theta, extra):
+    # at the corner, on both edges and on the axis of each sector, by mpmath
+    # at 30 digits: independent of the numpy kernels
+    families = [(Amplitude.sech(beta, z0), lambda z: mpmath.sech(beta * (z - z0))),
+                (Amplitude.gaussian(alpha, z0), lambda z: mpmath.exp(-alpha * (z - z0) ** 2))]
+    with mpmath.workdps(30):
+        for amp, exact in families:
+            sector = amp.sector
+            Z = sector.z_min + extra
+            M = sector.scale(Z, theta)
+            for u in (0.0, 0.5, 3.0, 20.0):
+                for v in (-1.0, 0.0, 1.0):
+                    for side in (-1.0, 1.0):
+                        z = mpmath.mpc(side * (Z + u), v * u * math.tan(theta))
+                        assert abs(exact(z)) <= M * math.exp(-sector.rate * u) * (1 + 1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["sech", "gaussian"]), p=st.floats(0.3, 3.0),
+       z0=st.floats(-3.0, 3.0), x=st.floats(-10.0, 10.0),
+       tau_re=st.floats(0.02, 3.0), sign=st.sampled_from([-1.0, 1.0]),
+       damping=st.one_of(st.just(0.0), st.floats(0.01, 2.0)), lg=st.floats(-13.0, -6.0))
+def test_ray_tails_bound_the_packet_integrand_past_the_rays(family, p, z0, x, tau_re, sign,
+                                                           damping, lg):
+    # the tail bound of each ray of the rotated contour, from the sector bound
+    # and the chirp's modulus, against |phi(z) e^{i x z - i tau z^2}| summed
+    # past the ray's end by a fine trapezoid sum
+    amp = Amplitude.sech(p, z0) if family == "sech" else Amplitude.gaussian(p, z0)
+    tau, eps = complex(sign * tau_re, -damping), 10.0**lg
+    got = quadrature._rotated_contour(amp.sector, x, tau, None, eps, math.inf)
+    assume(got is not None)
+    pieces, tails = got
+    segment, rays = pieces[0], pieces[1:]
+    Z = segment.b
+    assert segment.a == -Z and tails <= 2.0 * eps
+    # both rays leave along e^{-i theta}, theta = atan2(Re tau, -Im tau)/2
+    d = cmath.exp(-0.5j * math.atan2(tau.real, -tau.imag))
+    assert all(r.direction == d for r in rays)
+    mass = 0.0
+    for side in (-1.0, 1.0):
+        ray = [r for r in rays if r.origin == side * Z]
+        S = (ray[0].b - ray[0].a) if ray else 0.0     # S = 0: the whole ray is within eps
+        s = S + np.linspace(0.0, 12.0 / math.sqrt(abs(tau)) + 60.0 / p, 400_001)
+        z = side * Z + side * d * s
+        with np.errstate(over="ignore", under="ignore"):
+            g = np.abs(amp(z)) * np.exp((1j * x * z - 1j * tau * z * z).real)
+        mass += float(np.sum(g) - 0.5 * (g[0] + g[-1])) * (s[1] - s[0])
+    assert mass <= tails * (1 + 1e-6)
